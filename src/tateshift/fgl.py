@@ -10,6 +10,7 @@ relations of classifying rings.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from . import zmod
 from .series import (
@@ -179,7 +180,7 @@ def build_multiplicative(p: int, K: int, D: int) -> FormalGroupLaw:
     F = TruncatedSeries(dom, (X1, X2), D, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
     law = FormalGroupLaw(F, p, 1, "multiplicative")
     # cache [p](x) via binomials: (1+x)^p - 1
-    terms = {(k,): _binomial(p, k) % n for k in range(1, min(p, D) + 1)}
+    terms = {(k,): comb(p, k) % n for k in range(1, min(p, D) + 1)}
     law._m_cache[p] = TruncatedSeries(dom, ("x",), D, terms)
     return law
 
@@ -227,13 +228,6 @@ def build_honda(p: int, n: int, D: int) -> FormalGroupLaw:
         raise IntegralityFailure("p-series of the height-n law is not x^(p^n)")
     law._m_cache[p] = expected
     return law
-
-
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # -- formal difference with unit factor -----------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
-from math import gcd
 
 from . import zmod
 
@@ -158,7 +157,8 @@ class FiniteAlgebra:
 
     ``mul_table[(i, j)]`` for i <= j is a sparse list of (k, coeff) pairs for
     the product of basis elements i and j.  The first basis element is the
-    multiplicative identity.
+    multiplicative identity.  ``generators[k]`` is the coordinate vector of
+    the k-th presentation variable.
     """
 
     def __init__(self, base: BaseModulus, rank: int, basis_labels, mul_table,
@@ -233,9 +233,14 @@ class FiniteAlgebra:
                     sorted((index[e], c) for e, c in reduced.items())
                 )
         labels = [monomial_label(variables, e) for e in exps]
-        gens = tuple(index[e] for e in
-                     (tuple(1 if t == k else 0 for t in range(len(variables)))
-                      for k in range(len(variables))))
+        gens = []
+        for k in range(len(variables)):
+            # x_k is not a basis monomial when deg g_k = 1: it reduces to -a_0
+            x_k = tuple(1 if t == k else 0 for t in range(len(variables)))
+            coords = [0] * len(exps)
+            for e, c in reduce_poly({x_k: 1}).items():
+                coords[index[e]] = c
+            gens.append(tuple(coords))
         alg = cls(base, len(exps), labels, table, generators=gens,
                   presentation={"vars": list(variables), "relations": rels,
                                 "exponents": exps, "index": index})
@@ -267,9 +272,7 @@ class FiniteAlgebra:
         return RingElement(self, [1] + [0] * (self.rank - 1))
 
     def gen(self, k: int) -> RingElement:
-        coords = [0] * self.rank
-        coords[self.generators[k]] = 1
-        return RingElement(self, coords)
+        return RingElement(self, self.generators[k])
 
     def from_coords(self, coords) -> RingElement:
         return RingElement(self, coords)
@@ -463,47 +466,37 @@ def ideal_contains_one(gens) -> bool:
     return hf.contains([1] + [0] * (alg.rank - 1))
 
 
-def colon_ideal_rows(alg: FiniteAlgebra, ideal_rows, s: RingElement):
-    """Module generators of (I : s) = { r : s*r in I }."""
-    n = alg.base.n
-    ms = alg.mul_matrix(s)
-    if ideal_rows:
-        hf = zmod.howell(ideal_rows, n)
-        basis = hf.rows
-    else:
-        basis = []
-    # r in (I:s)  <=>  exists y: M_s r - V y = 0, V columns = basis vectors
-    ncols = alg.rank + len(basis)
-    mat = []
-    for i in range(alg.rank):
-        row = [ms[i][j] for j in range(alg.rank)]
-        row += [(-basis[t][i]) % n for t in range(len(basis))]
-        mat.append(row)
-    kern = zmod.right_kernel(mat, n)
-    return [k[: alg.rank] for k in kern if any(k[: alg.rank])]
-
-
 def saturation_ideal(alg: FiniteAlgebra, s_gens) -> tuple[list[list[int]], list]:
     """Saturation { r : s*r = 0 for some s in the multiplicative closure }.
 
-    Iterates I_{t+1} = sum_i (I_t : s_i) to a fixed point; returns the Howell
-    row basis and the chain of intermediate bases (the witness).
+    Inverting s_1..s_m is inverting their product s, so the saturation is
+    ker(s^k) for k large.  These kernels only grow, and ker(s^k) = ker(s^2k)
+    means they have stopped, so s is squared until two consecutive kernels
+    agree or the power is 0 (kernel = the whole module).  Returns the Howell
+    row basis and the chain of distinct bases of ker(s^(2^i)), i = 0, 1, ...
+    (the witness; empty iff s is a non-zero-divisor).
     """
     n = alg.base.n
+    power = alg.one()
+    for s in s_gens:
+        power = power * s
     current: list[list[int]] = []
     chain = []
-    while True:
-        new_rows = list(current)
-        for s in s_gens:
-            new_rows.extend(colon_ideal_rows(alg, current, s))
-        if not new_rows:
-            break
-        hf = zmod.howell(new_rows, n)
-        if hf.rows == (zmod.howell(current, n).rows if current else []):
-            break
-        current = hf.rows
-        chain.append([list(r) for r in current])
-    return current, chain
+    while not power.is_zero():
+        kern = zmod.right_kernel(alg.mul_matrix(power), n)
+        rows = zmod.howell(kern, n).rows if kern else []
+        if rows == current:
+            return current, chain
+        current = rows
+        chain.append([list(r) for r in rows])
+        power = power * power
+    full = _identity_rows(alg.rank)
+    chain.append(full)
+    return full, chain
+
+
+def _identity_rows(rank: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
 
 def localize_by_saturation(alg: FiniteAlgebra, s_gens):
@@ -517,13 +510,11 @@ def localize_by_saturation(alg: FiniteAlgebra, s_gens):
         if s.parent is not alg:
             raise RingMismatch("generators from different rings")
     rows, chain = saturation_ideal(alg, s_gens)
-    n = alg.base.n
-    if rows:
-        hf = zmod.howell(rows, n)
-        if hf.contains([1] + [0] * (alg.rank - 1)):
-            return ZERO_RING, None, chain
+    identity = _identity_rows(alg.rank)
+    # 1 is in the saturation iff a power of s is 0, which kills every row
+    if rows == identity:
+        return ZERO_RING, None, chain
     if not rows:
-        identity = [[1 if i == j else 0 for j in range(alg.rank)] for i in range(alg.rank)]
         return alg, identity, chain
     return _quotient_algebra(alg, rows) + (chain,)
 
@@ -538,8 +529,7 @@ def quotient_by_ideal(alg: FiniteAlgebra, gens):
             return ZERO_RING, None
         rows = hf.rows
     if not rows:
-        identity = [[1 if i == j else 0 for j in range(alg.rank)] for i in range(alg.rank)]
-        return alg, identity
+        return alg, _identity_rows(alg.rank)
     return _quotient_algebra(alg, rows)
 
 

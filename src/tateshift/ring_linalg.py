@@ -224,11 +224,15 @@ def vandermonde_matrix(ts, ncols=None):
     return rows
 
 
-def det_division_free(matrix):
-    """Determinant without ring division: cofactor to size 5, Berkowitz above."""
+def det_division_free(matrix, one=1):
+    """Determinant without ring division: cofactor to size 5, Berkowitz above.
+
+    ``one`` is the ring's identity, returned for the 0x0 matrix, which has no
+    entry to name the ring.
+    """
     n = len(matrix)
     if n == 0:
-        return 1
+        return one
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
@@ -408,7 +412,7 @@ def roots_to_coeffs(f_coeffs, ntuple: NTuple) -> RootCoeffResult:
             "Vieta", expanded[:-1], factorization={"leading": lead, "roots": roots}
         )
     # n < m: Cramer with exact division by det V
-    det_v = det_division_free(vandermonde_matrix(roots))
+    det_v = det_division_free(vandermonde_matrix(roots), one=elem_one(f_coeffs[-1]))
     beta = []
     for r in roots:
         acc = elem_zero(r)

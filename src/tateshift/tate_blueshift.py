@@ -17,6 +17,8 @@ computed by scanning j up to log_p|A| (the maximum occurs by then).
 
 from __future__ import annotations
 
+from math import comb
+
 from .classifying import (
     AbelianPGroup,
     InvalidSubgroup,
@@ -134,7 +136,7 @@ def multiplicative_exact_ring(p: int, exponents) -> ExactPolyRing:
     relations = []
     for i_k in exponents:
         q = p**i_k
-        coeffs = [_binom(q, t) for t in range(q + 1)]
+        coeffs = [comb(q, t) for t in range(q + 1)]
         coeffs[0] = 0  # (1+x)^q - 1
         relations.append(coeffs)
     variables = [f"x{k + 1}" for k in range(len(exponents))]
@@ -344,13 +346,6 @@ def periodicity_report(law: FormalGroupLaw, group: AbelianPGroup,
         )
     else:
         out["consistency"] = "certificate search exhausted; INCONCLUSIVE"
-    return out
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
     return out
 
 

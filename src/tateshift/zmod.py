@@ -226,13 +226,6 @@ def matmul_vec(mat: list[list[int]], x: list[int], n: int) -> list[int]:
     return [sum(a * b for a, b in zip(row, x)) % n for row in mat]
 
 
-def span_equal(rows_a: list[list[int]], rows_b: list[list[int]], ncols: int, n: int) -> bool:
-    """Whether two generating sets span the same row module over Z/n."""
-    ha = howell(rows_a or [[0] * ncols], n)
-    hb = howell(rows_b or [[0] * ncols], n)
-    return ha.rows == hb.rows
-
-
 def prime_power(n: int) -> tuple[int, int] | None:
     """(p, k) with n = p^k and p prime, or None.
 

@@ -88,6 +88,42 @@ def test_roots_cramer_job_with_witnesses(capsys):
     assert report["elimination_trace"]
 
 
+def test_roots_empty_tuple(capsys):
+    # the 0x0 Vandermonde determinant is the ring's identity, not the int 1
+    job = json.dumps({"modulus": 101, "f": ["3", "0", "5", "1"], "tuple": []})
+    code, report = run_cli(capsys, ["roots", job])
+    assert code == EXIT_OK
+    assert report["case"] == "Cramer"
+    assert report["recovered"] == []
+    assert report["witnesses"] == {"det_vandermonde": ["1"], "column_dets": []}
+
+
+def test_roots_degree_one_relation(capsys):
+    # Z/6[x]/(x + 2): x is the scalar 4, not a basis monomial
+    job = json.dumps({
+        "ring": {"base": "6", "vars": ["x"], "relations": [["2", "1"]]},
+        "f": ["0", "1"], "tuple": ["0"],
+    })
+    code, report = run_cli(capsys, ["roots", job])
+    assert code == EXIT_OK
+    assert report["case"] == "Vieta"
+    assert report["recovered"] == [["0"]]
+
+
+def test_vanish_cert_degree_one_relation(capsys):
+    # Z/4[x1, x2]/(x1, x2^2) has basis 1, x2
+    job = json.dumps({
+        "ring": {"base": "4", "vars": ["x1", "x2"],
+                 "relations": [["0", "1"], ["0", "0", "1"]]},
+        "gens": [["0", "1"]],
+        "max_len": 3,
+    })
+    code, report = run_cli(capsys, ["vanish-cert", job])
+    assert code == EXIT_OK
+    assert report["certificate"] == [0, 0]
+    assert report["product_is_zero"] is True
+
+
 def test_roots_invalid_tuple_reported(capsys):
     job = json.dumps({"modulus": 4, "f": ["0", "0", "1"], "tuple": ["0", "1"]})
     code, report = run_cli(capsys, ["roots", job])

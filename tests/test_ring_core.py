@@ -171,6 +171,19 @@ def test_ideal_contains_one():
     assert ideal_contains_one([two, x, alg.one() + x])  # 1+x is a unit
 
 
+def test_degree_one_relation_generator_images():
+    # x = -a_0 when g = x + a_0; the other variable stays a basis monomial
+    alg = FiniteAlgebra.from_presentation(BaseModulus(6), ["x"], [[2, 1]])
+    assert alg.rank == 1
+    assert alg.gen(0) == alg.from_int(4)
+    alg = FiniteAlgebra.from_presentation(
+        BaseModulus(4), ["x1", "x2"], [[1, 1], [0, 0, 1]])
+    assert alg.basis_labels == ["1", "x2"]
+    assert alg.gen(0) == alg.from_int(-1)
+    assert alg.gen(1).coords == (0, 1)
+    assert (alg.gen(1) * alg.gen(1)).is_zero()
+
+
 def test_localize_identity_generator():
     alg = algebra_z4_x2_plus_2x()
     q, proj, chain = localize_by_saturation(alg, [alg.one()])

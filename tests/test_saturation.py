@@ -1,0 +1,128 @@
+"""Product-power saturation against the colon-ideal iteration it replaced.
+
+The colon iteration I_{t+1} = sum_i (I_t : s_i), run to a fixed point, is
+kept here only as the reference: it computes the same saturation ideal by an
+independent route.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from tateshift import zmod
+from tateshift.ring_core import (
+    BaseModulus,
+    FiniteAlgebra,
+    NonFreeQuotient,
+    ZERO_RING,
+    localize_by_saturation,
+    saturation_ideal,
+)
+
+MODULI = (4, 6, 8, 9, 12, 18, 27, 30)
+
+
+def colon_ideal_rows(alg, ideal_rows, s):
+    """Module generators of (I : s) = { r : s*r in I }."""
+    n = alg.base.n
+    ms = alg.mul_matrix(s)
+    basis = zmod.howell(ideal_rows, n).rows if ideal_rows else []
+    # r in (I:s)  <=>  exists y: M_s r - V y = 0, V columns = basis vectors
+    mat = []
+    for i in range(alg.rank):
+        row = [ms[i][j] for j in range(alg.rank)]
+        row += [(-basis[t][i]) % n for t in range(len(basis))]
+        mat.append(row)
+    kern = zmod.right_kernel(mat, n)
+    return [k[: alg.rank] for k in kern if any(k[: alg.rank])]
+
+
+def colon_saturation(alg, s_gens):
+    """Howell rows of the saturation by iterated colon ideals."""
+    n = alg.base.n
+    current = []
+    while True:
+        new_rows = list(current)
+        for s in s_gens:
+            new_rows.extend(colon_ideal_rows(alg, current, s))
+        if not new_rows:
+            return current
+        rows = zmod.howell(new_rows, n).rows
+        if rows == current:
+            return current
+        current = rows
+
+
+@st.composite
+def towers_with_generators(draw):
+    """A monic tower over Z/N, every relation of degree >= 2, and 1-3 elements."""
+    n = draw(st.sampled_from(MODULI))
+    degrees = draw(st.sampled_from([[2], [3], [4], [2, 2], [2, 3]]))
+    relations = [
+        [draw(st.integers(0, n - 1)) for _ in range(d)] + [1] for d in degrees
+    ]
+    alg = FiniteAlgebra.from_presentation(
+        BaseModulus(n), [f"x{k + 1}" for k in range(len(degrees))], relations
+    )
+    # small coordinates make zero divisors and nilpotents common
+    coord = st.sampled_from([0, 0, 1, 2, 3, n - 1])
+    gens = draw(st.lists(
+        st.lists(coord, min_size=alg.rank, max_size=alg.rank).map(alg.from_coords),
+        min_size=1, max_size=3,
+    ))
+    return alg, gens
+
+
+def is_zero_ring(alg, gens):
+    try:
+        return localize_by_saturation(alg, gens)[0] == ZERO_RING
+    except NonFreeQuotient:
+        # only a proper saturation over a composite N has a non-free quotient
+        return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(towers_with_generators())
+def test_power_kernel_matches_colon_iteration(case):
+    alg, gens = case
+    rows, _ = saturation_ideal(alg, gens)
+    oracle = colon_saturation(alg, gens)
+    assert rows == oracle
+    one = [1] + [0] * (alg.rank - 1)
+    oracle_zero = bool(oracle) and zmod.howell(oracle, alg.base.n).contains(one)
+    assert is_zero_ring(alg, gens) == oracle_zero
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(towers_with_generators())
+def test_chain_replays(case):
+    alg, gens = case
+    s = alg.one()
+    for g in gens:
+        s = s * g
+    rows, chain = saturation_ideal(alg, gens)
+    power = s
+    for step in chain:
+        for row in step:
+            assert (power * alg.from_coords(row)).is_zero()
+        power = power * power
+    # the steps grow strictly and end in the saturation
+    for before, after in zip(chain, chain[1:]):
+        assert before != after
+        assert all(zmod.howell(after, alg.base.n).contains(r) for r in before)
+    assert chain[-1:] == ([rows] if rows else [])
+    full = [[1 if i == j else 0 for j in range(alg.rank)] for i in range(alg.rank)]
+    assert (rows == full) == is_zero_ring(alg, gens)
+    # an empty chain means s is a non-zero-divisor
+    assert (not chain) == (not zmod.right_kernel(alg.mul_matrix(s), alg.base.n))
+
+
+def test_nilpotent_chain_ends_in_full_module():
+    # F_2[x]/(x^4): ker(x) = (x^3), ker(x^2) = (x^2), then x^4 = 0
+    alg = FiniteAlgebra.from_presentation(BaseModulus(2), ["x"], [[0, 0, 0, 0, 1]])
+    rows, chain = saturation_ideal(alg, [alg.gen(0)])
+    assert chain == [
+        [[0, 0, 0, 1]],
+        [[0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ]
+    assert rows == chain[-1]
+    assert localize_by_saturation(alg, [alg.gen(0)])[0] == ZERO_RING
