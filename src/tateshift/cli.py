@@ -73,7 +73,6 @@ SCHEMAS = {
         "cap": (_INT, False),
         "m": (_INT, False),
         "j": (_INT, False),
-        "explain": (_BOOL, False),
     },
     "bgroup": {
         "p": (_INT, True),
@@ -215,6 +214,8 @@ def run_bgroup(params: dict) -> dict:
 def run_roots(params: dict) -> dict:
     if ("modulus" in params) == ("ring" in params):
         raise ValidationError("roots needs exactly one of 'modulus' or 'ring'")
+    if not params["f"]:
+        raise ValidationError("roots needs a nonempty coefficient list 'f'")
     if "modulus" in params:
         alg = ring_core.FiniteAlgebra.scalar_ring(
             ring_core.BaseModulus(params["modulus"])
@@ -430,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fgl.add_argument("--cap", type=int)
     p_fgl.add_argument("--m", type=int)
     p_fgl.add_argument("--j", type=int)
-    p_fgl.add_argument("--explain", action="store_true")
 
     p_bg = subs.add_parser("bgroup", help="classifying ring of an abelian p-group")
     p_bg.add_argument("--p", type=int, required=True)
@@ -509,8 +509,6 @@ def params_from_args(args) -> dict:
             value = getattr(args, field)
             if value is not None:
                 params[field] = value
-        if args.explain:
-            params["explain"] = True
         return params
     if command == "bgroup":
         params = {

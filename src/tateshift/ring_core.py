@@ -14,7 +14,6 @@ finiteness).
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from fractions import Fraction
 
 from . import zmod
@@ -49,6 +48,121 @@ ZERO_RING = "ZERO"  # explicit marker for the zero ring, never a rank-0 table
 def graded_lex_key(exponents):
     """Sort key for monomial exponent vectors: total degree, then lex."""
     return (sum(exponents), tuple(exponents))
+
+
+class MonomialReducer:
+    """Normal forms in base[x_1..x_m]/(g_1(x_1), ..., g_m(x_m)), g_k monic.
+
+    The base is Z (``modulus`` None) or Z/N.  The quotient is free on the
+    monomials with every e_k < d_k = deg g_k, listed in graded-lex order
+    (``monomials``, ``index``).  The powers x_k^e with d_k <= e <= 2d_k - 2
+    are put into normal form once, one multiplication by x_k at a time; rows
+    for higher e are extended on demand.  The normal form of a monomial is
+    the product of its variables' rows.
+
+    A product of two basis monomials has every e_k <= 2d_k - 2, so it is
+    encoded carry-free as the mixed-radix integer sum e_k * w_k with radix
+    2d_k - 1 (``codes``).  ``multiply`` convolves coefficient lists in that
+    code and folds each raw code through its normal form, built on first use
+    and kept.  Over Z/N every coefficient is reduced mod N.
+    """
+
+    def __init__(self, relations, modulus=None):
+        self.modulus = modulus
+        self.degrees = [len(rel) - 1 for rel in relations]
+        # x_k^d = sum_t tails[k][t] x_k^t with tails[k][t] = -a_t
+        self._tails = [self._mod([-c for c in rel[:-1]]) for rel in relations]
+        self._rows = [[[int(t == e) for t in range(d)] for e in range(d)]
+                      for d in self.degrees]
+        self.weights = []
+        size = 1
+        for k, d in enumerate(self.degrees):
+            self.power_row(k, 2 * d - 2)
+            self.weights.append(size)
+            size *= 2 * d - 1
+        self.raw_size = size
+        self.monomials = sorted(
+            itertools.product(*[range(d) for d in self.degrees]),
+            key=graded_lex_key,
+        )
+        self.index = {e: i for i, e in enumerate(self.monomials)}
+        self.codes = {e: sum(x * w for x, w in zip(e, self.weights))
+                      for e in self.monomials}
+        self._index_of_code = {c: self.index[e] for e, c in self.codes.items()}
+        self._folds = {}
+
+    def _mod(self, coeffs):
+        n = self.modulus
+        return [c % n for c in coeffs] if n else list(coeffs)
+
+    def power_row(self, k: int, e: int) -> list:
+        """Coefficients of x_k^e in the basis 1, x_k, ..., x_k^(d_k - 1)."""
+        if e < 0:
+            raise ValueError("negative exponent")
+        rows, tail = self._rows[k], self._tails[k]
+        while len(rows) <= e:
+            prev = rows[-1]
+            top = prev[-1]
+            nxt = [0] + prev[:-1]
+            if top:
+                nxt = self._mod([a + top * t for a, t in zip(nxt, tail)])
+            rows.append(nxt)
+        return rows[e]
+
+    def normal_form(self, exps) -> tuple:
+        """x^exps as ((basis index, coeff), ...), sorted by index."""
+        acc = {0: 1}
+        for k, e in enumerate(exps):
+            row, w = self.power_row(k, e), self.weights[k]
+            acc = {code + t * w: c * x for code, c in acc.items()
+                   for t, x in enumerate(row) if x}
+        idx = self._index_of_code
+        out = [(idx[code], c) for code, c in zip(acc, self._mod(acc.values()))]
+        return tuple(sorted((i, c) for i, c in out if c))
+
+    def fold(self, code: int) -> tuple:
+        """Normal form of the raw product monomial with mixed-radix ``code``."""
+        row = self._folds.get(code)
+        if row is None:
+            exps = [code // w % (2 * d - 1)
+                    for w, d in zip(self.weights, self.degrees)]
+            row = self._folds[code] = self.normal_form(exps)
+        return row
+
+    def reduce(self, terms: dict) -> dict:
+        """Normal form of {exponent tuple: coeff} (any exponents) by index."""
+        out = {}
+        for e, c in terms.items():
+            for i, x in self.normal_form(e):
+                out[i] = out.get(i, 0) + c * x
+        return self._nonzero(out)
+
+    def multiply(self, a, b) -> dict:
+        """Product of two [(code, coeff), ...] lists, as {basis index: coeff}."""
+        raw = [0] * self.raw_size
+        for ca, xa in a:
+            for cb, xb in b:
+                raw[ca + cb] += xa * xb
+        n = self.modulus
+        folds = self._folds
+        out = {}
+        for code, c in enumerate(raw):
+            if n:
+                c %= n
+            if not c:
+                continue
+            row = folds.get(code)
+            if row is None:
+                row = self.fold(code)
+            for i, x in row:
+                out[i] = out.get(i, 0) + c * x
+        return self._nonzero(out)
+
+    def _nonzero(self, coeffs: dict) -> dict:
+        n = self.modulus
+        if n:
+            coeffs = {i: c % n for i, c in coeffs.items()}
+        return {i: c for i, c in coeffs.items() if c}
 
 
 class BaseModulus:
@@ -182,64 +296,28 @@ class FiniteAlgebra:
         exponent below deg g_k, in graded-lex order.
         """
         n = base.n
-        degs = []
         rels = []
         for coeffs in relations:
             coeffs = [c % n for c in coeffs]
             if len(coeffs) < 2 or coeffs[-1] != 1:
                 raise ValueError("relations must be monic of degree >= 1")
-            degs.append(len(coeffs) - 1)
             rels.append(coeffs)
         if len(variables) != len(rels):
             raise ValueError("one relation per variable")
-        exps = sorted(
-            itertools.product(*[range(d) for d in degs]), key=graded_lex_key
-        )
-        index = {e: i for i, e in enumerate(exps)}
-
-        def reduce_poly(terms):
-            # terms: dict exponent-tuple -> coeff; rewrite x_k^{d_k} via g_k
-            out = {}
-            stack = [(e, c) for e, c in terms.items()]
-            while stack:
-                e, c = stack.pop()
-                c %= n
-                if not c:
-                    continue
-                for k, d in enumerate(degs):
-                    if e[k] >= d:
-                        rest = list(e)
-                        rest[k] -= d
-                        for t in range(d):
-                            ct = rels[k][t]
-                            if ct:
-                                e2 = list(rest)
-                                e2[k] += t
-                                stack.append((tuple(e2), (-c * ct) % n))
-                        break
-                else:
-                    out[e] = (out.get(e, 0) + c) % n
-                    if not out[e]:
-                        del out[e]
-            return out
-
+        reducer = MonomialReducer(rels, modulus=n)
+        exps, index, codes = reducer.monomials, reducer.index, reducer.codes
         table = {}
         for i, ei in enumerate(exps):
             for j in range(i, len(exps)):
-                ej = exps[j]
-                prod = tuple(a + b for a, b in zip(ei, ej))
-                reduced = reduce_poly({prod: 1})
-                table[(i, j)] = tuple(
-                    sorted((index[e], c) for e, c in reduced.items())
-                )
+                table[(i, j)] = reducer.fold(codes[ei] + codes[exps[j]])
         labels = [monomial_label(variables, e) for e in exps]
         gens = []
         for k in range(len(variables)):
             # x_k is not a basis monomial when deg g_k = 1: it reduces to -a_0
             x_k = tuple(1 if t == k else 0 for t in range(len(variables)))
             coords = [0] * len(exps)
-            for e, c in reduce_poly({x_k: 1}).items():
-                coords[index[e]] = c
+            for i, c in reducer.normal_form(x_k):
+                coords[i] = c
             gens.append(tuple(coords))
         alg = cls(base, len(exps), labels, table, generators=gens,
                   presentation={"vars": list(variables), "relations": rels,
@@ -795,51 +873,48 @@ class CertificateNotFound:
         return f"NotFound(max_len={self.max_len})"
 
 
+def multiset_products(gens, max_len: int):
+    """Distinct products of multisets of at most max_len generators, lazily.
+
+    Yields (value, word) breadth-first: the generators in index order, then
+    for each value of length L in the order it was yielded, value * g_i for
+    i from its word's last index on (products commute, so multisets
+    suffice).  A value equal to one yielded before is dropped and not
+    extended, which fixes the order and keeps the search deterministic.
+    """
+    seen = set()
+    frontier = []
+    for idx, g in enumerate(gens):
+        if g not in seen:
+            seen.add(g)
+            frontier.append((g, idx, (idx,)))
+            yield g, (idx,)
+    for _ in range(max_len - 1):
+        extended = []
+        for value, last, word in frontier:
+            for idx in range(last, len(gens)):
+                prod = value * gens[idx]
+                size = len(seen)
+                seen.add(prod)
+                if len(seen) == size:
+                    continue
+                longer = word + (idx,)
+                extended.append((prod, idx, longer))
+                yield prod, longer
+        frontier = extended
+
+
 def zero_product_certificate(s_gens, max_len: int):
     """A multiset of generators whose product is 0, or CertificateNotFound.
 
-    Breadth-first over words g_{i_1} <= ... <= g_{i_k} (products commute, so
-    multisets suffice); partial products are memoized in normal form, which
-    fixes the exploration order and keeps the search deterministic.
+    The first zero among ``multiset_products``: the shortest certificate,
+    found breadth-first.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    gens = list(s_gens)
-    if not gens:
-        return CertificateNotFound(max_len)
-
-    def key_of(value):
-        if isinstance(value, RingElement):
-            return value.coords
-        return tuple(sorted(value.terms.items()))
-
-    def is_zero(value):
-        return value.is_zero()
-
-    seen = set()
-    frontier = deque()
-    for idx, g in enumerate(gens):
-        if is_zero(g):
-            return [idx]
-        k = key_of(g)
-        if k not in seen:
-            seen.add(k)
-            frontier.append((g, idx, [idx]))
-    length = 1
-    while frontier and length < max_len:
-        length += 1
-        next_frontier = deque()
-        while frontier:
-            value, last, word = frontier.popleft()
-            for idx in range(last, len(gens)):
-                prod = value * gens[idx]
-                if is_zero(prod):
-                    return word + [idx]
-                k = key_of(prod)
-                if k not in seen:
-                    seen.add(k)
-                    next_frontier.append((prod, idx, word + [idx]))
-        frontier = next_frontier
+    for value, word in multiset_products(list(s_gens), max_len):
+        if value.is_zero():
+            return list(word)
     return CertificateNotFound(max_len)
 
 
@@ -882,12 +957,14 @@ class PolyElement:
                 self.parent, {e: c * other for e, c in self.terms.items()}
             )
         self._check(other)
-        raw = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                raw[e] = raw.get(e, 0) + c1 * c2
-        return PolyElement(self.parent, self.parent.reduce(raw))
+        ring = self.parent
+        codes = ring.reducer.codes
+        prod = ring.reducer.multiply(
+            [(codes[e], c) for e, c in self.terms.items()],
+            [(codes[e], c) for e, c in other.terms.items()],
+        )
+        monomials = ring.monomials
+        return PolyElement(ring, {monomials[i]: c for i, c in prod.items()})
 
     __rmul__ = __mul__
 
@@ -902,7 +979,7 @@ class PolyElement:
         )
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -928,45 +1005,23 @@ class ExactPolyRing:
     def __init__(self, variables, relations):
         self.variables = list(variables)
         self.relations = []
-        self.degrees = []
         for coeffs in relations:
             coeffs = [int(c) for c in coeffs]
             if len(coeffs) < 2 or coeffs[-1] != 1:
                 raise ValueError("relations must be monic of degree >= 1")
             self.relations.append(coeffs)
-            self.degrees.append(len(coeffs) - 1)
         if len(self.variables) != len(self.relations):
             raise ValueError("one relation per variable")
-        self.monomials = sorted(
-            itertools.product(*[range(d) for d in self.degrees]),
-            key=graded_lex_key,
-        )
-        self.index = {e: i for i, e in enumerate(self.monomials)}
+        self.reducer = MonomialReducer(self.relations)
+        self.degrees = self.reducer.degrees
+        self.monomials = self.reducer.monomials
+        self.index = self.reducer.index
         self.rank = len(self.monomials)
 
     def reduce(self, terms: dict) -> dict:
-        out = {}
-        stack = list(terms.items())
-        while stack:
-            e, c = stack.pop()
-            if not c:
-                continue
-            for k, d in enumerate(self.degrees):
-                if e[k] >= d:
-                    rest = list(e)
-                    rest[k] -= d
-                    for t in range(d):
-                        ct = self.relations[k][t]
-                        if ct:
-                            e2 = list(rest)
-                            e2[k] += t
-                            stack.append((tuple(e2), -c * ct))
-                    break
-            else:
-                out[e] = out.get(e, 0) + c
-                if not out[e]:
-                    del out[e]
-        return out
+        """Normal form of {exponent tuple: coeff}, exponents of any size."""
+        return {self.monomials[i]: c
+                for i, c in self.reducer.reduce(terms).items()}
 
     def zero(self) -> PolyElement:
         return PolyElement(self, {})
@@ -976,7 +1031,7 @@ class ExactPolyRing:
 
     def gen(self, k: int) -> PolyElement:
         e = tuple(1 if t == k else 0 for t in range(len(self.variables)))
-        return PolyElement(self, {e: 1})
+        return self.from_terms({e: 1})
 
     def from_terms(self, terms: dict) -> PolyElement:
         return PolyElement(self, self.reduce(dict(terms)))

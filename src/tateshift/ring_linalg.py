@@ -26,6 +26,7 @@ from .ring_core import (
     exact_div as ring_exact_div,
     ideal_contains_one,
     is_unit as ring_is_unit,
+    multiset_products,
 )
 
 
@@ -608,46 +609,12 @@ def _one_in_ideal(gens) -> bool:
 # -- tuples verified in a localization ---------------------------------------------------
 
 
-def _bfs_products(gens, max_len):
-    """Deterministic breadth-first products of the generators (multisets)."""
-    frontier = [(g, i, (i,)) for i, g in enumerate(gens)]
-    seen = set()
-    out = []
-    for value, _, word in frontier:
-        key = _value_key(value)
-        if key not in seen:
-            seen.add(key)
-            out.append((value, word))
-    length = 1
-    current = frontier
-    while length < max_len:
-        length += 1
-        nxt = []
-        for value, last, word in current:
-            for i in range(last, len(gens)):
-                prod = value * gens[i]
-                key = _value_key(prod)
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append((prod, i, word + (i,)))
-                out.append((prod, word + (i,)))
-        current = nxt
-    return out
-
-
-def _value_key(value):
-    if isinstance(value, RingElement):
-        return value.coords
-    return tuple(sorted(value.terms.items()))
-
-
 def _unit_multiple_witness(d, s_gens, max_len):
     """(word, unit) with d = unit * prod(word over s_gens), or None.
 
     Certifies that d becomes a unit in the localization inverting s_gens.
     """
-    for value, word in _bfs_products(s_gens, max_len):
+    for value, word in multiset_products(s_gens, max_len):
         u = _unit_cofactor(value, d)
         if u is not None:
             return list(word), u
@@ -724,7 +691,7 @@ def _kill_word(t, s_gens, max_len):
     """A word whose product annihilates t (so t dies in the localization)."""
     if elem_is_zero(t):
         return []
-    for value, word in _bfs_products(s_gens, max_len):
+    for value, word in multiset_products(s_gens, max_len):
         if elem_is_zero(value * t):
             return list(word)
     return None

@@ -98,6 +98,13 @@ def test_roots_empty_tuple(capsys):
     assert report["witnesses"] == {"det_vandermonde": ["1"], "column_dets": []}
 
 
+def test_roots_empty_f_is_a_validation_error(capsys):
+    job = json.dumps({"modulus": 7, "f": [], "tuple": []})
+    code, report = run_cli(capsys, ["roots", job])
+    assert code == EXIT_VALIDATION
+    assert "'f'" in report["error"]["message"]
+
+
 def test_roots_degree_one_relation(capsys):
     # Z/6[x]/(x + 2): x is the scalar 4, not a basis monomial
     job = json.dumps({
@@ -151,6 +158,14 @@ def test_schema_rejects_unknown_field():
     code, report = run_job("blueshift", {"p": 2, "A": [1], "C": [1], "bogus": 1})
     assert code == EXIT_VALIDATION
     assert "bogus" in report["error"]["message"]
+
+
+def test_fgl_rejects_explain():
+    code, report = run_job(
+        "fgl", {"kind": "multiplicative", "p": 2, "explain": True}
+    )
+    assert code == EXIT_VALIDATION
+    assert "explain" in report["error"]["message"]
 
 
 def test_schema_rejects_missing_field():

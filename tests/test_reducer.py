@@ -1,0 +1,187 @@
+"""The power-normal-form reducer against the stack reducer it replaced.
+
+The stack reducer rewrites one x_k^d at a time through g_k and pushes the
+resulting terms back; it is kept here only as the reference.  The multiset
+product generator is checked against the eager breadth-first search it
+replaced in the same way.
+"""
+
+import itertools
+import math
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from tateshift.ring_core import (
+    BaseModulus,
+    ExactPolyRing,
+    FiniteAlgebra,
+    MonomialReducer,
+    multiset_products,
+)
+from tateshift.tate_blueshift import (
+    multiplicative_euler_class_exact,
+    multiplicative_exact_ring,
+)
+
+
+def stack_reduce(relations, terms, modulus=None):
+    """Normal form of {exponents: coeff}, one x_k^d rewrite at a time."""
+    degrees = [len(r) - 1 for r in relations]
+    out = {}
+    stack = list(terms.items())
+    while stack:
+        e, c = stack.pop()
+        if modulus:
+            c %= modulus
+        if not c:
+            continue
+        for k, d in enumerate(degrees):
+            if e[k] >= d:
+                rest = list(e)
+                rest[k] -= d
+                for t in range(d):
+                    if relations[k][t]:
+                        e2 = list(rest)
+                        e2[k] += t
+                        stack.append((tuple(e2), -c * relations[k][t]))
+                break
+        else:
+            out[e] = out.get(e, 0) + c
+    if modulus:
+        out = {e: c % modulus for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+def raw_product(a, b):
+    raw = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            raw[e] = raw.get(e, 0) + c1 * c2
+    return raw
+
+
+@st.composite
+def monic_relations(draw, coeff=st.integers(-4, 4), max_rank=48):
+    """1-3 monic integer relations of degrees 1-6.
+
+    The rank bound keeps the stack reducer, whose work grows exponentially
+    with the exponents, fast enough for Tier-1.
+    """
+    degrees = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)
+                   .filter(lambda ds: math.prod(ds) <= max_rank))
+    return [[draw(coeff) for _ in range(d)] + [1] for d in degrees]
+
+
+def elements(ring, draw):
+    coeff = st.integers(-3, 3)
+    monos = draw(st.lists(st.sampled_from(ring.monomials), max_size=5))
+    return {m: draw(coeff) for m in monos}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_exact_products_match_stack_reducer(data):
+    relations = data.draw(monic_relations())
+    ring = ExactPolyRing([f"x{k + 1}" for k in range(len(relations))], relations)
+    a = elements(ring, data.draw)
+    b = elements(ring, data.draw)
+    got = ring.from_terms(a) * ring.from_terms(b)
+    assert got.terms == stack_reduce(relations, raw_product(a, b))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(monic_relations(), st.data())
+def test_reduce_any_exponent_matches_stack_reducer(relations, data):
+    # exponents beyond 2d - 2 extend the power rows on demand
+    ring = ExactPolyRing([f"x{k + 1}" for k in range(len(relations))], relations)
+    exps = tuple(data.draw(st.integers(0, 2 * len(r) + 1)) for r in relations)
+    assert ring.reduce({exps: 2}) == stack_reduce(relations, {exps: 2})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 6, 9, 12, 30]),
+       monic_relations(coeff=st.integers(0, 29), max_rank=24))
+def test_presentation_table_matches_stack_reducer(n, relations):
+    relations = [[c % n for c in r[:-1]] + [1] for r in relations]
+    names = [f"x{k + 1}" for k in range(len(relations))]
+    alg = FiniteAlgebra.from_presentation(BaseModulus(n), names, relations)
+    exps = alg.presentation["exponents"]
+    index = alg.presentation["index"]
+    for i, j in itertools.combinations_with_replacement(range(alg.rank), 2):
+        prod = tuple(x + y for x, y in zip(exps[i], exps[j]))
+        oracle = stack_reduce(relations, {prod: 1}, modulus=n)
+        assert alg.table_product(i, j) == {index[e]: c for e, c in oracle.items()}
+    for k in range(len(relations)):
+        x_k = tuple(int(t == k) for t in range(len(relations)))
+        oracle = stack_reduce(relations, {x_k: 1}, modulus=n)
+        assert alg.gen(k).coords == tuple(
+            oracle.get(e, 0) for e in exps
+        )
+
+
+def test_power_rows_mod_n():
+    # x^2 = 3x + 1 over Z/4: x^3 = 3x^2 + x = 10x + 3 = 2x + 3
+    red = MonomialReducer([[3, 1, 1]], modulus=4)
+    assert red.power_row(0, 2) == [1, 3]
+    assert red.power_row(0, 3) == [3, 2]
+    assert red.multiply([(1, 1)], [(1, 1)]) == {0: 1, 1: 3}
+
+
+def test_degree_one_generator_is_reduced():
+    ring = ExactPolyRing(["x", "y"], [[3, 1], [0, 0, 1]])
+    assert ring.gen(0).terms == {(0, 0): -3}
+    assert (ring.gen(0) * ring.gen(1)).terms == {(0, 1): -3}
+
+
+def test_dense_rank_625_product_is_fast():
+    ring = multiplicative_exact_ring(5, [2, 2])
+    assert ring.rank == 625
+    start = time.perf_counter()
+    product = ring.one()
+    for w in [(20, 3), (7, 22), (24, 24), (13, 13)]:
+        product = product * multiplicative_euler_class_exact(ring, w)
+    assert time.perf_counter() - start < 2.0
+    assert not product.is_zero()
+
+
+# -- multiset products ------------------------------------------------------------
+
+
+def eager_bfs_products(gens, max_len):
+    """Every distinct multiset product up to max_len, computed level by level."""
+    frontier = [(g, i, (i,)) for i, g in enumerate(gens)]
+    seen = set()
+    out = []
+    for value, _, word in frontier:
+        if value.coords not in seen:
+            seen.add(value.coords)
+            out.append((value, word))
+    for _ in range(max_len - 1):
+        nxt = []
+        for value, last, word in frontier:
+            for i in range(last, len(gens)):
+                prod = value * gens[i]
+                if prod.coords in seen:
+                    continue
+                seen.add(prod.coords)
+                nxt.append((prod, i, word + (i,)))
+                out.append((prod, word + (i,)))
+        frontier = nxt
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([4, 6, 8, 9]), st.data())
+def test_multiset_products_match_eager_search(n, data):
+    degree = data.draw(st.integers(2, 3))
+    relation = [data.draw(st.integers(0, n - 1)) for _ in range(degree)] + [1]
+    alg = FiniteAlgebra.from_presentation(BaseModulus(n), ["x"], [relation])
+    coord = st.sampled_from([0, 0, 1, 2, n - 1])
+    gens = data.draw(st.lists(
+        st.lists(coord, min_size=alg.rank, max_size=alg.rank).map(alg.from_coords),
+        min_size=1, max_size=4,
+    ))
+    max_len = data.draw(st.integers(1, 4))
+    assert list(multiset_products(gens, max_len)) == eager_bfs_products(gens, max_len)
