@@ -54,6 +54,11 @@ def _env_cap():
         raise ValidationError(f"TATESHIFT_CAP must be an integer: {raw!r}") from exc
 
 
+def _cap(params: dict):
+    """The job's cap, or TATESHIFT_CAP when the job gives none."""
+    return params["cap"] if "cap" in params else _env_cap()
+
+
 # -- parameter schemas ------------------------------------------------------------
 
 _INT = ("int", lambda v: isinstance(v, int) and not isinstance(v, bool))
@@ -144,7 +149,7 @@ def run_fgl(params: dict) -> dict:
     p = params["p"]
     n = params.get("n", 1)
     K = params.get("modulus_power", 1)
-    cap = params.get("cap", _env_cap())
+    cap = _cap(params)
     j = params.get("j")
     if cap is None and j:
         height = n if kind == "honda" else 1
@@ -182,7 +187,7 @@ def _law_for_group(params: dict, exponents):
     p = params["p"]
     n = params.get("n", 1)
     K = params.get("modulus_power", 1)
-    cap = params.get("cap", _env_cap())
+    cap = _cap(params)
     if cap is not None:
         return build_law(kind, p, n=n, modulus_power=K, cap=cap)
     return build_law(kind, p, n=n, modulus_power=K, exponents=exponents)

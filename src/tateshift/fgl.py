@@ -18,7 +18,6 @@ from .series import (
     TruncatedSeries,
     ZModDomain,
     inverse as series_inverse,
-    rational_to_zmod,
     reversion,
     substitute,
 )
@@ -131,14 +130,16 @@ class FormalGroupLaw:
         if m in self._m_cache:
             return self._m_cache[m]
         if m < 0:
-            pos = self.m_series(-m)
-            out = substitute(self.formal_inverse(), {"x": pos})
-        else:
-            prev = self.m_series(m - 1)
-            x = self._m_cache[1]
-            out = self.formal_sum(prev, x)
-        self._m_cache[m] = out
-        return out
+            out = substitute(self.formal_inverse(), {"x": self.m_series(-m)})
+            self._m_cache[m] = out
+            return out
+        # fill upward from the largest cached index below m
+        k = max(i for i in self._m_cache if 0 <= i < m)
+        x = self._m_cache[1]
+        while k < m:
+            k += 1
+            self._m_cache[k] = self.formal_sum(self._m_cache[k - 1], x)
+        return self._m_cache[m]
 
     def p_series(self) -> TruncatedSeries:
         return self.m_series(self.p)
@@ -197,30 +198,48 @@ def build_custom(F: TruncatedSeries, p: int, height=None) -> FormalGroupLaw:
 
 
 def build_honda(p: int, n: int, D: int) -> FormalGroupLaw:
-    """Height-n law over F_p from the logarithm sum_i x^(p^(n*i)) / p^i.
+    """Height-n law over F_p from the logarithm l(x) = sum_i x^(p^(n*i)) / p^i.
 
-    The rational law l^-1(l(x1) + l(x2)) is p-integral (a failure signals a
-    bug, not bad input); reducing mod p yields [p](x) = x^(p^n) exactly, the
-    periodicity generator being specialized to 1.
+    The rational law F_rat = e(l(x1) + l(x2)), e = l^-1 = sum_k e_k x^k, is
+    p-integral (a failure signals a bug, not bad input); reducing mod p
+    yields [p](x) = x^(p^n) exactly, the periodicity generator being
+    specialized to 1.
+
+    Only the reversion runs over Q.  With I the top index of l and p^w the
+    largest p-power in a denominator of e, S = p^I (l(x1) + l(x2)) is
+    integral and p^V F_rat = sum_k e_k p^(w + (D-k) I) S^k with V = w + D*I
+    has p-integral coefficients, so it is composed over Z/p^(V+1), the image
+    of the ring map from Z_(p).  F_rat is p-integral exactly when every
+    coefficient of the image is divisible by p^V, and F is the quotient.
     """
     if D < p**n:
         raise CapTooSmall("cap must be at least p^n")
-    log_terms = {}
-    i = 0
-    while p ** (n * i) <= D:
-        log_terms[(p ** (n * i),)] = Fraction(1, p**i)
-        i += 1
-    log = TruncatedSeries(QQ, ("x",), D, log_terms)
-    exp = reversion(log)
-    l1 = TruncatedSeries(QQ, (X1, X2), D, {(e[0], 0): c for e, c in log.terms.items()})
-    l2 = TruncatedSeries(QQ, (X1, X2), D, {(0, e[0]): c for e, c in log.terms.items()})
-    F_rat = substitute(exp, {"x": l1 + l2})
-    for e, c in F_rat.terms.items():
-        if c.denominator % p == 0:
+    I = 0
+    while p ** (n * (I + 1)) <= D:
+        I += 1
+    log_terms, s_terms = {}, {}
+    for i in range(I + 1):
+        d = p ** (n * i)
+        log_terms[(d,)] = Fraction(1, p**i)
+        s_terms[(d, 0)] = s_terms[(0, d)] = p ** (I - i)
+    exp = reversion(TruncatedSeries(QQ, ("x",), D, log_terms))
+    w = max(_p_valuation(c.denominator, p) for c in exp.terms.values())
+    V = w + D * I
+    dom = ZModDomain(p ** (V + 1))
+    G = TruncatedSeries(dom, ("x",), D, {
+        (k,): _to_zmod(c * p ** (w + (D - k) * I), dom.n)
+        for (k,), c in exp.terms.items()
+    })
+    S = TruncatedSeries(dom, (X1, X2), D, s_terms)
+    scaled = substitute(G, {"x": S})
+    pV = p**V
+    for e, c in scaled.terms.items():
+        if c % pV:
             raise IntegralityFailure(
-                f"coefficient {c} at {e} has negative p-adic valuation"
+                f"coefficient at {e} has negative p-adic valuation"
             )
-    F = rational_to_zmod(F_rat, p)
+    F = TruncatedSeries(ZModDomain(p), (X1, X2), D,
+                        {e: c // pV for e, c in scaled.terms.items()})
     law = FormalGroupLaw(F, p, n, "honda")
     pxp = law.p_series()
     expected = TruncatedSeries(ZModDomain(p), ("x",), D, {(p**n,): 1})
@@ -228,6 +247,19 @@ def build_honda(p: int, n: int, D: int) -> FormalGroupLaw:
         raise IntegralityFailure("p-series of the height-n law is not x^(p^n)")
     law._m_cache[p] = expected
     return law
+
+
+def _p_valuation(a: int, p: int) -> int:
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+def _to_zmod(c: Fraction, n: int) -> int:
+    """Image in Z/n of a rational whose denominator is prime to n."""
+    return c.numerator * zmod.inv_mod(c.denominator, n) % n
 
 
 # -- formal difference with unit factor -----------------------------------------

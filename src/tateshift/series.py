@@ -10,6 +10,7 @@ operations return fresh series.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .ring_core import RingElement, RingMismatch, graded_lex_key
 from . import zmod
@@ -56,6 +57,13 @@ class ZModDomain:
     def is_unit(self, a):
         return zmod.is_unit_mod(a, self.n)
 
+    def as_integers(self, coeffs):
+        """(ints, scale) with coeffs[i] = ints[i] / scale."""
+        return coeffs, 1
+
+    def from_scaled(self, c: int, scale: int):
+        return c % self.n
+
     def inv(self, a):
         return zmod.inv_mod(a, self.n)
 
@@ -91,6 +99,14 @@ class RationalDomain:
 
     def is_unit(self, a):
         return a != 0
+
+    def as_integers(self, coeffs):
+        """(ints, scale) with coeffs[i] = ints[i] / scale."""
+        scale = lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+    def from_scaled(self, c: int, scale: int):
+        return Fraction(c, scale)
 
     def inv(self, a):
         return 1 / Fraction(a)
@@ -145,6 +161,13 @@ class TruncatedSeries:
         idx = list(variables).index(name)
         e = tuple(1 if i == idx else 0 for i in range(len(variables)))
         return cls(domain, variables, cap, {e: domain.one})
+
+    @classmethod
+    def _reduced(cls, domain, variables: tuple, cap, terms: dict):
+        """A series from nonzero normalized terms within the cap, kept as given."""
+        out = object.__new__(cls)
+        out.domain, out.vars, out.cap, out.terms = domain, variables, cap, terms
+        return out
 
     # -- inspection -----------------------------------------------------------
 
@@ -203,22 +226,36 @@ class TruncatedSeries:
             return self.scale(other)
         cap = self._compat(other)
         dom = self.domain
+        # Exponents travel as mixed-radix codes with radix cap + 1: a kept
+        # product has every exponent <= cap, so adding codes never carries.
+        # Coefficients travel as integers over one common denominator.
+        nvars, radix = len(self.vars), cap + 1
+        a_terms = [(e, c) for e, c in self.terms.items() if sum(e) <= cap]
+        b_terms = [(e, c) for e, c in other.terms.items() if sum(e) <= cap]
+        a_ints, a_scale = dom.as_integers([c for _, c in a_terms])
+        b_ints, b_scale = dom.as_integers([c for _, c in b_terms])
+        b_by_degree = [[] for _ in range(radix)]
+        for (e, _), c in zip(b_terms, b_ints):
+            b_by_degree[sum(e)].append((_encode(e, radix), c))
+        # b_upto[d]: how many terms of other have degree <= d
+        b_pairs, b_upto = [], []
+        for bucket in b_by_degree:
+            b_pairs += bucket
+            b_upto.append(len(b_pairs))
         out = {}
-        b_items = sorted(
-            ((sum(e), e, c) for e, c in other.terms.items()), key=lambda t: t[0]
-        )
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            if da > cap:
-                continue
-            for db, eb, cb in b_items:
-                if da + db > cap:
-                    break
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = dom.mul(ca, cb)
-                prev = out.get(e)
-                out[e] = c if prev is None else dom.add(prev, c)
-        return TruncatedSeries(dom, self.vars, cap, out)
+        get = out.get
+        for (e, _), ca in zip(a_terms, a_ints):
+            code_a = _encode(e, radix)
+            for code_b, cb in b_pairs[:b_upto[cap - sum(e)]]:
+                code = code_a + code_b
+                out[code] = get(code, 0) + ca * cb
+        scale = a_scale * b_scale
+        terms = {}
+        for code, c in out.items():
+            c = dom.from_scaled(c, scale)
+            if c:
+                terms[_decode(code, nvars, radix)] = c
+        return TruncatedSeries._reduced(dom, self.vars, cap, terms)
 
     def scale(self, c):
         dom = self.domain
@@ -277,11 +314,33 @@ class TruncatedSeries:
         }
 
 
+def _encode(e: tuple, radix: int) -> int:
+    """The mixed-radix code sum_i e_i * radix^i of an exponent vector."""
+    code = 0
+    for k in reversed(e):
+        code = code * radix + k
+    return code
+
+
+def _decode(code: int, nvars: int, radix: int) -> tuple:
+    """Exponent vector of the mixed-radix code sum_i e_i * radix^i."""
+    if nvars == 1:
+        return (code,)
+    out = []
+    for _ in range(nvars):
+        code, k = divmod(code, radix)
+        out.append(k)
+    return tuple(out)
+
+
 def substitute(f: TruncatedSeries, assignments: dict) -> TruncatedSeries:
     """Formal composition: replace each variable by a series with zero constant term.
 
     The zero-constant-term requirement guarantees that only finitely many
-    terms of f contribute to each output degree.
+    terms of f contribute to each output degree.  Terms are grouped by every
+    exponent but the last: each group's coefficients scale cached powers of
+    the last series into one sum, which then takes a single product with the
+    group's powers of the other series.
     """
     if set(assignments) != set(f.vars):
         raise ValueError("assignments must cover exactly the variables of f")
@@ -311,14 +370,24 @@ def substitute(f: TruncatedSeries, assignments: dict) -> TruncatedSeries:
             cache[k] = p
         return cache[k]
 
-    acc = TruncatedSeries.zero(dom, out_vars, cap)
+    last = len(values) - 1
+    groups = {}
     for e, c in f.terms.items():
-        term = one.scale(c)
-        for i, k in enumerate(e):
+        if sum(e) <= cap:
+            groups.setdefault(e[:last], []).append((e[last], c))
+    acc = {}
+    for prefix, tail in groups.items():
+        inner = {}
+        for k, c in tail:
+            for e, v in power(last, k).terms.items():
+                inner[e] = inner.get(e, 0) + c * v
+        group = TruncatedSeries(dom, out_vars, cap, inner)
+        for i, k in enumerate(prefix):
             if k:
-                term = term * power(i, k)
-        acc = acc + term
-    return acc
+                group = power(i, k) * group
+        for e, v in group.terms.items():
+            acc[e] = acc.get(e, 0) + v
+    return TruncatedSeries(dom, out_vars, cap, acc)
 
 
 def reversion(f: TruncatedSeries) -> TruncatedSeries:
@@ -364,29 +433,19 @@ def inverse(f: TruncatedSeries) -> TruncatedSeries:
     return out
 
 
-def map_coefficients(f: TruncatedSeries, new_domain, fn) -> TruncatedSeries:
-    return TruncatedSeries(
-        new_domain, f.vars, f.cap, {e: fn(c) for e, c in f.terms.items()}
-    )
-
-
-def rational_to_zmod(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Reduce a p-integral rational series mod n (denominators inverted)."""
-    dom = ZModDomain(n)
-
-    def red(c: Fraction):
-        den = c.denominator % n
-        return c.numerator % n * zmod.inv_mod(den, n) % n
-
-    return map_coefficients(f, dom, red)
-
-
 def eval_at(f: TruncatedSeries, args, polynomial: bool = False) -> RingElement:
     """Exact value of f at ring elements.
 
     Either every argument is nilpotent with the truncation cap covering all
     jointly nonvanishing monomials (so the dropped tail is invisible), or the
     caller asserts f is a polynomial and the finite sum is taken as-is.
+
+    Each argument gets one table of its nonzero powers, which doubles as the
+    nilpotency check: it runs until a power vanishes or, short of that, up
+    to index cap + 1, past which the cap cannot cover the argument.  Terms
+    are grouped by every exponent but the last, so each group's sum is a
+    scalar combination of table rows and takes at most one ring product per
+    other argument.
     """
     if len(args) != len(f.vars):
         raise ValueError("one argument per variable")
@@ -398,37 +457,66 @@ def eval_at(f: TruncatedSeries, args, polynomial: bool = False) -> RingElement:
             raise RingMismatch("arguments from different rings")
     if not isinstance(f.domain, ZModDomain) or f.domain.n != alg.base.n:
         raise RingMismatch("series coefficients do not match the ring base")
-    if not polynomial:
-        indices = []
-        for a in args:
-            idx = alg.nilpotency_index(a)
-            if idx is None:
-                raise NonNilpotentArgument(
-                    "argument is not nilpotent; pass polynomial=True for "
-                    "polynomial evaluation"
-                )
-            indices.append(idx)
-        if sum(i - 1 for i in indices) > f.cap:
+    if polynomial:
+        tops = [max((e[i] for e in f.terms), default=0) for i in range(len(args))]
+    else:
+        tops = [f.cap + 1] * len(args)
+    tables = [_power_table(alg, a, top) for a, top in zip(args, tops)]
+    # A table that ends short of its top has the nilpotency index as its
+    # length; one that reaches index cap + 1 fails this test on its own.
+    if not polynomial and sum(len(t) - 1 for t in tables) > f.cap:
+        _raise_uncovered(alg, args, f.cap)
+    last = len(args) - 1
+    last_table = [a.coords for a in tables[last]]
+    groups = {}
+    for e, c in f.terms.items():
+        if all(k < len(t) for k, t in zip(e, tables)):
+            groups.setdefault(e[:last], []).append((e[last], c))
+    acc = [0] * alg.rank
+    for prefix, tail in groups.items():
+        inner = [0] * alg.rank
+        for k, c in tail:
+            for j, x in enumerate(last_table[k]):
+                if x:
+                    inner[j] += c * x
+        coords = inner
+        if any(prefix):
+            group = RingElement(alg, inner)
+            for i, k in enumerate(prefix):
+                if k:
+                    group = tables[i][k] * group
+            coords = group.coords
+        for j, x in enumerate(coords):
+            acc[j] += x
+    return RingElement(alg, acc)
+
+
+def _power_table(alg, a: RingElement, top: int) -> list:
+    """[1, a, a^2, ...] up to a^top, cut before the first zero power."""
+    table = [alg.one()]
+    while len(table) <= top:
+        nxt = a if len(table) == 1 else table[-1] * a
+        if nxt.is_zero():
+            break
+        table.append(nxt)
+    return table
+
+
+def _raise_uncovered(alg, args, cap: int):
+    """Raise the error of the first argument the cap cannot cover."""
+    indices = []
+    for a in args:
+        idx = alg.nilpotency_index(a)
+        if idx is None:
             raise NonNilpotentArgument(
-                f"cap {f.cap} does not cover all nonvanishing monomials "
-                f"(need {sum(i - 1 for i in indices)})"
+                "argument is not nilpotent; pass polynomial=True for "
+                "polynomial evaluation"
             )
-    powers = [{0: alg.one(), 1: a} for a in args]
-
-    def power(i, k):
-        cache = powers[i]
-        if k not in cache:
-            cache[k] = power(i, k - 1) * args[i]
-        return cache[k]
-
-    acc = alg.zero()
-    for e, c in sorted(f.terms.items(), key=lambda t: graded_lex_key(t[0])):
-        term = alg.one() * c
-        for i, k in enumerate(e):
-            if k:
-                term = term * power(i, k)
-        acc = acc + term
-    return acc
+        indices.append(idx)
+    raise NonNilpotentArgument(
+        f"cap {cap} does not cover all nonvanishing monomials "
+        f"(need {sum(i - 1 for i in indices)})"
+    )
 
 
 def poly_eval(coeffs, x: RingElement) -> RingElement:

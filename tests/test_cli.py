@@ -276,6 +276,30 @@ def test_env_var_default_cap(capsys, monkeypatch):
     assert code == EXIT_VALIDATION
 
 
+def test_env_cap_read_only_without_job_cap(monkeypatch):
+    monkeypatch.setenv("TATESHIFT_CAP", "abc")
+    code, report = run_job("fgl", {"kind": "honda", "p": 2, "cap": 6})
+    assert code == EXIT_OK
+    assert report["F"]["cap"] == 6
+    code, report = run_job(
+        "bgroup", {"p": 2, "exponents": [1], "fgl": "honda", "cap": 6}
+    )
+    assert code == EXIT_OK
+    code, report = run_job("fgl", {"kind": "honda", "p": 2})
+    assert code == EXIT_VALIDATION
+    assert "TATESHIFT_CAP" in report["error"]["message"]
+
+
+def test_fgl_m_series_far_out():
+    # [1500](x) = (1+x)^1500 - 1 = x^4 over F_2 at cap 4
+    code, report = run_job(
+        "fgl", {"kind": "multiplicative", "p": 2, "modulus_power": 1,
+                "m": 1500, "cap": 4},
+    )
+    assert code == EXIT_OK
+    assert report["m_series"]["series"]["terms"] == [{"coeff": "1", "exp": [4]}]
+
+
 def test_periodicity_certificate_reaches_bounds_report():
     from tateshift.classifying import AbelianPGroup, SubgroupSpec
     from tateshift.tate_blueshift import build_law, periodicity_report

@@ -1,5 +1,6 @@
 """Formal group laws: frozen series values, composition laws, Weierstrass data."""
 
+import math
 import random
 
 import pytest
@@ -57,6 +58,22 @@ def test_minus_one_series_multiplicative():
     law = build_multiplicative(2, 2, 3)
     got = law.m_series(-1)
     assert got == uni(law.domain, 3, {(1,): 3, (2,): 1, (3,): 3})
+
+
+def binomial(m, k):
+    """The coefficient of x^k in (1+x)^m, for any integer m."""
+    if m >= 0:
+        return math.comb(m, k)
+    return (-1) ** k * math.comb(k - m - 1, k)
+
+
+def test_m_series_closed_form_far_out():
+    # [m](x) = (1+x)^m - 1; m = 1500 once recursed 1500 frames deep
+    law = build_multiplicative(2, 2, 6)
+    for m in (1500, -1500, -7):
+        expected = uni(law.domain, 6,
+                       {(k,): binomial(m, k) for k in range(1, 7)})
+        assert law.m_series(m) == expected
 
 
 def test_m_series_linear_term():
