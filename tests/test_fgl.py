@@ -68,7 +68,7 @@ def binomial(m, k):
 
 
 def test_m_series_closed_form_far_out():
-    # [m](x) = (1+x)^m - 1; m = 1500 once recursed 1500 frames deep
+    # [m](x) = (1+x)^m - 1, with m past the interpreter's recursion limit
     law = build_multiplicative(2, 2, 6)
     for m in (1500, -1500, -7):
         expected = uni(law.domain, 6,

@@ -187,7 +187,7 @@ def same(a, b):
 # -- products and substitution ----------------------------------------------------
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(RANDOMS)
 def test_product_matches_tuple_product(rng):
     dom = rng.choice(DOMAINS)
@@ -198,7 +198,7 @@ def test_product_matches_tuple_product(rng):
     assert same(b * a, tuple_mul(a, b))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(RANDOMS)
 def test_substitute_matches_copying_substitute(rng):
     dom = rng.choice(DOMAINS)
@@ -233,7 +233,7 @@ def ring(index):
     return FiniteAlgebra.from_presentation(BaseModulus(n), names, relations)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(RANDOMS)
 def test_eval_at_matches_term_by_term_evaluation(rng):
     alg = ring(rng.randrange(len(RINGS)))
@@ -271,23 +271,17 @@ def test_eval_at_error_messages_pinned():
 
 # -- the Honda law ---------------------------------------------------------------
 
-HONDA_CASES = [
-    (p, n, cap)
-    for p in (2, 3, 5)
-    for n in (1, 2, 3)
-    for cap in range(p**n, 17)
-]
+HONDA_HEIGHTS = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3) if p**n <= 16]
 
 
 def test_honda_case_count():
-    assert len(HONDA_CASES) == 71
+    assert sum(17 - p**n for p, n in HONDA_HEIGHTS) == 71
 
 
-@pytest.mark.parametrize("p,n", sorted({(p, n) for p, n, _ in HONDA_CASES}))
+@pytest.mark.parametrize("p,n", HONDA_HEIGHTS)
 def test_honda_law_matches_rational_composition(p, n):
-    for q, m, cap in HONDA_CASES:
-        if (q, m) == (p, n):
-            assert same(build_honda(p, n, cap).F, rational_honda(p, n, cap))
+    for cap in range(p**n, 17):
+        assert same(build_honda(p, n, cap).F, rational_honda(p, n, cap))
 
 
 def test_honda_cap_30_is_fast():
