@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 
-from . import zmod
 from .fgl import (
     CapTooSmall,
     FGLError,
@@ -22,7 +21,7 @@ from .fgl import (
     poly_compose_iterate,
     weierstrass_prepare,
 )
-from .ring_core import BaseModulus, FiniteAlgebra, RingElement
+from .ring_core import BaseModulus, FiniteAlgebra, RingElement, unit_cofactor
 from .series import eval_at, poly_eval
 
 
@@ -289,23 +288,16 @@ def certify_root_difference(cr: ClassifyingRing, u, w):
     pairwise non-zero-divisor condition of root tuples explicit relative to
     the set of inverted classes.
     """
-    from .ring_core import RingElement, unit_in_affine_coset
-
-    alg = cr.algebra
     target = tuple(
         (a - b) % o for a, b, o in zip(u, w, cr.group.orders)
     )
     d = cr.euler_class(u).value - cr.euler_class(w).value
     s = cr.euler_class(target).value
-    mat = alg.mul_matrix(s)
-    y0 = zmod.solve(mat, list(d.coords), alg.base.n)
-    if y0 is None:
+    solvable, unit = unit_cofactor(s, d)
+    if not solvable:
         raise ClassifyingError("difference is not a multiple of euler(u - w)")
-    kern = zmod.right_kernel(mat, alg.base.n)
-    hit = unit_in_affine_coset(alg, y0, kern)
-    if hit is None:
+    if unit is None:
         raise ClassifyingError("no unit cofactor found for the difference")
-    unit = RingElement(alg, hit)
     if not (s * unit - d).is_zero():
         raise ClassifyingError("unit cofactor verification failed")
     return {"difference_element": target, "unit": unit}

@@ -206,6 +206,14 @@ class RingElement:
         self.parent = parent
         self.coords = coords
 
+    @classmethod
+    def _reduced(cls, parent: "FiniteAlgebra", coords) -> "RingElement":
+        """Wrap coordinates already reduced mod N, of length rank, unchecked."""
+        e = cls.__new__(cls)
+        e.parent = parent
+        e.coords = tuple(coords)
+        return e
+
     def _check(self, other):
         if not isinstance(other, RingElement) or other.parent is not self.parent:
             raise RingMismatch("elements from different rings")
@@ -213,25 +221,25 @@ class RingElement:
     def __add__(self, other):
         self._check(other)
         n = self.parent.base.n
-        return RingElement(
+        return RingElement._reduced(
             self.parent, [(a + b) % n for a, b in zip(self.coords, other.coords)]
         )
 
     def __sub__(self, other):
         self._check(other)
         n = self.parent.base.n
-        return RingElement(
+        return RingElement._reduced(
             self.parent, [(a - b) % n for a, b in zip(self.coords, other.coords)]
         )
 
     def __neg__(self):
         n = self.parent.base.n
-        return RingElement(self.parent, [(-a) % n for a in self.coords])
+        return RingElement._reduced(self.parent, [(-a) % n for a in self.coords])
 
     def __mul__(self, other):
         if isinstance(other, int):
             n = self.parent.base.n
-            return RingElement(self.parent, [(other * a) % n for a in self.coords])
+            return RingElement._reduced(self.parent, [(other * a) % n for a in self.coords])
         self._check(other)
         return self.parent.multiply(self, other)
 
@@ -378,8 +386,8 @@ class FiniteAlgebra:
                     continue
                 key = (i, j) if i <= j else (j, i)
                 for k, ck in self.mul_table[key]:
-                    acc[k] = (acc[k] + c * ck) % n
-        return RingElement(self, acc)
+                    acc[k] += c * ck
+        return RingElement._reduced(self, [x % n for x in acc])
 
     def mul_matrix(self, e: RingElement) -> list[list[int]]:
         """Matrix of multiplication-by-e in the basis (columns = e * basis_j)."""
@@ -481,12 +489,10 @@ def poly_label(var: str, coeffs) -> str:
 
 
 def annihilator(e: RingElement) -> list[RingElement]:
-    """Generators of { r : e*r = 0 }; empty iff e is a non-zero-divisor."""
+    """Howell basis of { r : e*r = 0 }; empty iff e is a non-zero-divisor."""
     alg = e.parent
     mat = alg.mul_matrix(e)
-    gens = zmod.right_kernel(mat, alg.base.n)
-    out = [RingElement(alg, g) for g in gens if any(g)]
-    return out
+    return [RingElement._reduced(alg, g) for g in zmod.right_kernel(mat, alg.base.n)]
 
 
 def is_nzd(e: RingElement) -> bool:
@@ -510,13 +516,12 @@ def exact_div(a: RingElement, d: RingElement) -> RingElement:
     alg = a.parent
     if d.parent is not alg:
         raise RingMismatch("mismatched rings in exact_div")
-    if annihilator(d):
+    x, kernel = zmod.solve_coset(alg.mul_matrix(d), list(a.coords), alg.base.n)
+    if kernel:
         raise ZeroDivisorDivisor(f"divisor {d!r} has a nontrivial annihilator")
-    mat = alg.mul_matrix(d)
-    x = zmod.solve(mat, list(a.coords), alg.base.n)
     if x is None:
         raise NotDivisible(f"{a!r} is not divisible by {d!r}")
-    return RingElement(alg, x)
+    return RingElement._reduced(alg, x)
 
 
 def ideal_module_rows(gens) -> list[list[int]]:
@@ -561,8 +566,7 @@ def saturation_ideal(alg: FiniteAlgebra, s_gens) -> tuple[list[list[int]], list]
     current: list[list[int]] = []
     chain = []
     while not power.is_zero():
-        kern = zmod.right_kernel(alg.mul_matrix(power), n)
-        rows = zmod.howell(kern, n).rows if kern else []
+        rows = zmod.right_kernel(alg.mul_matrix(power), n)
         if rows == current:
             return current, chain
         current = rows
@@ -614,19 +618,14 @@ def quotient_by_ideal(alg: FiniteAlgebra, gens):
 def _quotient_algebra(alg: FiniteAlgebra, ideal_rows):
     """Quotient of the underlying module by a proper ideal, with ring structure.
 
-    Via Smith normal form of the lattice (ideal rows + N*I): the quotient is
+    Via Smith normal form of the lattice (ideal rows + N*Z^rank): the quotient is
     a direct sum of Z/d_i.  It is represented as a FiniteAlgebra only when all
     nontrivial d_i agree (always the case for prime-power N; mixed divisors
     can occur for composite N and raise NonFreeQuotient).
     """
     n = alg.base.n
     rank = alg.rank
-    lattice = [list(r) for r in ideal_rows]
-    for i in range(rank):
-        row = [0] * rank
-        row[i] = n
-        lattice.append(row)
-    divisors, v, vinv = _smith_divisors(lattice, rank)
+    divisors, v, vinv = _smith_divisors(ideal_rows, n, rank)
     kept = [i for i, d in enumerate(divisors) if d != 1]
     if not kept:
         return ZERO_RING, None
@@ -691,14 +690,16 @@ def project_element(quotient: FiniteAlgebra, proj_matrix, e: RingElement) -> Rin
     return RingElement(quotient, coords)
 
 
-def _smith_divisors(lattice, ncols):
-    """Smith normal form data of Z^ncols / rowspan(lattice).
+def _smith_divisors(rows, n, ncols):
+    """Smith normal form data of Z^ncols / L with L = rowspan(rows) + N*Z^ncols.
 
-    Returns (divisors, V, Vinv): V is unimodular over Z with lattice.V spanning
+    Returns (divisors, V, Vinv): V is unimodular over Z with L.V spanning
     sum d_i.Z e_i, so x -> x.V maps the quotient to sum Z/d_i; Vinv = V^-1.
-    The lattice is assumed to have full column rank (it always contains N*I).
+    Elimination starts from the Howell basis of the rows mod N plus N*I: on
+    other generating sets of L the integer entries can grow without bound.
     """
-    a = [list(r) for r in lattice]
+    a = zmod.howell(rows, n).rows + [[n if i == j else 0 for j in range(ncols)]
+                                     for i in range(ncols)]
     nrows = len(a)
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     vinv = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
@@ -858,6 +859,20 @@ def unit_in_affine_coset(alg: FiniteAlgebra, y0, kernel_rows, budget=2048):
         if is_unit(e)[0]:
             return list(e.coords)
     return None
+
+
+def unit_cofactor(s: RingElement, d: RingElement):
+    """(solvable, u): whether s*y = d has a solution, and a unit one or None.
+
+    One solve-plus-kernel call gives the solutions as a coset y0 + ker(s),
+    which unit_in_affine_coset scans for a unit.
+    """
+    alg = s.parent
+    y0, kernel = zmod.solve_coset(alg.mul_matrix(s), list(d.coords), alg.base.n)
+    if y0 is None:
+        return False, None
+    hit = unit_in_affine_coset(alg, y0, kernel)
+    return True, (None if hit is None else RingElement._reduced(alg, hit))
 
 
 # -- certificates ------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 
-from . import zmod
 from .ring_core import (
     ExactPolyRing,
     FiniteAlgebra,
@@ -27,6 +26,7 @@ from .ring_core import (
     ideal_contains_one,
     is_unit as ring_is_unit,
     multiset_products,
+    unit_cofactor,
 )
 
 
@@ -624,16 +624,7 @@ def _unit_multiple_witness(d, s_gens, max_len):
 def _unit_cofactor(s, d):
     """A unit u with s*u = d, or None."""
     if isinstance(s, RingElement):
-        from .ring_core import unit_in_affine_coset
-
-        alg = s.parent
-        mat = alg.mul_matrix(s)
-        y0 = zmod.solve(mat, list(d.coords), alg.base.n)
-        if y0 is None:
-            return None
-        kern = zmod.right_kernel(mat, alg.base.n)
-        hit = unit_in_affine_coset(alg, y0, kern)
-        return RingElement(alg, hit) if hit is not None else None
+        return unit_cofactor(s, d)[1]
     if isinstance(s, PolyElement):
         ring = s.parent
         # fast paths: signed monomials, then signed products of (1 + x_k)

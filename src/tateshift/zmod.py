@@ -35,14 +35,6 @@ def inv_mod(a: int, n: int) -> int:
     return x % n
 
 
-def ann_gen(a: int, n: int) -> int:
-    """Generator of the annihilator ideal of a in Z/n: n // gcd(a, n)."""
-    a %= n
-    if a == 0:
-        return 1
-    return n // gcd(a, n)
-
-
 def stab_unit(a: int, n: int) -> int:
     """A unit u mod n with u*a = gcd(a, n) mod n.
 
@@ -71,155 +63,147 @@ def gcd_transform(a: int, b: int, n: int) -> tuple[int, int, int, int, int]:
 
 
 class HowellForm:
-    """Canonical Howell form H of a row module, with transform U (U*M = H).
+    """Canonical Howell form of a row module over Z/N.
 
     ``rows`` has no zero rows; ``pivots`` lists (row, col, value) with values
-    dividing N.  ``kernel_rows`` spans the left kernel {u : u*M = 0}.
+    dividing N, and every entry above a pivot is reduced below its value.
     """
 
-    __slots__ = ("n", "ncols", "rows", "pivots", "transform", "kernel_rows")
+    __slots__ = ("n", "ncols", "rows", "pivots")
 
-    def __init__(self, n, ncols, rows, pivots, transform, kernel_rows):
+    def __init__(self, n, ncols, rows, pivots):
         self.n = n
         self.ncols = ncols
         self.rows = rows
         self.pivots = pivots
-        self.transform = transform
-        self.kernel_rows = kernel_rows
-
-    def reduce_vector(self, vec: list[int]) -> tuple[list[int], list[int]]:
-        """Reduce vec against the form; returns (residual, combination).
-
-        residual == 0 iff vec lies in the row module; combination c satisfies
-        vec = c . rows + residual.
-        """
-        n = self.n
-        v = [x % n for x in vec]
-        coeffs = [0] * len(self.rows)
-        for r, c, d in self.pivots:
-            if v[c] % d == 0:
-                q = (v[c] // d) % n
-            else:
-                continue
-            if q:
-                row = self.rows[r]
-                for j in range(c, self.ncols):
-                    v[j] = (v[j] - q * row[j]) % n
-                coeffs[r] = q
-        return v, coeffs
 
     def contains(self, vec: list[int]) -> bool:
-        residual, _ = self.reduce_vector(vec)
-        return not any(residual)
+        v = [x % self.n for x in vec]
+        _reduce(self.rows, self.pivots, v, self.n)
+        return not any(v)
+
+
+def _echelon(work: list[list[int]], n: int, width: int) -> list[tuple[int, int, int]]:
+    """Bring the rows of work into Howell-complete echelon form on columns < width.
+
+    Rows are lists reduced into [0, n) and change in place; entries past width
+    ride along.  Returns the pivots (row, col, value) with values dividing n;
+    the rows after the last pivot are zero before width.  For every pivot
+    value d > 1 the row (n/d) * pivot row is appended and eliminated too, so
+    the rows that are zero before a column span every element of the module
+    that is.  Entries above the pivots are left unreduced.
+
+    The pivot of a column is an entry with the least gcd(x, n).  On a prime
+    power n it divides every entry below it, so each row is cleared by one
+    update r_i -= q * r_pivot; the 2x2 gcd transform runs only for entries
+    the pivot does not divide, which takes a composite n.
+    """
+    pivots = []
+    r = 0
+    for c in range(width):
+        best, least = None, n
+        for i in range(r, len(work)):
+            x = work[i][c]
+            if x:
+                g = gcd(x, n)
+                if g < least:
+                    best, least = i, g
+                    if g == 1:
+                        break
+        if best is None:
+            continue
+        work[r], work[best] = work[best], work[r]
+        # rows r and below are zero before column c, so updates start at c
+        tail = work[r][c:]
+        u = stab_unit(tail[0], n)
+        if u != 1:
+            tail = [u * x % n for x in tail]
+        d = tail[0]
+        for i in range(r + 1, len(work)):
+            row = work[i]
+            x = row[c]
+            if not x:
+                continue
+            if x % d == 0:
+                q = x // d
+                row[c:] = [(a - q * b) % n for a, b in zip(row[c:], tail)]
+            else:
+                _, s, t, u, v = gcd_transform(d, x, n)
+                other = row[c:]
+                row[c:] = [(u * a + v * b) % n for a, b in zip(tail, other)]
+                tail = [(s * a + t * b) % n for a, b in zip(tail, other)]
+                d = tail[0]
+        work[r][c:] = tail
+        if d > 1:
+            a = n // d
+            work.append([0] * (c + 1) + [a * x % n for x in tail[1:]])
+        pivots.append((r, c, d))
+        r += 1
+    return pivots
+
+
+def _reduce(rows, pivots, vec: list[int], n: int) -> None:
+    """Subtract multiples of the pivot rows from vec, in place.
+
+    Each entry at a pivot column ends below its pivot value; on Howell-complete
+    rows the result is zero exactly when vec lies in their span.
+    """
+    for r, c, d in pivots:
+        q = vec[c] // d
+        if q:
+            vec[c:] = [(a - q * b) % n for a, b in zip(vec[c:], rows[r][c:])]
+
+
+def _canonical(work: list[list[int]], n: int, ncols: int) -> HowellForm:
+    """Howell form of the rows of work: echelon form, then back-reduction."""
+    pivots = _echelon(work, n, ncols)
+    for i in range(len(pivots)):
+        _reduce(work, pivots[i + 1:], work[i], n)
+    return HowellForm(n, ncols, work[: len(pivots)], pivots)
 
 
 def howell(mat: list[list[int]], n: int) -> HowellForm:
-    """Compute the Howell form of mat over Z/n.
+    """The Howell form of the row module of mat over Z/n.
 
-    Column-by-column gcd elimination; pivots are normalized to divisors of n
-    and an annihilator row is appended for every zero-divisor pivot so that
-    the row set is Howell-complete (every module element with leading zeros
-    lies in the span of the rows with leading zeros).
+    Pivots are normalized to divisors of n, entries above them are reduced,
+    and the rows are Howell-complete: every module element that is zero
+    before a column lies in the span of the rows that are.
     """
     ncols = len(mat[0]) if mat else 0
-    work = [[x % n for x in row] for row in mat]
-    nrows = len(work)
-    trans = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-
-    def combine(i1, i2, s, t, u, v):
-        for m in (work, trans):
-            r1, r2 = m[i1], m[i2]
-            for j in range(len(r1)):
-                a, b = r1[j], r2[j]
-                r1[j] = (s * a + t * b) % n
-                r2[j] = (u * a + v * b) % n
-
-    r = 0
-    for c in range(ncols):
-        j = r
-        while j < len(work) and work[j][c] == 0:
-            j += 1
-        if j == len(work):
-            continue
-        if j > r:
-            work[r], work[j] = work[j], work[r]
-            trans[r], trans[j] = trans[j], trans[r]
-        for i in range(r + 1, len(work)):
-            if work[i][c]:
-                g, s, t, u, v = gcd_transform(work[r][c], work[i][c], n)
-                combine(r, i, s, t, u, v)
-        # normalize the pivot to the canonical divisor of n
-        u = stab_unit(work[r][c], n)
-        if u != 1:
-            for m in (work, trans):
-                m[r] = [(u * x) % n for x in m[r]]
-        d = work[r][c]
-        # reduce the entries above the pivot below it
-        for i in range(r):
-            q = work[i][c] // d
-            if q:
-                for m in (work, trans):
-                    ri, rr = m[i], m[r]
-                    for jj in range(len(ri)):
-                        ri[jj] = (ri[jj] - q * rr[jj]) % n
-        # Howell completion: append the annihilator multiple of this row
-        a = ann_gen(d, n)
-        if a % n != 0:
-            work.append([(a * x) % n for x in work[r]])
-            trans.append([(a * x) % n for x in trans[r]])
-        r += 1
-
-    rows, pivots, transform, kernel_rows = [], [], [], []
-    for i, row in enumerate(work):
-        if any(row):
-            c = next(j for j, x in enumerate(row) if x)
-            pivots.append((len(rows), c, row[c]))
-            rows.append(row)
-            transform.append(trans[i])
-        else:
-            if any(trans[i]):
-                kernel_rows.append(trans[i])
-    return HowellForm(n, ncols, rows, pivots, transform, kernel_rows)
+    return _canonical([[x % n for x in row] for row in mat], n, ncols)
 
 
-def left_kernel(mat: list[list[int]], n: int) -> list[list[int]]:
-    """Generators of {u : u*mat = 0 mod n} (rows of length len(mat))."""
-    if not mat:
-        return []
-    return howell(mat, n).kernel_rows
+def solve_coset(mat: list[list[int]], rhs: list[int], n: int):
+    """(x0, kernel): the solutions of mat @ x = rhs mod n are x0 + span(kernel).
+
+    x0 is one solution, or None if there is none; kernel is the Howell row
+    basis of {x : mat @ x = 0}.  One elimination of [mat^T | I] serves both:
+    rhs is reduced against the rows whose left part has a pivot, whose right
+    parts record the combination taken, and the right parts of the rows whose
+    left part is zero span the kernel.
+    """
+    ncols = len(mat[0]) if mat else 0
+    if not ncols:
+        return (None if any(v % n for v in rhs) else []), []
+    m = len(mat)
+    work = [[x % n for x in col] + [int(i == j) for j in range(ncols)]
+            for i, col in enumerate(zip(*mat))]
+    pivots = _echelon(work, n, m)
+    vec = [v % n for v in rhs] + [0] * ncols
+    _reduce(work, pivots, vec, n)
+    x0 = None if any(vec[:m]) else [-x % n for x in vec[m:]]
+    kernel = _canonical([row[m:] for row in work[len(pivots):]], n, ncols)
+    return x0, kernel.rows
 
 
 def right_kernel(mat: list[list[int]], n: int) -> list[list[int]]:
-    """Generators of {x : mat*x = 0 mod n} as row vectors."""
-    if not mat or not mat[0]:
-        # zero columns: kernel is everything / nothing
-        ncols = len(mat[0]) if mat else 0
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    transposed = [list(col) for col in zip(*mat)]
-    return left_kernel(transposed, n)
+    """Howell row basis of {x : mat @ x = 0 mod n}."""
+    return solve_coset(mat, [0] * len(mat), n)[1]
 
 
 def solve(mat: list[list[int]], rhs: list[int], n: int):
-    """One solution x of mat @ x = rhs mod n, or None.
-
-    Works through the Howell form of mat^T: rhs must lie in the column span.
-    """
-    if not mat:
-        return None if any(v % n for v in rhs) else []
-    ncols = len(mat[0])
-    if ncols == 0:
-        return None if any(v % n for v in rhs) else []
-    transposed = [list(col) for col in zip(*mat)]
-    hf = howell(transposed, n)
-    residual, coeffs = hf.reduce_vector(rhs)
-    if any(residual):
-        return None
-    x = [0] * ncols
-    for ci, trow in zip(coeffs, hf.transform):
-        if ci:
-            for j in range(ncols):
-                x[j] = (x[j] + ci * trow[j]) % n
-    return x
+    """One solution x of mat @ x = rhs mod n, or None."""
+    return solve_coset(mat, rhs, n)[0]
 
 
 def matmul_vec(mat: list[list[int]], x: list[int], n: int) -> list[int]:
