@@ -24,7 +24,7 @@ def lattices(draw):
     return rows, n, k
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(lattices())
 def test_smith_divisors_match_sympy(lattice):
     rows, n, k = lattice
