@@ -281,6 +281,8 @@ def run_tate(params: dict) -> dict:
     group = AbelianPGroup(p, params["A"])
     sub = SubgroupSpec(params["C"])
     sub.validate_in(group)
+    if params.get("max_cert_len", 1) < 1:
+        raise ValidationError("max_cert_len must be >= 1")
     if params.get("exact"):
         if params.get("fgl", "multiplicative") != "multiplicative":
             raise ValidationError("exact mode supports the multiplicative law")

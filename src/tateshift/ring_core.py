@@ -1,8 +1,9 @@
 """Finite commutative rings with decidable unit / zero-divisor / ideal questions.
 
-A FiniteAlgebra is a commutative ring presented as a finite free Z/N-module
-with a structure-constant multiplication table, usually built from a tower
-base[x_1..x_m]/(g_1(x_1), ..., g_m(x_m)) with monic relations.  Elements are
+A FiniteAlgebra is a commutative ring presented as a finite free Z/N-module,
+usually built from a tower base[x_1..x_m]/(g_1(x_1), ..., g_m(x_m)) with
+monic relations, whose basis products come from a monomial reducer; other
+algebras (quotients) carry a structure-constant table.  Elements are
 coordinate vectors in a fixed graded-lexicographic monomial basis, so all
 serializations are bit-stable.
 
@@ -275,22 +276,30 @@ class RingElement:
 
 
 class FiniteAlgebra:
-    """Commutative ring, free of finite rank over Z/N, given by structure constants.
+    """Commutative ring, free of finite rank over Z/N.
 
-    ``mul_table[(i, j)]`` for i <= j is a sparse list of (k, coeff) pairs for
-    the product of basis elements i and j.  The first basis element is the
+    ``basis_product(i, j)`` is the product of basis elements i and j as a
+    sparse tuple of (k, coeff) pairs.  A presented algebra
+    (``from_presentation``) keeps no table: the product is the reducer's
+    normal form of the monomial whose mixed-radix code is the sum of the two
+    basis codes, built on first use and cached by the reducer.  Any other
+    algebra, such as a quotient, is given by a structure table
+    ``mul_table[(i, j)]`` for i <= j.  The first basis element is the
     multiplicative identity.  ``generators[k]`` is the coordinate vector of
     the k-th presentation variable.
     """
 
     def __init__(self, base: BaseModulus, rank: int, basis_labels, mul_table,
-                 generators=(), presentation=None):
+                 generators=(), presentation=None, reducer=None):
         self.base = base
         self.rank = rank
         self.basis_labels = list(basis_labels)
         self.mul_table = mul_table
         self.generators = tuple(generators)
         self.presentation = presentation
+        self._reducer = reducer
+        self._codes = (None if reducer is None else
+                       [reducer.codes[e] for e in reducer.monomials])
         self._check_identity()
 
     # -- construction -----------------------------------------------------
@@ -313,11 +322,7 @@ class FiniteAlgebra:
         if len(variables) != len(rels):
             raise ValueError("one relation per variable")
         reducer = MonomialReducer(rels, modulus=n)
-        exps, index, codes = reducer.monomials, reducer.index, reducer.codes
-        table = {}
-        for i, ei in enumerate(exps):
-            for j in range(i, len(exps)):
-                table[(i, j)] = reducer.fold(codes[ei] + codes[exps[j]])
+        exps = reducer.monomials
         labels = [monomial_label(variables, e) for e in exps]
         gens = []
         for k in range(len(variables)):
@@ -327,10 +332,10 @@ class FiniteAlgebra:
             for i, c in reducer.normal_form(x_k):
                 coords[i] = c
             gens.append(tuple(coords))
-        alg = cls(base, len(exps), labels, table, generators=gens,
-                  presentation={"vars": list(variables), "relations": rels,
-                                "exponents": exps, "index": index})
-        return alg
+        return cls(base, len(exps), labels, None, generators=gens,
+                   presentation={"vars": list(variables), "relations": rels,
+                                 "exponents": exps, "index": reducer.index},
+                   reducer=reducer)
 
     @classmethod
     def scalar_ring(cls, base: BaseModulus):
@@ -344,10 +349,14 @@ class FiniteAlgebra:
             if self.table_product(0, j) != {j: 1}:
                 raise ValueError("first basis element is not the identity")
 
+    def basis_product(self, i: int, j: int) -> tuple:
+        """b_i * b_j as ((k, coeff), ...) sorted by k."""
+        if self._codes is None:
+            return self.mul_table[(i, j) if i <= j else (j, i)]
+        return self._reducer.fold(self._codes[i] + self._codes[j])
+
     def table_product(self, i: int, j: int) -> dict:
-        if i > j:
-            i, j = j, i
-        return {k: c for k, c in self.mul_table[(i, j)]}
+        return dict(self.basis_product(i, j))
 
     # -- elements ----------------------------------------------------------
 
@@ -377,32 +386,44 @@ class FiniteAlgebra:
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         n = self.base.n
         acc = [0] * self.rank
-        nz_a = [(i, c) for i, c in enumerate(a.coords) if c]
-        nz_b = [(j, c) for j, c in enumerate(b.coords) if c]
-        for i, ca in nz_a:
-            for j, cb in nz_b:
-                c = ca * cb % n
-                if not c:
-                    continue
-                key = (i, j) if i <= j else (j, i)
-                for k, ck in self.mul_table[key]:
-                    acc[k] += c * ck
+        codes = self._codes
+        if codes is None:
+            nz_a = [(i, c) for i, c in enumerate(a.coords) if c]
+            nz_b = [(j, c) for j, c in enumerate(b.coords) if c]
+            product = self.basis_product
+            for i, ca in nz_a:
+                for j, cb in nz_b:
+                    c = ca * cb % n
+                    if c:
+                        for k, ck in product(i, j):
+                            acc[k] += c * ck
+        else:
+            # basis_product inlined: one fold-cache lookup per pair
+            nz_a = [(codes[i], c) for i, c in enumerate(a.coords) if c]
+            nz_b = [(codes[j], c) for j, c in enumerate(b.coords) if c]
+            folds = self._reducer._folds
+            for ci, ca in nz_a:
+                for cj, cb in nz_b:
+                    c = ca * cb % n
+                    if c:
+                        row = folds.get(ci + cj)
+                        if row is None:
+                            row = self._reducer.fold(ci + cj)
+                        for k, ck in row:
+                            acc[k] += c * ck
         return RingElement._reduced(self, [x % n for x in acc])
 
     def mul_matrix(self, e: RingElement) -> list[list[int]]:
-        """Matrix of multiplication-by-e in the basis (columns = e * basis_j)."""
-        n = self.base.n
-        cols = []
-        for j in range(self.rank):
-            col = [0] * self.rank
-            for i, c in enumerate(e.coords):
-                if not c:
-                    continue
-                key = (i, j) if i <= j else (j, i)
-                for k, ck in self.mul_table[key]:
-                    col[k] = (col[k] + c * ck) % n
-            cols.append(col)
-        return [[cols[j][i] for j in range(self.rank)] for i in range(self.rank)]
+        """Matrix of multiplication by e: entry [k][j] is coordinate k of e*b_j."""
+        n, rank = self.base.n, self.rank
+        rows = [[0] * rank for _ in range(rank)]
+        nz = [(i, c) for i, c in enumerate(e.coords) if c]
+        product = self.basis_product
+        for j in range(rank):
+            for i, c in nz:
+                for k, ck in product(i, j):
+                    rows[k][j] = (rows[k][j] + c * ck) % n
+        return rows
 
     def local_tower_prime(self):
         """p if this is a local tower over Z/p^K, else None.
@@ -525,13 +546,18 @@ def exact_div(a: RingElement, d: RingElement) -> RingElement:
 
 
 def ideal_module_rows(gens) -> list[list[int]]:
-    """Z/N-module generators of the ideal (gens): all g * basis products."""
+    """Z/N-module generators of the ideal (gens): the vectors g * b_j."""
     alg = gens[0].parent
+    n, rank = alg.base.n, alg.rank
     rows = []
     for g in gens:
-        mat = alg.mul_matrix(g)
-        for j in range(alg.rank):
-            rows.append([mat[i][j] for i in range(alg.rank)])
+        nz = [(i, c) for i, c in enumerate(g.coords) if c]
+        for j in range(rank):
+            row = [0] * rank
+            for i, c in nz:
+                for k, ck in alg.basis_product(i, j):
+                    row[k] = (row[k] + c * ck) % n
+            rows.append(row)
     return rows
 
 
@@ -879,13 +905,18 @@ def unit_cofactor(s: RingElement, d: RingElement):
 
 
 class CertificateNotFound:
-    """Search exhausted all products up to max_len without hitting zero."""
+    """Search ended without hitting zero.
 
-    def __init__(self, max_len: int):
+    ``budget`` is None when every product up to max_len was examined, and
+    the exhausted budget otherwise.
+    """
+
+    def __init__(self, max_len: int, budget: int | None = None):
         self.max_len = max_len
+        self.budget = budget
 
     def __repr__(self):
-        return f"NotFound(max_len={self.max_len})"
+        return f"NotFound(max_len={self.max_len}, budget={self.budget})"
 
 
 def multiset_products(gens, max_len: int):
@@ -919,15 +950,18 @@ def multiset_products(gens, max_len: int):
         frontier = extended
 
 
-def zero_product_certificate(s_gens, max_len: int):
+def zero_product_certificate(s_gens, max_len: int, budget: int | None = None):
     """A multiset of generators whose product is 0, or CertificateNotFound.
 
     The first zero among ``multiset_products``: the shortest certificate,
-    found breadth-first.
+    found breadth-first.  ``budget`` caps the number of products examined;
+    when it runs out the result records it.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    for value, word in multiset_products(list(s_gens), max_len):
+    for examined, (value, word) in enumerate(multiset_products(list(s_gens), max_len)):
+        if examined == budget:
+            return CertificateNotFound(max_len, budget)
         if value.is_zero():
             return list(word)
     return CertificateNotFound(max_len)

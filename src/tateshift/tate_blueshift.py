@@ -80,6 +80,10 @@ class TateRingResult:
                 "generator_indices": cert["word"],
                 "generators": [list(w) for w in cert["elements"]],
             }
+            if "minimal" in cert:
+                wit["certificate"]["minimal"] = cert["minimal"]
+        if "search_budget" in self.witness:
+            wit["search_budget"] = self.witness["search_budget"]
         if "saturation_chain" in self.witness:
             wit["saturation_chain_length"] = len(self.witness["saturation_chain"])
         if "not_found_max_len" in self.witness:
@@ -95,13 +99,20 @@ def inverted_element_set(group: AbelianPGroup, sub: SubgroupSpec):
     return [w for w in group.elements() if w not in image]
 
 
+# Products the finite-mode minimality search may examine.  The regular
+# tate-scan benchmark searches need at most 2,524; the README headline and the
+# Honda n=2 A=(Z/4)^2 search use it up in under a second each on a 2-vCPU VM.
+CERT_SEARCH_BUDGET = 8192
+
+
 def tate_ring(law: FormalGroupLaw, group: AbelianPGroup, sub: SubgroupSpec,
               max_cert_len: int | None = None) -> TateRingResult:
     """Finite-base generalized Tate ring via saturation localization.
 
     A trivial C inverts nothing and returns the classifying ring unchanged
-    (NONZERO at the truncation level).  A ZERO outcome attaches both the
-    saturation chain and, when found, a zero-product certificate.
+    (NONZERO at the truncation level).  A ZERO outcome attaches the
+    saturation chain and, when found, a zero-product certificate (see
+    ``finite_certificate``).
     """
     cr = build_classifying_ring(law, group)
     inverted = inverted_element_set(group, sub)
@@ -114,14 +125,11 @@ def tate_ring(law: FormalGroupLaw, group: AbelianPGroup, sub: SubgroupSpec,
     gens = [cr.euler_class(w).value for w in inverted]
     quotient, _, chain = localize_by_saturation(cr.algebra, gens)
     if quotient == ZERO_RING:
-        witness = {"saturation_chain": chain}
         limit = max_cert_len if max_cert_len is not None else cr.algebra.rank + 1
-        cert = zero_product_certificate(gens, limit)
-        if not isinstance(cert, CertificateNotFound):
-            witness["certificate"] = {
-                "word": cert,
-                "elements": [inverted[i] for i in cert],
-            }
+        witness = {"saturation_chain": chain, **finite_certificate(gens, limit)}
+        if "certificate" in witness:
+            witness["certificate"]["elements"] = [
+                inverted[i] for i in witness["certificate"]["word"]]
         return TateRingResult(
             TateRingResult.ZERO, inverted=inverted, witness=witness, level=level,
         )
@@ -129,6 +137,38 @@ def tate_ring(law: FormalGroupLaw, group: AbelianPGroup, sub: SubgroupSpec,
         TateRingResult.NONZERO, quotient=quotient, inverted=inverted,
         witness={"saturation_chain": chain}, level=level,
     )
+
+
+def finite_certificate(gens, limit: int) -> dict:
+    """Zero-product certificate of length <= limit over a finite ring.
+
+    The powers of all generators are stepped in lockstep; the first x_i whose
+    power x_i^m is 0 gives the word [i]*m.  On a local tower every inverted
+    Euler class is nilpotent, so this succeeds once limit reaches the least
+    nilpotency index.  A breadth-first search of the lengths below m (all of
+    1..limit when no power vanished) then looks for a shorter word,
+    examining at most ``CERT_SEARCH_BUDGET`` products.  Returns {"certificate": {"word",
+    "minimal"}} when a word is known, plus "search_budget" when the budget
+    ran out; a search that finds nothing leaves only the saturation chain as
+    the ZERO witness.
+    """
+    powers, word = list(gens), None
+    for m in range(1, limit + 1):
+        i = next((i for i, x in enumerate(powers) if x.is_zero()), None)
+        if i is not None:
+            word = [i] * m
+            break
+        powers = [x * g for x, g in zip(powers, gens)]
+    if word and len(word) == 1:
+        return {"certificate": {"word": word, "minimal": True}}
+    found = zero_product_certificate(
+        gens, len(word) - 1 if word else limit, budget=CERT_SEARCH_BUDGET)
+    if isinstance(found, list):
+        return {"certificate": {"word": found, "minimal": True}}
+    out = {} if found.budget is None else {"search_budget": found.budget}
+    if word:
+        out["certificate"] = {"word": word, "minimal": found.budget is None}
+    return out
 
 
 def multiplicative_exact_ring(p: int, exponents) -> ExactPolyRing:

@@ -54,6 +54,15 @@ def test_tate_honda_zero_certificate(capsys):
     assert report["witness"]["certificate"]["length"] == 2
 
 
+def test_tate_rejects_max_cert_len_below_one(capsys):
+    for extra in ([], ["--exact"]):
+        code, report = run_cli(
+            capsys, ["tate", '{"p":2,"A":[1],"C":[1]}', "--max-cert-len", "0", *extra]
+        )
+        assert code == EXIT_VALIDATION
+        assert "max_cert_len" in report["error"]["message"]
+
+
 def test_fgl_four_series_mod4(capsys):
     code, report = run_cli(
         capsys,

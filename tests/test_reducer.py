@@ -3,7 +3,8 @@
 The stack reducer rewrites one x_k^d at a time through g_k and pushes the
 resulting terms back; it is kept here only as the reference.  The multiset
 product generator is checked against the eager breadth-first search it
-replaced in the same way.
+replaced in the same way, and the table-free products of presented algebras
+against the structure table they used to fill.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from tateshift.ring_core import (
     ExactPolyRing,
     FiniteAlgebra,
     MonomialReducer,
+    ideal_module_rows,
     multiset_products,
 )
 from tateshift.tate_blueshift import (
@@ -100,10 +102,47 @@ def test_reduce_any_exponent_matches_stack_reducer(relations, data):
     assert ring.reduce({exps: 2}) == stack_reduce(relations, {exps: 2})
 
 
+def filled_table(relations, n):
+    """The structure table from_presentation used to fill, every i <= j."""
+    reducer = MonomialReducer(relations, modulus=n)
+    exps, codes = reducer.monomials, reducer.codes
+    table = {}
+    for i, ei in enumerate(exps):
+        for j in range(i, len(exps)):
+            table[(i, j)] = reducer.fold(codes[ei] + codes[exps[j]])
+    return table
+
+
+def table_multiply(table, rank, n, a, b):
+    acc = [0] * rank
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            if ca * cb % n:
+                for k, ck in table[(i, j) if i <= j else (j, i)]:
+                    acc[k] += ca * cb % n * ck
+    return tuple(x % n for x in acc)
+
+
+def table_mul_matrix(table, rank, n, e):
+    """Columns e * b_j through the table, then transposed into rows."""
+    cols = []
+    for j in range(rank):
+        col = [0] * rank
+        for i, c in enumerate(e):
+            if c:
+                for k, ck in table[(i, j) if i <= j else (j, i)]:
+                    col[k] = (col[k] + c * ck) % n
+        cols.append(col)
+    return [[cols[j][i] for j in range(rank)] for i in range(rank)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 4, 6, 9, 12, 30]),
-       monic_relations(coeff=st.integers(0, 29), max_rank=24))
-def test_presentation_table_matches_stack_reducer(n, relations):
+       monic_relations(coeff=st.integers(0, 29), max_rank=24), st.data())
+def test_presentation_table_matches_stack_reducer(n, relations, data):
+    # basis products and generators against the stack reducer; products,
+    # multiplication matrices and ideal rows against the table that
+    # from_presentation used to fill, with the old loops over it
     relations = [[c % n for c in r[:-1]] + [1] for r in relations]
     names = [f"x{k + 1}" for k in range(len(relations))]
     alg = FiniteAlgebra.from_presentation(BaseModulus(n), names, relations)
@@ -119,6 +158,20 @@ def test_presentation_table_matches_stack_reducer(n, relations):
         assert alg.gen(k).coords == tuple(
             oracle.get(e, 0) for e in exps
         )
+    assert alg.mul_table is None
+    table, rank = filled_table(relations, n), alg.rank
+    # the same table given directly, as quotient algebras carry theirs
+    tabled = FiniteAlgebra(alg.base, rank, alg.basis_labels, table)
+    coord = st.sampled_from([0, 0, 0, 1, n - 1]) | st.integers(0, n - 1)
+    vec = st.lists(coord, min_size=rank, max_size=rank)
+    a, b = data.draw(vec), data.draw(vec)
+    expected = table_multiply(table, rank, n, a, b)
+    assert (alg.from_coords(a) * alg.from_coords(b)).coords == expected
+    assert (tabled.from_coords(a) * tabled.from_coords(b)).coords == expected
+    matrix = table_mul_matrix(table, rank, n, a)
+    assert alg.mul_matrix(alg.from_coords(a)) == matrix
+    assert tabled.mul_matrix(tabled.from_coords(a)) == matrix
+    assert ideal_module_rows([alg.from_coords(a)]) == [list(c) for c in zip(*matrix)]
 
 
 def test_power_rows_mod_n():

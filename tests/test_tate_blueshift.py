@@ -4,19 +4,28 @@ import itertools
 
 import pytest
 
+from tateshift import tate_blueshift
 from tateshift.classifying import (
     AbelianPGroup,
     InvalidSubgroup,
     SubgroupSpec,
     V_count,
     V_count_image,
+    build_classifying_ring,
 )
-from tateshift.ring_core import ZERO_RING
+from tateshift.ring_core import (
+    ZERO_RING,
+    BaseModulus,
+    FiniteAlgebra,
+    localize_by_saturation,
+    zero_product_certificate,
+)
 from tateshift.tate_blueshift import (
     BlueShiftReport,
     TateRingResult,
     blueshift_bounds,
     build_law,
+    finite_certificate,
     inverted_element_set,
     multiplicative_euler_class_exact,
     multiplicative_exact_ring,
@@ -167,6 +176,67 @@ def test_tate_intermediate_subgroup():
     result = tate_ring(law, AbelianPGroup(2, [2]), SubgroupSpec([1]))
     assert sorted(result.inverted) == [(1,), (3,)]
     assert result.status == TateRingResult.ZERO  # x is nilpotent at this level
+
+
+@pytest.mark.parametrize("kind,p,n,K,A", [
+    ("honda", 2, 1, 1, (2, 1)),
+    ("honda", 3, 1, 1, (1, 1)),
+    ("multiplicative", 2, 1, 2, (1, 1)),
+    ("multiplicative", 2, 1, 2, (2, 1)),
+])
+def test_finite_certificates_replay_and_are_shortest(kind, p, n, K, A):
+    # every nontrivial C: the certificate replays to 0 in a fresh ring, and a
+    # minimal one is as short as the unbudgeted breadth-first search finds
+    law = build_law(kind, p, n=n, modulus_power=K, exponents=list(A))
+    group = AbelianPGroup(p, A)
+    fresh = build_classifying_ring(
+        build_law(kind, p, n=n, modulus_power=K, exponents=list(A)), group)
+    for C in itertools.product(*(range(i + 1) for i in A)):
+        if not any(C):
+            continue
+        result = tate_ring(law, group, SubgroupSpec(C))
+        assert result.status == TateRingResult.ZERO
+        cert = result.witness["certificate"]
+        gens = [fresh.euler_class(w).value for w in result.inverted]
+        product = fresh.algebra.one()
+        for idx in cert["word"]:
+            product = product * gens[idx]
+        assert product.is_zero()
+        assert cert["minimal"] is True
+        shortest = zero_product_certificate(gens, fresh.algebra.rank + 1)
+        assert len(cert["word"]) == len(shortest)
+        assert "search_budget" not in result.to_dict()["witness"]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_finite_tiny_budget_keeps_the_nilpotent_power(monkeypatch, budget):
+    # F_2[x]/(x^4): x^4 is the certificate, and the search below it examines
+    # x, x^2, x^3; a budget of 3 covers them and proves x^4 minimal
+    monkeypatch.setattr(tate_blueshift, "CERT_SEARCH_BUDGET", budget)
+    law = build_law("honda", 2, n=2, exponents=[1])
+    result = tate_ring(law, AbelianPGroup(2, [1]), SubgroupSpec([1]))
+    assert result.status == TateRingResult.ZERO
+    witness = result.to_dict()["witness"]
+    assert witness["certificate"]["generator_indices"] == [0, 0, 0, 0]
+    assert witness["certificate"]["minimal"] is (budget == 3)
+    assert witness.get("search_budget") == (None if budget == 3 else budget)
+
+
+def test_finite_non_local_exhausted_budget_is_zero_without_certificate(monkeypatch):
+    # over Z/6 neither 2 nor 3 is nilpotent, but 2 * 3 = 0
+    alg = FiniteAlgebra.from_presentation(BaseModulus(6), ["x"], [[0, 5, 1]])
+    gens = [alg.from_int(2), alg.from_int(3)]
+    quotient, _, chain = localize_by_saturation(alg, gens)
+    assert quotient == ZERO_RING
+    assert finite_certificate(gens, alg.rank + 1) == {
+        "certificate": {"word": [0, 1], "minimal": True}}
+    monkeypatch.setattr(tate_blueshift, "CERT_SEARCH_BUDGET", 1)
+    found = finite_certificate(gens, alg.rank + 1)
+    assert found == {"search_budget": 1}
+    result = TateRingResult(TateRingResult.ZERO, inverted=[(2,), (3,)],
+                            witness={"saturation_chain": chain, **found})
+    assert result.to_dict()["witness"] == {
+        "saturation_chain_length": len(chain), "search_budget": 1}
 
 
 def test_inverted_set_sizes():
