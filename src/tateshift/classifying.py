@@ -22,7 +22,7 @@ from .fgl import (
     weierstrass_prepare,
 )
 from .ring_core import BaseModulus, FiniteAlgebra, RingElement, unit_cofactor
-from .series import eval_at, poly_eval
+from .series import _eval_tables, _power_table, poly_eval
 
 
 class ClassifyingError(Exception):
@@ -166,6 +166,8 @@ class ClassifyingRing:
         self.algebra = algebra
         self.relations = relations  # monic coefficient lists, one per factor
         self._euler_cache: dict[tuple, RingElement] = {}
+        self._single_tables: dict[tuple, list] = {}
+        self._head = None  # (head element, its power table)
         self._g1 = None
 
     # -- Euler classes ------------------------------------------------------
@@ -176,26 +178,69 @@ class ClassifyingRing:
         Commutativity and associativity of F (verified at build) make the
         result order independent; the fixed fold gives byte-stable output.
         """
-        w = tuple(int(a) % o for a, o in zip(w, self.group.orders))
-        if len(w) != len(self.group.exponents):
+        orders = self.group.orders
+        if len(w) != len(orders):
             raise InvalidSubgroup("group element length mismatch")
-        if w in self._euler_cache:
-            return EulerClass(w, self._euler_cache[w])
-        alg = self.algebra
-        acc = None
-        for k, w_k in enumerate(w):
-            series_k = self.law.m_series(w_k)
-            x_k = alg.gen(k)
-            value_k = eval_at(series_k, [x_k])
-            if acc is None:
-                acc = value_k
-            else:
-                acc = eval_at(self.law.F, [acc, value_k])
-        self._euler_cache[w] = acc
-        return EulerClass(w, acc)
+        w = tuple(int(a) % o for a, o in zip(w, orders))
+        return EulerClass(w, self._euler(w))
+
+    def _euler(self, w: tuple) -> RingElement:
+        """The left fold as one formal sum per element: with k the last nonzero
+        coordinate, e(w) = e(head) +_F e(w_k e_k), head being w with w_k = 0.
+
+        F(x, 0) = x exactly, so skipping zero coordinates leaves the fold's
+        value unchanged.
+        """
+        value = self._euler_cache.get(w)
+        if value is not None:
+            return value
+        support = [k for k, a in enumerate(w) if a]
+        if not support:
+            value = self.algebra.zero()
+        elif len(support) == 1:
+            k = support[0]
+            x_k = self._table(self._single(k, 1))
+            value = _eval_tables(self.law.m_series(w[k]), [x_k])
+        else:
+            k = support[-1]
+            head = w[:k] + (0,) * (len(w) - k)
+            tables = [self._table(head), self._table(self._single(k, w[k]))]
+            value = _eval_tables(self.law.F, tables)
+        self._euler_cache[w] = value
+        return value
+
+    def _single(self, k: int, a: int) -> tuple:
+        """The element a e_k."""
+        return tuple(a if i == k else 0 for i in range(len(self.group.orders)))
+
+    def _table(self, v: tuple) -> list:
+        """Power table of e(v), built once per element.
+
+        Tables of single classes e(a e_k) (for a = 1 the generator x_k) are
+        kept until the batch ends; a head's table is kept only while it is
+        the latest head, since consecutive queries usually share it.
+        """
+        support = [k for k, a in enumerate(v) if a]
+        if len(support) == 1:
+            table = self._single_tables.get(v)
+            if table is None:
+                k = support[0]
+                value = self.algebra.gen(k) if v[k] == 1 else self._euler(v)
+                table = _power_table(self.algebra, value, self.law.cap + 1)
+                self._single_tables[v] = table
+            return table
+        if self._head is None or self._head[0] != v:
+            table = _power_table(self.algebra, self._euler(v), self.law.cap + 1)
+            self._head = (v, table)
+        return self._head[1]
 
     def euler_classes(self, elements):
-        return [self.euler_class(w) for w in elements]
+        """Euler classes of elements, in order; the power tables they shared
+        are dropped at the end, so they do not outlive the batch."""
+        out = [self.euler_class(w) for w in elements]
+        self._single_tables.clear()
+        self._head = None
+        return out
 
     # -- p^j-series data -------------------------------------------------------
 
@@ -288,9 +333,10 @@ def certify_root_difference(cr: ClassifyingRing, u, w):
     pairwise non-zero-divisor condition of root tuples explicit relative to
     the set of inverted classes.
     """
-    target = tuple(
-        (a - b) % o for a, b, o in zip(u, w, cr.group.orders)
-    )
+    orders = cr.group.orders
+    if len(u) != len(orders) or len(w) != len(orders):
+        raise InvalidSubgroup("group element length mismatch")
+    target = tuple((a - b) % o for a, b, o in zip(u, w, orders))
     d = cr.euler_class(u).value - cr.euler_class(w).value
     s = cr.euler_class(target).value
     solvable, unit = unit_cofactor(s, d)

@@ -205,14 +205,11 @@ def run_bgroup(params: dict) -> dict:
         "grading_note": GRADING_NOTE,
     }
     if params.get("euler_classes"):
-        classes = []
-        for w in group.elements():
-            ec = cr.euler_class(w)
-            classes.append({
-                "element": list(ec.element),
-                "value": ring_core.element_to_json(ec.value),
-            })
-        report["euler_classes"] = classes
+        report["euler_classes"] = [
+            {"element": list(ec.element),
+             "value": ring_core.element_to_json(ec.value)}
+            for ec in cr.euler_classes(group.elements())
+        ]
     return report
 
 

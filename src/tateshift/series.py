@@ -462,11 +462,22 @@ def eval_at(f: TruncatedSeries, args, polynomial: bool = False) -> RingElement:
     else:
         tops = [f.cap + 1] * len(args)
     tables = [_power_table(alg, a, top) for a, top in zip(args, tops)]
+    return _eval_tables(f, tables, polynomial)
+
+
+def _eval_tables(f: TruncatedSeries, tables, polynomial: bool = False) -> RingElement:
+    """f at the elements whose power tables are given, one per variable.
+
+    Unless f is taken as a polynomial, each table must come from
+    ``_power_table`` with top f.cap + 1, so a table shared between calls
+    still carries the nilpotency check below.
+    """
+    alg = tables[0][0].parent
     # A table that ends short of its top has the nilpotency index as its
     # length; one that reaches index cap + 1 fails this test on its own.
     if not polynomial and sum(len(t) - 1 for t in tables) > f.cap:
-        _raise_uncovered(alg, args, f.cap)
-    last = len(args) - 1
+        _raise_uncovered(alg, tables, f.cap)
+    last = len(tables) - 1
     last_table = [a.coords for a in tables[last]]
     groups = {}
     for e, c in f.terms.items():
@@ -502,11 +513,11 @@ def _power_table(alg, a: RingElement, top: int) -> list:
     return table
 
 
-def _raise_uncovered(alg, args, cap: int):
+def _raise_uncovered(alg, tables, cap: int):
     """Raise the error of the first argument the cap cannot cover."""
     indices = []
-    for a in args:
-        idx = alg.nilpotency_index(a)
+    for t in tables:
+        idx = alg.nilpotency_index(t[1]) if len(t) > 1 else 1
         if idx is None:
             raise NonNilpotentArgument(
                 "argument is not nilpotent; pass polynomial=True for "

@@ -122,7 +122,7 @@ def tate_ring(law: FormalGroupLaw, group: AbelianPGroup, sub: SubgroupSpec,
             TateRingResult.NONZERO, quotient=cr.algebra, inverted=[],
             witness={}, level=level,
         )
-    gens = [cr.euler_class(w).value for w in inverted]
+    gens = [ec.value for ec in cr.euler_classes(inverted)]
     quotient, _, chain = localize_by_saturation(cr.algebra, gens)
     if quotient == ZERO_RING:
         limit = max_cert_len if max_cert_len is not None else cr.algebra.rank + 1

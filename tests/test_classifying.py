@@ -1,22 +1,32 @@
-"""Classifying rings, Euler classes, torsion root sets, induced maps."""
+"""Classifying rings, Euler classes, torsion root sets, induced maps.
+
+The per-element left fold that ``euler_class`` replaced is kept here as the
+reference for the one-step recursion over shared power tables.
+"""
+
+import functools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tateshift.classifying import (
     AbelianPGroup,
+    ClassifyingRing,
     InvalidSubgroup,
     NotAHomomorphism,
     SubgroupSpec,
     V_count,
     V_count_image,
     build_classifying_ring,
+    certify_root_difference,
     induced_map,
     quotient_image_elements,
     required_cap,
 )
 from tateshift.fgl import build_honda, build_multiplicative
 from tateshift.ring_linalg import verify_localized_tuple
-from tateshift.series import eval_at, poly_eval
+from tateshift.series import NonNilpotentArgument, eval_at, poly_eval
+from tateshift.tate_blueshift import inverted_element_set
 
 
 def honda_ring(p, n, exponents):
@@ -91,6 +101,89 @@ def test_euler_additivity_up_to_formal_sum():
             diff = eval_at(law.F, [eu, minus_ew])
             target = tuple((a - b) % o for a, b, o in zip(u, w, cr.group.orders))
             assert diff == cr.euler_class(target).value
+
+
+def fold_euler(cr, w):
+    """[w_1](x_1) +_F ... +_F [w_m](x_m): one m-series per coordinate, each
+    folded into the accumulator with F, every table built afresh."""
+    acc = None
+    for k, w_k in enumerate(w):
+        value_k = eval_at(cr.law.m_series(w_k), [cr.algebra.gen(k)])
+        acc = value_k if acc is None else eval_at(cr.law.F, [acc, value_k])
+    return acc
+
+
+# (law, p, n or K, exponents): multiplicative K >= 1 and Honda n <= 2, some
+# with several heads of two or more nonzero coordinates
+FOLD_RINGS = (
+    ("mult", 2, 2, (1, 2)),
+    ("mult", 3, 1, (1, 1, 1)),
+    ("honda", 2, 1, (1, 2, 1)),
+    ("honda", 2, 1, (1, 1, 1, 1)),
+    ("honda", 2, 2, (1, 1)),
+    ("honda", 3, 1, (1, 1)),
+)
+
+
+@functools.cache
+def fold_ring(spec):
+    """A built ring and the oracle's class of every element."""
+    kind, p, n, exponents = spec
+    cr = (mult_ring if kind == "mult" else honda_ring)(p, n, list(exponents))
+    return cr, {w: fold_euler(cr, w).coords for w in cr.group.elements()}
+
+
+@st.composite
+def fold_queries(draw):
+    spec = draw(st.sampled_from(FOLD_RINGS))
+    cr, _ = fold_ring(spec)
+    elements = list(cr.group.elements())
+    if draw(st.booleans()):
+        # tate's order: the inverted classes of some C first, then the rest
+        sub = SubgroupSpec([draw(st.integers(0, i)) for i in cr.group.exponents])
+        inverted = inverted_element_set(cr.group, sub)
+        order = inverted + [w for w in elements if w not in inverted]
+    else:
+        order = draw(st.permutations(elements))
+    return spec, order, draw(st.integers(0, len(order)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(fold_queries())
+def test_euler_recursion_matches_fold(query):
+    spec, order, batch = query
+    built, expected = fold_ring(spec)
+    # a fresh ring object: empty class cache and power tables
+    cr = ClassifyingRing(built.law, built.group, built.algebra, built.relations)
+    got = cr.euler_classes(order[:batch])
+    got += [cr.euler_class(w) for w in order[batch:]]
+    assert [ec.element for ec in got] == order
+    for ec in got:
+        assert ec.value.coords == expected[ec.element]
+
+
+def test_euler_shared_tables_keep_cap_check():
+    # cap 4 builds the ring of (Z/4)^2 but cannot cover x1 +_F x2, whose
+    # nonvanishing monomials reach degree 3 + 3
+    cr = build_classifying_ring(build_honda(2, 1, 4), AbelianPGroup(2, [2, 2]))
+    for w in ((1, 0), (0, 1), (2, 1)):  # x1^2 +_F x2 reaches only degree 4
+        assert cr.euler_class(w).value == fold_euler(cr, w)
+    with pytest.raises(NonNilpotentArgument):
+        fold_euler(cr, (1, 1))
+    with pytest.raises(NonNilpotentArgument):
+        cr.euler_class((1, 1))
+    with pytest.raises(NonNilpotentArgument):
+        cr.euler_classes([(0, 1), (3, 1)])
+
+
+def test_element_length_checked_before_reduction():
+    cr = honda_ring(2, 1, [1, 1])
+    for w in ((1, 0, 1), (1,)):
+        with pytest.raises(InvalidSubgroup):
+            cr.euler_class(w)
+    for u, w in (((1, 0, 1), (0, 1)), ((1, 0), (0, 1, 1))):
+        with pytest.raises(InvalidSubgroup):
+            certify_root_difference(cr, u, w)
 
 
 # -- torsion root sets --------------------------------------------------------------
@@ -231,8 +324,6 @@ def test_pairwise_certificates_order_sixteen_groups():
         cr = honda_ring(2, 1, exponents)
         assert cr.group.order == 16
         import itertools as it
-
-        from tateshift.classifying import certify_root_difference
 
         for u, w in it.combinations(cr.group.elements(), 2):
             witness = certify_root_difference(cr, u, w)
