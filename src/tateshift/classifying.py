@@ -18,11 +18,12 @@ from .fgl import (
     CapTooSmall,
     FGLError,
     FormalGroupLaw,
+    _sum_unit_series,
     poly_compose_iterate,
     weierstrass_prepare,
 )
-from .ring_core import BaseModulus, FiniteAlgebra, RingElement, unit_cofactor
-from .series import _eval_tables, _power_table, poly_eval
+from .ring_core import BaseModulus, FiniteAlgebra, RingElement
+from .series import _eval_tables, _power_table, eval_at, poly_eval
 
 
 class ClassifyingError(Exception):
@@ -326,26 +327,32 @@ def build_classifying_ring(law: FormalGroupLaw, group: AbelianPGroup) -> Classif
 
 
 def certify_root_difference(cr: ClassifyingRing, u, w):
-    """Witness that euler(u) - euler(w) is a unit multiple of euler(u - w).
+    """Witness that euler(u) - euler(w) = euler(u - w) * unit with a unit.
 
-    Solves euler(u-w) * y = euler(u) - euler(w) and exhibits a unit solution
-    (one exists by the additivity-up-to-unit identity); the witness makes the
-    pairwise non-zero-divisor condition of root tuples explicit relative to
-    the set of inverted classes.
+    Write F(x, y) = x + y G(x, y).  Since e(u) = e(w) +_F e(u - w), the unit
+    is G(e(w), e(u - w)), taken by one polynomial evaluation.  The equation
+    is replayed exactly, and the unit is checked by its constant coordinate:
+    G(0, 0) = 1, and in a local tower an element is a unit iff that
+    coordinate is prime to p.  The witness makes the pairwise
+    non-zero-divisor condition of root tuples explicit relative to the set
+    of inverted classes.
     """
     orders = cr.group.orders
     if len(u) != len(orders) or len(w) != len(orders):
         raise InvalidSubgroup("group element length mismatch")
+    p = cr.algebra.local_tower_prime()
+    if p is None:
+        raise ClassifyingError("root-difference units need a local tower")
     target = tuple((a - b) % o for a, b, o in zip(u, w, orders))
-    d = cr.euler_class(u).value - cr.euler_class(w).value
+    e_w = cr.euler_class(w).value
+    d = cr.euler_class(u).value - e_w
     s = cr.euler_class(target).value
-    solvable, unit = unit_cofactor(s, d)
-    if not solvable:
-        raise ClassifyingError("difference is not a multiple of euler(u - w)")
-    if unit is None:
-        raise ClassifyingError("no unit cofactor found for the difference")
+    unit = eval_at(_sum_unit_series(cr.law), [e_w, s], polynomial=True)
     if not (s * unit - d).is_zero():
-        raise ClassifyingError("unit cofactor verification failed")
+        raise ClassifyingError("e(u) - e(w) = e(u - w) * G(e(w), e(u - w)) "
+                               "does not replay")
+    if not unit.coords[0] % p:
+        raise ClassifyingError("G(e(w), e(u - w)) is not a unit")
     return {"difference_element": target, "unit": unit}
 
 

@@ -312,6 +312,25 @@ def _difference_series(law: FormalGroupLaw) -> TruncatedSeries:
     return law._diff_series
 
 
+def _sum_unit_series(law: FormalGroupLaw) -> TruncatedSeries:
+    """G with F(x1, x2) = x1 + x2 * G(x1, x2): the terms of F with a positive
+    x2 exponent, shifted down by one in x2.  G(0, 0) = 1.
+
+    F is known to total degree cap, so G is known to cap - 1.
+    """
+    if getattr(law, "_sum_unit", None) is not None:
+        return law._sum_unit
+    dom, F = law.domain, law.F
+    shifted = {}
+    for (e1, e2), c in F.terms.items():
+        if e2:
+            shifted[(e1, e2 - 1)] = c
+        elif (e1, c) != (1, dom.one):
+            raise AxiomFailure("F(x, 0) != x")
+    law._sum_unit = TruncatedSeries(dom, (X1, X2), law.cap - 1, shifted)
+    return law._sum_unit
+
+
 def _difference_unit_series(law: FormalGroupLaw) -> TruncatedSeries:
     """eps - 1 as a series in (x1, x2): eps has constant term 1."""
     if getattr(law, "_eps_series", None) is not None:

@@ -24,6 +24,7 @@ from .ring_core import (
     annihilator,
     exact_div as ring_exact_div,
     ideal_contains_one,
+    integer_solve,
     is_unit as ring_is_unit,
     multiset_products,
     unit_cofactor,
@@ -608,74 +609,84 @@ def _one_in_ideal(gens) -> bool:
 
 # -- tuples verified in a localization ---------------------------------------------------
 
+# Unitness tests one difference may spend on integer cofactors over an
+# ExactPolyRing: each is a rank x rank Bareiss determinant.
+UNIT_SCAN_BUDGET = 512
 
-def _unit_multiple_witness(d, s_gens, max_len):
-    """(word, unit) with d = unit * prod(word over s_gens), or None.
 
-    Certifies that d becomes a unit in the localization inverting s_gens.
+def _unit_multiple_witness(d, s_gens, max_len, units):
+    """((word, unit) or None, budget_ran_out) with d = unit * prod(word).
+
+    A witness certifies that d becomes a unit in the localization inverting
+    s_gens.  Over a FiniteAlgebra each word takes one solve and coset scan.
+    Over an ExactPolyRing every word up to max_len first tries the
+    structured units (``_structured_units`` of the ring, passed in so that
+    one tuple builds them once); only then does each word take an integer
+    solve, whose kernel box scans share UNIT_SCAN_BUDGET candidates.
     """
+    if isinstance(d, RingElement):
+        for value, word in multiset_products(s_gens, max_len):
+            u = unit_cofactor(value, d)[1]
+            if u is not None:
+                return (list(word), u), False
+        return None, False
+    if not isinstance(d, PolyElement):
+        raise TypeError(f"unsupported element {d!r}")
+    ring = d.parent
     for value, word in multiset_products(s_gens, max_len):
-        u = _unit_cofactor(value, d)
+        for u in units:
+            if value * u == d and ring.is_unit(u):
+                return (list(word), u), False
+    left = UNIT_SCAN_BUDGET
+    for value, word in multiset_products(s_gens, max_len):
+        u, left = _scan_integer_cofactors(value, d, left)
         if u is not None:
-            return list(word), u
-    return None
+            return (list(word), u), False
+        if not left:
+            return None, True
+    return None, False
 
 
-def _unit_cofactor(s, d):
-    """A unit u with s*u = d, or None."""
-    if isinstance(s, RingElement):
-        return unit_cofactor(s, d)[1]
-    if isinstance(s, PolyElement):
-        ring = s.parent
-        # fast paths: signed monomials, then signed products of (1 + x_k)
-        # powers (the unit groups of group-ring style presentations in either
-        # coordinate convention)
-        for sign in (1, -1):
-            for mono in ring.monomials:
-                u = PolyElement(ring, {mono: sign})
-                if (s * u) == d and ring.is_unit(u):
-                    return u
-        shifted = [ring.one() + ring.gen(k) for k in range(len(ring.variables))]
-        for exps in ring.monomials:
-            cand = ring.one()
-            for k, e in enumerate(exps):
-                for _ in range(e):
-                    cand = cand * shifted[k]
-            for sign in (1, -1):
-                u = cand * sign
-                if (s * u) == d and ring.is_unit(u):
-                    return u
-        # general path: integer solutions of s*y = d, scanned for a unit
-        from .ring_core import integer_solve
+def _structured_units(ring):
+    """Signed monomials, then signed products of (1 + x_k) powers: the unit
+    groups of group-ring style presentations in either coordinate convention.
+    """
+    out = [PolyElement(ring, {mono: sign})
+           for sign in (1, -1) for mono in ring.monomials]
+    shifted = [ring.one() + ring.gen(k) for k in range(len(ring.variables))]
+    for exps in ring.monomials:
+        cand = ring.one()
+        for k, e in enumerate(exps):
+            for _ in range(e):
+                cand = cand * shifted[k]
+        out += [cand, cand * -1]
+    return out
 
-        mat = ring.mul_matrix(s)
-        rhs = [0] * ring.rank
-        for e, c in d.terms.items():
-            rhs[ring.index[e]] = c
-        particular, kernel = integer_solve(mat, rhs)
-        if particular is None:
-            return None
 
-        def as_elem(vec):
-            return PolyElement(
-                ring, {m: c for m, c in zip(ring.monomials, vec) if c}
-            )
-
-        if ring.is_unit(as_elem(particular)):
-            return as_elem(particular)
-        box = 3
-        for combo in itertools.product(range(-box, box + 1), repeat=len(kernel)):
-            if not any(combo):
-                continue
-            vec = list(particular)
-            for c, k in zip(combo, kernel):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, k)]
-            cand = as_elem(vec)
-            if ring.is_unit(cand):
-                return cand
-        return None
-    raise TypeError(f"unsupported element {s!r}")
+def _scan_integer_cofactors(s, d, left):
+    """(unit u with s*u = d or None, candidates left): the integer solutions
+    of s*y = d, the particular one first and then a box of kernel
+    combinations, each costing one unitness test out of ``left``.
+    """
+    ring = s.parent
+    rhs = [0] * ring.rank
+    for e, c in d.terms.items():
+        rhs[ring.index[e]] = c
+    particular, kernel = integer_solve(ring.mul_matrix(s), rhs)
+    if particular is None:
+        return None, left
+    box = (0, 1, -1, 2, -2, 3, -3)  # the all-zero combination comes first
+    combos = itertools.product(box, repeat=len(kernel))
+    for combo in itertools.islice(combos, left):
+        left -= 1
+        vec = list(particular)
+        for c, k in zip(combo, kernel):
+            if c:
+                vec = [x + c * y for x, y in zip(vec, k)]
+        cand = PolyElement(ring, dict(zip(ring.monomials, vec)))
+        if ring.is_unit(cand):
+            return cand, left
+    return None, left
 
 
 def _kill_word(t, s_gens, max_len):
@@ -698,14 +709,20 @@ def verify_localized_tuple(s_gens, elements, f=None, max_len=12) -> NTuple:
     """
     elements = list(elements)
     witnesses = {"pairs": {}, "roots": {}, "inverted": s_gens}
+    units = None
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             d = elements[i] - elements[j]
-            hit = _unit_multiple_witness(d, s_gens, max_len)
+            if units is None and isinstance(d, PolyElement):
+                units = _structured_units(d.parent)
+            hit, ran_out = _unit_multiple_witness(d, s_gens, max_len, units)
             if hit is None:
+                bound = (f"the unit scan budget of {UNIT_SCAN_BUDGET} "
+                         "candidates ran out" if ran_out
+                         else f"within products of length {max_len}")
                 raise NotATuple(
                     f"difference of elements {i} and {j} is not certified "
-                    "to become a unit in the localization"
+                    f"to become a unit in the localization: {bound}"
                 )
             witnesses["pairs"][(i, j)] = {"word": hit[0], "unit": hit[1]}
     if f is not None:

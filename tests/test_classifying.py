@@ -1,16 +1,20 @@
 """Classifying rings, Euler classes, torsion root sets, induced maps.
 
 The per-element left fold that ``euler_class`` replaced is kept here as the
-reference for the one-step recursion over shared power tables.
+reference for the one-step recursion over shared power tables, and
+``ring_core.unit_cofactor`` as the reference for root-difference units.
 """
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tateshift import classifying
 from tateshift.classifying import (
     AbelianPGroup,
+    ClassifyingError,
     ClassifyingRing,
     InvalidSubgroup,
     NotAHomomorphism,
@@ -24,8 +28,9 @@ from tateshift.classifying import (
     required_cap,
 )
 from tateshift.fgl import build_honda, build_multiplicative
+from tateshift.ring_core import BaseModulus, FiniteAlgebra, is_unit, unit_cofactor
 from tateshift.ring_linalg import verify_localized_tuple
-from tateshift.series import NonNilpotentArgument, eval_at, poly_eval
+from tateshift.series import NonNilpotentArgument, TruncatedSeries, eval_at, poly_eval
 from tateshift.tate_blueshift import inverted_element_set
 
 
@@ -318,16 +323,75 @@ def test_induced_map_congruence_guard():
     assert hom.images[0] == target.algebra.gen(0)
 
 
+def check_root_difference(cr, u, w):
+    """Certify e(u) - e(w) = e(u - w) * unit; replay it and test the unit by
+    Howell.  Returns the ring elements s = e(u - w) and d = e(u) - e(w)."""
+    witness = certify_root_difference(cr, u, w)
+    s = cr.euler_class(witness["difference_element"]).value
+    d = cr.euler_class(u).value - cr.euler_class(w).value
+    assert s * witness["unit"] == d
+    assert is_unit(witness["unit"])[0]
+    return s, d
+
+
 def test_pairwise_certificates_order_sixteen_groups():
     # pairwise tuple certificates for |A| = 16 in both presentations
     for exponents in ([4], [1, 1, 1, 1]):
         cr = honda_ring(2, 1, exponents)
         assert cr.group.order == 16
-        import itertools as it
+        for u, w in itertools.combinations(cr.group.elements(), 2):
+            check_root_difference(cr, u, w)
 
-        for u, w in it.combinations(cr.group.elements(), 2):
-            witness = certify_root_difference(cr, u, w)
-            assert not witness["unit"].is_zero()
+
+# (law, p, n or K, exponents): Honda n = 1, 2 and multiplicative K = 2;
+# Z/2 + Z/4 at n = 2 has cap 18, below the 30 a cap-covered evaluation of
+# G(e(w), e(u - w)) would ask for, though m^19 = 0 there
+PAIR_RINGS = (
+    ("honda", 2, 1, (1, 2)),
+    ("honda", 3, 1, (1, 1)),
+    ("honda", 2, 2, (1, 1)),
+    ("honda", 2, 2, (1, 2)),
+    ("mult", 2, 2, (1, 2)),
+    ("mult", 3, 2, (1, 1)),
+)
+
+
+@functools.cache
+def pair_ring(spec):
+    kind, p, n, exponents = spec
+    return (mult_ring if kind == "mult" else honda_ring)(p, n, list(exponents))
+
+
+@st.composite
+def pair_queries(draw):
+    spec = draw(st.sampled_from(PAIR_RINGS))
+    elements = list(pair_ring(spec).group.elements())
+    return spec, draw(st.sampled_from(elements)), draw(st.sampled_from(elements))
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(pair_queries())
+def test_root_difference_unit_matches_solve(query):
+    # the old solve-and-scan search as oracle: s * y = d must be solvable
+    spec, u, w = query
+    s, d = check_root_difference(pair_ring(spec), u, w)
+    assert unit_cofactor(s, d)[0]
+
+
+def test_root_difference_needs_local_tower():
+    cr = honda_ring(2, 1, [1])
+    non_local = FiniteAlgebra.from_presentation(BaseModulus(4), ["x1"], [[1, 0, 1]])
+    bad = ClassifyingRing(cr.law, cr.group, non_local, [[1, 0, 1]])
+    with pytest.raises(ClassifyingError, match="local tower"):
+        certify_root_difference(bad, (1,), (0,))
+
+
+def test_root_difference_refuses_unit_that_does_not_replay(monkeypatch):
+    cr = honda_ring(2, 1, [1, 1])
+    one = TruncatedSeries.constant(cr.law.domain, ("x1", "x2"), cr.law.cap, 1)
+    monkeypatch.setattr(classifying, "_sum_unit_series", lambda law: one)
+    with pytest.raises(ClassifyingError, match="does not replay"):
+        certify_root_difference(cr, (1, 1), (1, 0))
 
 
 def test_classifying_generators_are_nilpotent():

@@ -1,12 +1,14 @@
 """Root-coefficient relations and ring elimination vs independent oracles."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from tateshift.ring_core import BaseModulus, ExactPolyRing, FiniteAlgebra
 from tateshift.ring_linalg import (
+    UNIT_SCAN_BUDGET,
     NotATuple,
     NotInvertibleTuple,
     NTuple,
@@ -26,6 +28,10 @@ from tateshift.ring_linalg import (
     vanishing_condition,
     verify_localized_tuple,
     verify_tuple,
+)
+from tateshift.tate_blueshift import (
+    multiplicative_euler_class_exact,
+    multiplicative_exact_ring,
 )
 
 
@@ -340,6 +346,51 @@ def test_vanishing_condition_exact_ku_pattern_p2():
     tup = verify_localized_tuple(gens, [x1, x2], f, max_len=4)
     verdict = vanishing_condition(f, tup)
     assert verdict.verdict == VanishingVerdict.MUST_BE_ZERO
+
+
+def test_localized_tuple_ku_p5_witnesses_replay():
+    # Z[(Z/5)^2] inverting every nonzero class: f(y) = ((y+1)^5 - 1)/y with
+    # roots the classes of (1,0), .., (4,0), (0,1)
+    p = 5
+    ring = multiplicative_exact_ring(p, [1, 1])
+    nonzero = [w for w in itertools.product(range(p), repeat=2) if any(w)]
+    gens = [multiplicative_euler_class_exact(ring, w) for w in nonzero]
+    roots = [multiplicative_euler_class_exact(ring, (w, 0)) for w in range(1, p)]
+    roots.append(multiplicative_euler_class_exact(ring, (0, 1)))
+    f = [math.comb(p, k + 1) * ring.one() for k in range(p)]
+    tup = verify_localized_tuple(gens, roots, f, max_len=4)
+
+    def product(word):
+        out = ring.one()
+        for idx in word:
+            out = out * gens[idx]
+        return out
+
+    pairs = tup.witnesses["pairs"]
+    assert sorted(pairs) == list(itertools.combinations(range(len(roots)), 2))
+    for (i, j), witness in pairs.items():
+        assert witness["unit"] * product(witness["word"]) == roots[i] - roots[j]
+        assert ring.is_unit(witness["unit"])
+    kills = tup.witnesses["roots"]
+    assert sorted(kills) == list(range(len(roots)))
+    for i, witness in kills.items():
+        value = f[-1]
+        for c in reversed(f[:-1]):
+            value = value * roots[i] + c
+        assert witness["word"] and (product(witness["word"]) * value).is_zero()
+    assert vanishing_condition(f, tup).verdict == VanishingVerdict.MUST_BE_ZERO
+
+
+def test_localized_tuple_names_spent_unit_scan_budget():
+    # Z[(Z/2)^3] = Z[x1,x2,x3]/(x_k^2 + 2 x_k): x1 * y = 2 x1 is solvable,
+    # but every solution is 2 at the character with 1 + x1 -> -1, so none is
+    # a unit, and the kernel box (7^4 combinations) outlasts the budget
+    ring = multiplicative_exact_ring(2, [1, 1, 1])
+    x1 = ring.gen(0)
+    with pytest.raises(NotATuple, match=f"budget of {UNIT_SCAN_BUDGET} candidates ran out"):
+        verify_localized_tuple([x1], [x1 * 2, ring.zero()], max_len=1)
+    with pytest.raises(NotATuple, match="within products of length 1"):
+        verify_localized_tuple([x1], [ring.one(), ring.zero()], max_len=1)
 
 
 def test_elem_exact_div_integers():
