@@ -24,6 +24,7 @@ from .fgl import (
 )
 from .ring_core import BaseModulus, FiniteAlgebra, RingElement
 from .series import _eval_tables, _power_table, eval_at, poly_eval
+from .zmod import is_prime
 
 
 class ClassifyingError(Exception):
@@ -50,7 +51,7 @@ class AbelianPGroup:
 
     def __init__(self, p: int, exponents):
         exponents = tuple(int(i) for i in exponents)
-        if p < 2:
+        if not is_prime(p):
             raise InvalidSubgroup("p must be a prime >= 2")
         if not exponents or any(i < 1 for i in exponents):
             raise InvalidSubgroup("exponents must be positive")

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import ring_core, ring_linalg
+from . import ring_core, ring_linalg, zmod
 from .classifying import (
     AbelianPGroup,
     ClassifyingError,
@@ -62,6 +62,7 @@ def _cap(params: dict):
 # -- parameter schemas ------------------------------------------------------------
 
 _INT = ("int", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_PRIME = ("prime", lambda v: _INT[1](v) and zmod.is_prime(v))
 _BOOL = ("bool", lambda v: isinstance(v, bool))
 _STR = ("str", lambda v: isinstance(v, str))
 _INTS = ("list of ints", lambda v: isinstance(v, list)
@@ -72,7 +73,7 @@ _DICT = ("object", lambda v: isinstance(v, dict))
 SCHEMAS = {
     "fgl": {
         "kind": (_STR, True),
-        "p": (_INT, True),
+        "p": (_PRIME, True),
         "n": (_INT, False),
         "modulus_power": (_INT, False),
         "cap": (_INT, False),
@@ -80,7 +81,7 @@ SCHEMAS = {
         "j": (_INT, False),
     },
     "bgroup": {
-        "p": (_INT, True),
+        "p": (_PRIME, True),
         "exponents": (_INTS, True),
         "fgl": (_STR, True),
         "n": (_INT, False),
@@ -96,7 +97,7 @@ SCHEMAS = {
         "explain": (_BOOL, False),
     },
     "tate": {
-        "p": (_INT, True),
+        "p": (_PRIME, True),
         "A": (_INTS, True),
         "C": (_INTS, True),
         "fgl": (_STR, False),
@@ -108,7 +109,7 @@ SCHEMAS = {
         "explain": (_BOOL, False),
     },
     "blueshift": {
-        "p": (_INT, True),
+        "p": (_PRIME, True),
         "A": (_INTS, True),
         "C": (_INTS, True),
         "nonabelian": (_BOOL, False),

@@ -193,31 +193,90 @@ def multiplicative_euler_class_exact(ring: ExactPolyRing, w):
     return acc - ring.one()
 
 
+class _GroupRingElement:
+    """An element of Z[A] by its coefficients on t^v, v in group.elements() order.
+
+    Generators t^w - 1 also carry ``perm``, the index of v - w at the index of
+    v, so that multiplying by one is a single shifted difference.
+    """
+
+    __slots__ = ("coeffs", "perm", "_hash")
+
+    def __init__(self, coeffs: tuple, perm: tuple | None = None):
+        self.coeffs = coeffs
+        self.perm = perm
+        self._hash = hash(coeffs)
+
+    def __mul__(self, gen: "_GroupRingElement"):
+        """(t^w - 1) * sum c_v t^v has coefficient c_(v-w) - c_v at t^v."""
+        c = self.coeffs
+        return _GroupRingElement(tuple([c[j] - x for j, x in zip(gen.perm, c)]))
+
+    def __eq__(self, other):
+        return isinstance(other, _GroupRingElement) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return self._hash
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
+def _group_ring_euler_classes(group: AbelianPGroup, inverted):
+    """t^w - 1 for each w in inverted, in the group-element basis of Z[A]."""
+    elements = list(group.elements())
+    index = {v: i for i, v in enumerate(elements)}
+    orders = group.orders
+    gens = []
+    for w in inverted:
+        coeffs = [0] * len(elements)
+        coeffs[0] -= 1
+        coeffs[index[w]] += 1
+        perm = tuple(index[tuple((a - b) % o for a, b, o in zip(v, w, orders))]
+                     for v in elements)
+        gens.append(_GroupRingElement(tuple(coeffs), perm))
+    return gens
+
+
+# Products the exact-mode search may examine.  The largest benchmark search,
+# p=5 A=(Z/5)^2 up to length 8, examines 129,986.
+EXACT_SEARCH_BUDGET = 2**18
+
+
 def tate_ring_exact(p: int, exponents, sub_exponents,
                     max_cert_len: int = 8) -> TateRingResult:
     """Exact-integer Tate vanishing for the multiplicative law.
 
     Saturation needs finiteness, so only the zero-product certificate search
-    runs here; an exhausted search is INCONCLUSIVE, never NONZERO.
+    runs here; an exhausted search is INCONCLUSIVE, never NONZERO, and
+    records ``search_budget`` when ``EXACT_SEARCH_BUDGET`` ran out.  The ring
+    Z[x]/((1+x_k)^(p^i_k) - 1) is the group ring Z[A] with t_k = 1 + x_k, so
+    the search runs in the group-element basis, where every product is one
+    shifted difference.  The change of basis is unimodular over Z, so zero
+    tests and dedup equalities, hence the word found, are the same as in the
+    monomial basis; the certificate is replayed there.
     """
     group = AbelianPGroup(p, exponents)
     sub = SubgroupSpec(sub_exponents)
     inverted = inverted_element_set(group, sub)
-    ring = multiplicative_exact_ring(p, exponents)
     if not inverted:
         return TateRingResult(
             TateRingResult.NONZERO, quotient=None, inverted=[], mode="exact",
         )
-    gens = [multiplicative_euler_class_exact(ring, w) for w in inverted]
-    cert = zero_product_certificate(gens, max_cert_len)
+    gens = _group_ring_euler_classes(group, inverted)
+    cert = zero_product_certificate(gens, max_cert_len, budget=EXACT_SEARCH_BUDGET)
     if isinstance(cert, CertificateNotFound):
+        witness = {"not_found_max_len": cert.max_len}
+        if cert.budget is not None:
+            witness["search_budget"] = cert.budget
         return TateRingResult(
-            TateRingResult.INCONCLUSIVE, inverted=inverted,
-            witness={"not_found_max_len": cert.max_len}, mode="exact",
+            TateRingResult.INCONCLUSIVE, inverted=inverted, witness=witness,
+            mode="exact",
         )
+    ring = multiplicative_exact_ring(p, exponents)
     product = ring.one()
     for idx in cert:
-        product = product * gens[idx]
+        product = product * multiplicative_euler_class_exact(ring, inverted[idx])
     if not product.is_zero():
         raise RuntimeError("certificate replay failed")  # search invariant
     return TateRingResult(

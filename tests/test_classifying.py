@@ -274,6 +274,9 @@ def test_torsion_enumeration_against_brute_force():
 
 
 def test_subgroup_validation():
+    for p in (1, 4, 6, 9):
+        with pytest.raises(InvalidSubgroup):
+            AbelianPGroup(p, [1])
     a = AbelianPGroup(2, [2, 1])
     with pytest.raises(InvalidSubgroup):
         SubgroupSpec([3, 0]).validate_in(a)

@@ -341,3 +341,18 @@ def test_tate_exact_mode_cli(capsys):
     assert report["status"] == "ZERO"
     assert report["mode"] == "exact"
     assert report["witness"]["certificate"]["length"] == 3
+
+
+def test_non_prime_p_is_a_validation_error():
+    for p in (4, 6):
+        for extra in ({}, {"exact": True}):
+            code, report = run_job("tate", {"p": p, "A": [1], "C": [1], **extra})
+            assert code == EXIT_VALIDATION
+            assert report["error"]["message"] == "field 'p' must be prime"
+    for command, params in (
+        ("fgl", {"kind": "honda"}),
+        ("bgroup", {"exponents": [1], "fgl": "multiplicative"}),
+        ("blueshift", {"A": [1], "C": [1]}),
+    ):
+        code, _ = run_job(command, {"p": 4, **params})
+        assert code == EXIT_VALIDATION

@@ -1,8 +1,10 @@
 """Tate vanishing outcomes and blue-shift bound arithmetic."""
 
 import itertools
+import operator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tateshift import tate_blueshift
 from tateshift.classifying import (
@@ -18,6 +20,7 @@ from tateshift.ring_core import (
     BaseModulus,
     FiniteAlgebra,
     localize_by_saturation,
+    multiset_products,
     zero_product_certificate,
 )
 from tateshift.tate_blueshift import (
@@ -277,6 +280,61 @@ def test_exact_inconclusive_when_budget_too_small():
     result = tate_ring_exact(2, [1, 1], [1, 1], max_cert_len=2)
     assert result.status == TateRingResult.INCONCLUSIVE
     assert result.witness["not_found_max_len"] == 2
+
+
+def test_exact_p5_pinned_word():
+    result = tate_ring_exact(5, [1, 1], [1, 1], max_cert_len=8)
+    assert result.status == TateRingResult.ZERO
+    assert result.witness["certificate"]["word"] == [0, 4, 5, 6, 7, 8]
+
+
+def test_exact_search_budget_recorded(monkeypatch):
+    # the p=2 (Z/2)^2 certificate has length 3: three products are the
+    # generators alone, so the search stops before any longer word
+    monkeypatch.setattr(tate_blueshift, "EXACT_SEARCH_BUDGET", 3)
+    result = tate_ring_exact(2, [1, 1], [1, 1], max_cert_len=5)
+    assert result.status == TateRingResult.INCONCLUSIVE
+    assert result.to_dict()["witness"] == {
+        "not_found_max_len": 5, "search_budget": 3}
+
+
+# Every group with |A| <= 16 for p = 2 and p = 3.
+SMALL_GROUPS = [
+    (p, A) for p, top in ((2, 4), (3, 2)) for r in range(1, top + 1)
+    for A in itertools.product(range(1, top + 1), repeat=r) if sum(A) <= top
+]
+
+
+@st.composite
+def exact_searches(draw):
+    p, A = draw(st.sampled_from(SMALL_GROUPS))
+    C = tuple(draw(st.integers(0, i)) for i in A)
+    return p, A, C, draw(st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(exact_searches())
+def test_group_basis_search_matches_exact_poly_search(case):
+    # the group-basis search yields the words of the ExactPolyRing search,
+    # and each value maps under t^v -> prod (1 + x_k)^(v_k) to the oracle's
+    p, A, C, max_len = case
+    group = AbelianPGroup(p, A)
+    inverted = inverted_element_set(group, SubgroupSpec(C))
+    ring = multiplicative_exact_ring(p, A)
+    oracle = [multiplicative_euler_class_exact(ring, w) for w in inverted]
+    # row m: the x^m coefficients of t^v, v in group.elements() order
+    t_powers = [(multiplicative_euler_class_exact(ring, v) + ring.one()).terms
+                for v in group.elements()]
+    to_monomials = [[t_v.get(m, 0) for t_v in t_powers] for m in ring.monomials]
+    # the first 600 yields of each search keep every example under 40 ms
+    fast = list(itertools.islice(multiset_products(
+        tate_blueshift._group_ring_euler_classes(group, inverted), max_len), 600))
+    slow = list(itertools.islice(multiset_products(oracle, max_len), 600))
+    assert [word for _, word in fast] == [word for _, word in slow]
+    for (value, _), (expected, _) in zip(fast, slow):
+        image = [sum(map(operator.mul, row, value.coeffs)) for row in to_monomials]
+        assert image == [expected.terms.get(m, 0) for m in ring.monomials]
+        assert value.is_zero() == expected.is_zero()
 
 
 def test_exact_euler_class_closed_form():

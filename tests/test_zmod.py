@@ -113,3 +113,9 @@ def test_prime_power():
     assert zmod.prime_power(7) == (7, 1)
     assert zmod.prime_power(12) is None
     assert zmod.prime_power(1024) == (2, 10)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 2000):
+        trial = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+        assert zmod.is_prime(n) == trial, n
