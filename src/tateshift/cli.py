@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import ring_core, ring_linalg, zmod
+from . import ring_core, ring_linalg, tate_blueshift, zmod
 from .classifying import (
     AbelianPGroup,
     ClassifyingError,
@@ -315,12 +315,17 @@ def run_vanish_cert(params: dict) -> dict:
     if ring_data.get("type") == "exact":
         ring = ring_core.exact_ring_from_json(ring_data)
         gens = [ring_core.poly_element_from_json(ring, g) for g in params["gens"]]
+        budget = tate_blueshift.EXACT_SEARCH_BUDGET
     else:
         alg = ring_core.algebra_from_json(ring_data)
         gens = [ring_core.element_from_json(alg, g) for g in params["gens"]]
-    cert = ring_core.zero_product_certificate(gens, params["max_len"])
+        budget = tate_blueshift.CERT_SEARCH_BUDGET
+    cert = ring_core.zero_product_certificate(gens, params["max_len"], budget=budget)
     if isinstance(cert, ring_core.CertificateNotFound):
-        return {"found": False, "max_len": cert.max_len}
+        report = {"found": False, "max_len": cert.max_len}
+        if cert.budget is not None:
+            report["search_budget"] = cert.budget
+        return report
     product = gens[cert[0]]
     for idx in cert[1:]:
         product = product * gens[idx]

@@ -246,6 +246,34 @@ class RingElement:
 
     __rmul__ = __mul__
 
+    def multiplier(self):
+        """The map v -> v * self, for multiplying many values by this one.
+
+        It computes sum_j v_j (self * b_j) from the columns self * b_j of the
+        multiplication operator.  Each column is a sparse ((k, coeff), ...)
+        tuple reduced mod N, built on first use and kept for the life of
+        the returned function.
+        """
+        alg = self.parent
+        n, rank = alg.base.n, alg.rank
+        column = alg.columns(self)
+        cols = [None] * rank
+
+        def times(v):
+            if v.parent is not alg:
+                raise RingMismatch("elements from different rings")
+            acc = [0] * rank
+            for j, c in enumerate(v.coords):
+                if c:
+                    col = cols[j]
+                    if col is None:
+                        col = cols[j] = column(j)
+                    for k, x in col:
+                        acc[k] += c * x
+            return RingElement._reduced(alg, [x % n for x in acc])
+
+        return times
+
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers need is_unit")
@@ -413,16 +441,52 @@ class FiniteAlgebra:
                             acc[k] += c * ck
         return RingElement._reduced(self, [x % n for x in acc])
 
+    def columns(self, e: RingElement):
+        """The routine j -> e * b_j, column j of multiplication by e.
+
+        A column is a sparse ((k, coeff), ...) tuple reduced mod N, summed
+        over the nonzero coordinates of e.  Each basis product is looked up
+        directly, as ``basis_product`` would: in the table, or in the
+        reducer's fold cache of a presented algebra.
+        """
+        n = self.base.n
+        codes = self._codes
+        if codes is None:
+            nz = [(i, c) for i, c in enumerate(e.coords) if c]
+            table = self.mul_table
+
+            def column(j):
+                acc = {}
+                for i, c in nz:
+                    for k, ck in table[(i, j) if i <= j else (j, i)]:
+                        acc[k] = acc.get(k, 0) + c * ck
+                return tuple([(k, x % n) for k, x in acc.items() if x % n])
+
+            return column
+        nz = [(codes[i], c) for i, c in enumerate(e.coords) if c]
+        folds, fold = self._reducer._folds, self._reducer.fold
+
+        def column(j):
+            cj = codes[j]
+            acc = {}
+            for ci, c in nz:
+                row = folds.get(ci + cj)
+                if row is None:
+                    row = fold(ci + cj)
+                for k, ck in row:
+                    acc[k] = acc.get(k, 0) + c * ck
+            return tuple([(k, x % n) for k, x in acc.items() if x % n])
+
+        return column
+
     def mul_matrix(self, e: RingElement) -> list[list[int]]:
         """Matrix of multiplication by e: entry [k][j] is coordinate k of e*b_j."""
-        n, rank = self.base.n, self.rank
+        rank = self.rank
         rows = [[0] * rank for _ in range(rank)]
-        nz = [(i, c) for i, c in enumerate(e.coords) if c]
-        product = self.basis_product
+        column = self.columns(e)
         for j in range(rank):
-            for i, c in nz:
-                for k, ck in product(i, j):
-                    rows[k][j] = (rows[k][j] + c * ck) % n
+            for k, x in column(j):
+                rows[k][j] = x
         return rows
 
     def local_tower_prime(self):
@@ -548,15 +612,14 @@ def exact_div(a: RingElement, d: RingElement) -> RingElement:
 def ideal_module_rows(gens) -> list[list[int]]:
     """Z/N-module generators of the ideal (gens): the vectors g * b_j."""
     alg = gens[0].parent
-    n, rank = alg.base.n, alg.rank
+    rank = alg.rank
     rows = []
     for g in gens:
-        nz = [(i, c) for i, c in enumerate(g.coords) if c]
+        column = alg.columns(g)
         for j in range(rank):
             row = [0] * rank
-            for i, c in nz:
-                for k, ck in alg.basis_product(i, j):
-                    row[k] = (row[k] + c * ck) % n
+            for k, x in column(j):
+                row[k] = x
             rows.append(row)
     return rows
 
@@ -927,6 +990,8 @@ def multiset_products(gens, max_len: int):
     i from its word's last index on (products commute, so multisets
     suffice).  A value equal to one yielded before is dropped and not
     extended, which fixes the order and keeps the search deterministic.
+    Each generator is asked once for its ``multiplier()``, the map
+    v -> v * g_i, which makes every product of the search.
     """
     seen = set()
     frontier = []
@@ -935,11 +1000,12 @@ def multiset_products(gens, max_len: int):
             seen.add(g)
             frontier.append((g, idx, (idx,)))
             yield g, (idx,)
+    times = [g.multiplier() for g in gens]
     for _ in range(max_len - 1):
         extended = []
         for value, last, word in frontier:
             for idx in range(last, len(gens)):
-                prod = value * gens[idx]
+                prod = times[idx](value)
                 size = len(seen)
                 seen.add(prod)
                 if len(seen) == size:
@@ -1016,6 +1082,10 @@ class PolyElement:
         return PolyElement(ring, {monomials[i]: c for i, c in prod.items()})
 
     __rmul__ = __mul__
+
+    def multiplier(self):
+        """The map v -> v * self: the plain product, bound once."""
+        return self.__mul__
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from tateshift import tate_blueshift
 from tateshift.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -161,6 +164,27 @@ def test_vanish_cert_exact_ring(capsys):
     assert report["found"] is True
     assert report["length"] == 3
     assert report["product_is_zero"] is True
+
+
+@pytest.mark.parametrize("ring, gens, budget_name", [
+    # Z[x1, x2]/(x1^2 - 3, x2^2 - 5) is a domain, so no product of these
+    # vanishes; unbudgeted, the search runs through every multiset up to
+    # length 30, about 2 million products
+    ({"type": "exact", "vars": ["x1", "x2"],
+      "relations": [["-3", "0", "1"], ["-5", "0", "1"]]},
+     [["0", "1", "0", "0"], ["0", "0", "1", "0"], ["1", "1", "0", "0"],
+      ["1", "0", "1", "0"], ["0", "0", "0", "1"], ["0", "1", "1", "0"]],
+     "EXACT_SEARCH_BUDGET"),
+    # Z/5[x]/(x^2 - 2) is the field with 25 elements
+    ({"base": "5", "vars": ["x"], "relations": [["3", "0", "1"]]},
+     [["2", "0"], ["0", "1"], ["1", "1"], ["2", "1"], ["3", "1"], ["4", "1"]],
+     "CERT_SEARCH_BUDGET"),
+])
+def test_vanish_cert_budget_recorded(monkeypatch, ring, gens, budget_name):
+    monkeypatch.setattr(tate_blueshift, budget_name, 10)
+    code, report = run_job("vanish-cert", {"ring": ring, "gens": gens, "max_len": 30})
+    assert code == EXIT_OK
+    assert report == {"found": False, "max_len": 30, "search_budget": 10}
 
 
 def test_schema_rejects_unknown_field():

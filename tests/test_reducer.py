@@ -3,23 +3,30 @@
 The stack reducer rewrites one x_k^d at a time through g_k and pushes the
 resulting terms back; it is kept here only as the reference.  The multiset
 product generator is checked against the eager breadth-first search it
-replaced in the same way, and the table-free products of presented algebras
-against the structure table they used to fill.
+replaced in the same way, and against the lazy search that multiplied with
+``value * gens[idx]`` before multipliers; the table-free products of
+presented algebras against the structure table they used to fill, and
+multiplication through cached columns against ``FiniteAlgebra.multiply``.
 """
 
 import itertools
 import math
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tateshift.ring_core import (
+    ZERO_RING,
     BaseModulus,
     ExactPolyRing,
     FiniteAlgebra,
     MonomialReducer,
+    NonFreeQuotient,
+    RingMismatch,
     ideal_module_rows,
     multiset_products,
+    quotient_by_ideal,
 )
 from tateshift.tate_blueshift import (
     multiplicative_euler_class_exact,
@@ -238,3 +245,95 @@ def test_multiset_products_match_eager_search(n, data):
     ))
     max_len = data.draw(st.integers(1, 4))
     assert list(multiset_products(gens, max_len)) == eager_bfs_products(gens, max_len)
+
+
+# -- multiplication through cached columns ------------------------------------------
+
+
+def lazy_products_oracle(gens, max_len):
+    """multiset_products as it was before multipliers: value * gens[idx]."""
+    seen = set()
+    frontier = []
+    for idx, g in enumerate(gens):
+        if g not in seen:
+            seen.add(g)
+            frontier.append((g, idx, (idx,)))
+            yield g, (idx,)
+    for _ in range(max_len - 1):
+        extended = []
+        for value, last, word in frontier:
+            for idx in range(last, len(gens)):
+                prod = value * gens[idx]
+                size = len(seen)
+                seen.add(prod)
+                if len(seen) == size:
+                    continue
+                longer = word + (idx,)
+                extended.append((prod, idx, longer))
+                yield prod, longer
+        frontier = extended
+
+
+def presented_and_tabled(n, relations):
+    """The tower over Z/n, presented and given by its filled table."""
+    relations = [[c % n for c in r[:-1]] + [1] for r in relations]
+    names = [f"x{k + 1}" for k in range(len(relations))]
+    alg = FiniteAlgebra.from_presentation(BaseModulus(n), names, relations)
+    tabled = FiniteAlgebra(alg.base, alg.rank, alg.basis_labels,
+                           filled_table(relations, n))
+    return alg, tabled
+
+
+def random_element(alg, rnd):
+    """Sparse-leaning coordinates; drawn from ``rnd`` because hypothesis
+    draws of rank-long lists cost more than the products they test."""
+    n = alg.base.n
+    return alg.from_coords([rnd.choice([0, 0, 0, 1, n - 1, rnd.randrange(n)])
+                            for _ in range(alg.rank)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 6, 9, 12, 30]),
+       monic_relations(coeff=st.integers(0, 29), max_rank=24), st.data())
+def test_multiplier_matches_multiply(n, relations, data):
+    # two multipliers on one ring, each applied to the same values twice, so
+    # that the second pass reads every column back from its cache; the rings
+    # are the tower, its filled table and a quotient when it is free
+    rnd = data.draw(st.randoms(use_true_random=False))
+    rings = list(presented_and_tabled(n, relations))
+    try:
+        quotient = quotient_by_ideal(rings[0], [random_element(rings[0], rnd)])[0]
+    except NonFreeQuotient:
+        quotient = ZERO_RING
+    if quotient != ZERO_RING:
+        rings.append(quotient)
+    for alg in rings:
+        gens = [random_element(alg, rnd) for _ in range(2)]
+        values = [random_element(alg, rnd) for _ in range(3)]
+        times = [g.multiplier() for g in gens]
+        for _ in range(2):
+            for g, t in zip(gens, times):
+                for v in values:
+                    assert t(v).coords == alg.multiply(v, g).coords
+
+
+def test_multiplier_rejects_other_ring():
+    z4 = FiniteAlgebra.from_presentation(BaseModulus(4), ["x"], [[0, 0, 1]])
+    z8 = FiniteAlgebra.from_presentation(BaseModulus(8), ["x"], [[0, 0, 1]])
+    with pytest.raises(RingMismatch):
+        z4.gen(0).multiplier()(z8.gen(0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 6, 9, 12, 30]),
+       monic_relations(coeff=st.integers(0, 29), max_rank=12), st.data())
+def test_multiset_products_match_lazy_oracle(n, relations, data):
+    # the search through multipliers yields the (value, word) sequence of
+    # the search through value * gens[idx], over both ring presentations
+    max_len = data.draw(st.integers(1, 4))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    for alg in presented_and_tabled(n, relations):
+        gens = [random_element(alg, rnd) for _ in range(rnd.randint(1, 4))]
+        got = list(itertools.islice(multiset_products(gens, max_len), 400))
+        assert got == list(itertools.islice(lazy_products_oracle(gens, max_len), 400))
+

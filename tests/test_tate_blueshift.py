@@ -15,6 +15,7 @@ from tateshift.classifying import (
     V_count_image,
     build_classifying_ring,
 )
+from tateshift.cli import run_job
 from tateshift.ring_core import (
     ZERO_RING,
     BaseModulus,
@@ -223,6 +224,21 @@ def test_finite_tiny_budget_keeps_the_nilpotent_power(monkeypatch, budget):
     assert witness["certificate"]["generator_indices"] == [0, 0, 0, 0]
     assert witness["certificate"]["minimal"] is (budget == 3)
     assert witness.get("search_budget") == (None if budget == 3 else budget)
+
+
+@pytest.mark.parametrize("params, length", [
+    ({"p": 2, "A": [2, 2, 2], "C": [1, 1, 1]}, 4),
+    ({"p": 2, "A": [2, 2], "C": [1, 1], "fgl": "honda", "n": 2}, 16),
+])
+def test_finite_frontier_certificates_pinned(params, length):
+    # the README headline and Honda n=2 A=(Z/4)^2: the nilpotent power of
+    # the first class, with the search below it stopped by its budget
+    code, report = run_job("tate", params)
+    assert code == 0
+    witness = report["witness"]
+    assert witness["certificate"]["generator_indices"] == [0] * length
+    assert witness["certificate"]["minimal"] is False
+    assert witness["search_budget"] == 8192
 
 
 def test_finite_non_local_exhausted_budget_is_zero_without_certificate(monkeypatch):
