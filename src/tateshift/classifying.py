@@ -124,6 +124,37 @@ def quotient_image_elements(group: AbelianPGroup, sub: SubgroupSpec):
     return itertools.product(*ranges)
 
 
+def height_sequence(group: AbelianPGroup, w) -> tuple:
+    """Heights of w, pw, p^2 w, ... down to the last nonzero multiple.
+
+    The height of a nonzero v is the largest h with v in p^h A: the least
+    p-adic valuation of a nonzero coordinate.  In a finite abelian p-group
+    two elements lie in one Aut(A)-orbit iff their height sequences agree
+    (Baer; Kaplansky, *Infinite Abelian Groups*, on Ulm sequences).
+    """
+    p, orders = group.p, group.orders
+    heights = []
+    v = tuple(int(a) % o for a, o in zip(w, orders))
+    while any(v):
+        h = 0
+        while all(a % p ** (h + 1) == 0 for a in v):
+            h += 1
+        heights.append(h)
+        v = tuple(p * a % o for a, o in zip(v, orders))
+    return tuple(heights)
+
+
+def orbit_representatives(group: AbelianPGroup, elements) -> list[int]:
+    """Positions of the first element of each Aut(A)-orbit met by elements.
+
+    Orbits are told apart by ``height_sequence``; the positions ascend.
+    """
+    firsts = {}
+    for i, w in enumerate(elements):
+        firsts.setdefault(height_sequence(group, w), i)
+    return sorted(firsts.values())
+
+
 def V_count(group: AbelianPGroup, j: int) -> int:
     """|V(p^j|A)| = prod p^min(j, i_k)."""
     if j < 0:

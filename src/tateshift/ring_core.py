@@ -648,6 +648,12 @@ def saturation_ideal(alg: FiniteAlgebra, s_gens) -> tuple[list[list[int]], list]
     row basis and the chain of distinct bases of ker(s^(2^i)), i = 0, 1, ...
     (the witness; empty iff s is a non-zero-divisor).
     """
+    rows, chain, _ = _saturate(alg, s_gens)
+    return rows, chain
+
+
+def _saturate(alg: FiniteAlgebra, s_gens):
+    """``saturation_ideal`` plus whether the power of s reached 0."""
     n = alg.base.n
     power = alg.one()
     for s in s_gens:
@@ -657,13 +663,13 @@ def saturation_ideal(alg: FiniteAlgebra, s_gens) -> tuple[list[list[int]], list]
     while not power.is_zero():
         rows = zmod.right_kernel(alg.mul_matrix(power), n)
         if rows == current:
-            return current, chain
+            return current, chain, False
         current = rows
         chain.append([list(r) for r in rows])
         power = power * power
     full = _identity_rows(alg.rank)
     chain.append(full)
-    return full, chain
+    return full, chain, True
 
 
 def _identity_rows(rank: int) -> list[list[int]]:
@@ -680,13 +686,12 @@ def localize_by_saturation(alg: FiniteAlgebra, s_gens):
     for s in s_gens:
         if s.parent is not alg:
             raise RingMismatch("generators from different rings")
-    rows, chain = saturation_ideal(alg, s_gens)
-    identity = _identity_rows(alg.rank)
-    # 1 is in the saturation iff a power of s is 0, which kills every row
-    if rows == identity:
+    rows, chain, nilpotent = _saturate(alg, s_gens)
+    # 1 is in the saturation iff a power of s is 0
+    if nilpotent:
         return ZERO_RING, None, chain
     if not rows:
-        return alg, identity, chain
+        return alg, _identity_rows(alg.rank), chain
     return _quotient_algebra(alg, rows) + (chain,)
 
 
@@ -709,8 +714,10 @@ def _quotient_algebra(alg: FiniteAlgebra, ideal_rows):
 
     Via Smith normal form of the lattice (ideal rows + N*Z^rank): the quotient is
     a direct sum of Z/d_i.  It is represented as a FiniteAlgebra only when all
-    nontrivial d_i agree (always the case for prime-power N; mixed divisors
-    can occur for composite N and raise NonFreeQuotient).
+    nontrivial d_i agree; otherwise NonFreeQuotient is raised.  Mixed divisors
+    occur for prime-power N too: Z/4[x]/(x^2) by (2x) leaves Z/2 + Z/4.  A
+    saturation ideal is a direct summand, so its quotient is always free over
+    a prime-power N.
     """
     n = alg.base.n
     rank = alg.rank

@@ -17,13 +17,15 @@ computed by scanning j up to log_p|A| (the maximum occurs by then).
 
 from __future__ import annotations
 
-from math import comb
+import itertools
+from math import comb, lcm
 
 from .classifying import (
     AbelianPGroup,
     InvalidSubgroup,
     SubgroupSpec,
     build_classifying_ring,
+    orbit_representatives,
     quotient_image_elements,
     required_cap,
 )
@@ -31,6 +33,8 @@ from .fgl import FormalGroupLaw, build_honda, build_multiplicative
 from .ring_core import (
     CertificateNotFound,
     ExactPolyRing,
+    FiniteAlgebra,
+    MonomialReducer,
     ZERO_RING,
     localize_by_saturation,
     zero_product_certificate,
@@ -82,6 +86,8 @@ class TateRingResult:
             }
             if "minimal" in cert:
                 wit["certificate"]["minimal"] = cert["minimal"]
+            if "valuation_witness" in cert:
+                wit["certificate"]["valuation_witness"] = cert["valuation_witness"]
         if "search_budget" in self.witness:
             wit["search_budget"] = self.witness["search_budget"]
         if "saturation_chain" in self.witness:
@@ -99,10 +105,11 @@ def inverted_element_set(group: AbelianPGroup, sub: SubgroupSpec):
     return [w for w in group.elements() if w not in image]
 
 
-# Products the finite-mode minimality search may examine.  The regular
-# tate-scan benchmark searches need at most 2,524.  The README headline and
-# the Honda n=2 A=(Z/4)^2 search use it up: on a 2-vCPU VM their
-# finite_certificate calls take about 0.17 s (rank 64) and 0.37 s (rank 256).
+# Products the finite-mode minimality search may examine.  It runs only when
+# the valuation bound falls short of the nilpotent power: on the regular
+# tate-scan benchmark that is the eight multiplicative jobs over Z/4, which
+# examine at most 2,524 products.  The README headline and Honda n=2
+# A=(Z/4)^2 are decided by the bound and search nothing.
 CERT_SEARCH_BUDGET = 8192
 
 
@@ -113,7 +120,11 @@ def tate_ring(law: FormalGroupLaw, group: AbelianPGroup, sub: SubgroupSpec,
     A trivial C inverts nothing and returns the classifying ring unchanged
     (NONZERO at the truncation level).  A ZERO outcome attaches the
     saturation chain and, when found, a zero-product certificate (see
-    ``finite_certificate``).
+    ``finite_certificate``).  An automorphism of A induces a ring
+    automorphism sending e(w) to e(sigma w), so the nilpotency index is
+    constant on Aut(A)-orbits and only one class per orbit is stepped.  A
+    certificate whose length meets the bound of ``valuation_witness``
+    carries that witness as its proof of minimality.
     """
     cr = build_classifying_ring(law, group)
     inverted = inverted_element_set(group, sub)
@@ -127,10 +138,15 @@ def tate_ring(law: FormalGroupLaw, group: AbelianPGroup, sub: SubgroupSpec,
     quotient, _, chain = localize_by_saturation(cr.algebra, gens)
     if quotient == ZERO_RING:
         limit = max_cert_len if max_cert_len is not None else cr.algebra.rank + 1
-        witness = {"saturation_chain": chain, **finite_certificate(gens, limit)}
+        psi = valuation_witness(cr.algebra, gens)
+        lower = 1 if psi is None else -(-psi["M"] // psi["d"])
+        witness = {"saturation_chain": chain, **finite_certificate(
+            gens, limit, orbit_representatives(group, inverted), lower)}
         if "certificate" in witness:
-            witness["certificate"]["elements"] = [
-                inverted[i] for i in witness["certificate"]["word"]]
+            cert = witness["certificate"]
+            cert["elements"] = [inverted[i] for i in cert["word"]]
+            if psi is not None and len(cert["word"]) == lower:
+                cert["valuation_witness"] = psi
         return TateRingResult(
             TateRingResult.ZERO, inverted=inverted, witness=witness, level=level,
         )
@@ -140,28 +156,36 @@ def tate_ring(law: FormalGroupLaw, group: AbelianPGroup, sub: SubgroupSpec,
     )
 
 
-def finite_certificate(gens, limit: int) -> dict:
+def finite_certificate(gens, limit: int, step=None, lower: int = 1) -> dict:
     """Zero-product certificate of length <= limit over a finite ring.
 
-    The powers of all generators are stepped in lockstep; the first x_i whose
-    power x_i^m is 0 gives the word [i]*m.  On a local tower every inverted
-    Euler class is nilpotent, so this succeeds once limit reaches the least
-    nilpotency index.  A breadth-first search of the lengths below m (all of
-    1..limit when no power vanished) then looks for a shorter word,
-    examining at most ``CERT_SEARCH_BUDGET`` products.  Returns {"certificate": {"word",
+    The powers of the generators at the ascending positions ``step`` (all of
+    them by default) are stepped in lockstep; at the first m where some
+    x_i^m is 0, the least such i gives the word [i]*m.  On a local tower
+    every inverted Euler class is nilpotent, so this succeeds once limit
+    reaches the least nilpotency index among the stepped classes.
+    ``lower`` is a proven lower bound on the length of every certificate:
+    when it reaches m, the word is minimal and nothing is searched.
+    Otherwise a breadth-first search of the lengths below m (all of
+    1..limit when no power vanished) looks for a shorter word, examining at
+    most ``CERT_SEARCH_BUDGET`` products.  Returns {"certificate": {"word",
     "minimal"}} when a word is known, plus "search_budget" when the budget
     ran out; a search that finds nothing leaves only the saturation chain as
     the ZERO witness.
     """
-    powers, word = list(gens), None
-    times = [g.multiplier() for g in gens]
+    step = range(len(gens)) if step is None else step
+    powers = {i: gens[i] for i in step}
+    times = {i: gens[i].multiplier() for i in step}
+    word = None
     for m in range(1, limit + 1):
-        i = next((i for i, x in enumerate(powers) if x.is_zero()), None)
+        i = next((i for i, x in powers.items() if x.is_zero()), None)
         if i is not None:
             word = [i] * m
             break
-        powers = [t(x) for t, x in zip(times, powers)]
-    if word and len(word) == 1:
+        powers = {i: times[i](x) for i, x in powers.items()}
+    if word and lower > len(word):
+        raise RuntimeError("lower bound exceeds a certificate")  # bound invariant
+    if word and len(word) <= lower:
         return {"certificate": {"word": word, "minimal": True}}
     found = zero_product_certificate(
         gens, len(word) - 1 if word else limit, budget=CERT_SEARCH_BUDGET)
@@ -171,6 +195,64 @@ def finite_certificate(gens, limit: int) -> dict:
     if word:
         out["certificate"] = {"word": word, "minimal": found.budget is None}
     return out
+
+
+def valuation_witness(alg: FiniteAlgebra, gens) -> dict | None:
+    """A map psi: R -> F_q[t]/(t^M) that bounds certificates from below.
+
+    Only local towers over Z/p^K have one (None otherwise).  Mod p each
+    relation G_k is x_k^(d_k).  With M = lcm(d_k), psi reduces mod p and
+    sends x_k to z^k t^(M/d_k) (variables numbered from 0), where
+    F_q = F_p[z]/(f) and f is the lex-first monic irreducible of degree
+    r = #variables, so that 1, z, ..., z^(r-1) are independent and
+    psi(G_k) = 0.  If every generator has t-valuation v(psi(g)) <= d, a
+    product of fewer than ceil(M/d) generators maps to a unit times a power
+    of t below M, which is not 0: no certificate is shorter than ceil(M/d).
+    Valuations are read off the generators' coordinates mod p.  Returns
+    {"M", "d", "field_modulus": f from z^0 up, "weights": the M/d_k}.
+    """
+    p = alg.local_tower_prime()
+    if p is None:
+        return None
+    degrees = [len(rel) - 1 for rel in alg.presentation["relations"]]
+    M = lcm(*degrees)
+    weights = [M // d_k for d_k in degrees]
+    f = _first_irreducible(p, len(degrees))
+    field = MonomialReducer([f], modulus=p)
+    # basis monomial x^mu maps to z^s t^e, s = sum k mu_k and e = sum a_k mu_k
+    by_degree = {}
+    for i, mu in enumerate(alg.presentation["exponents"]):
+        e = sum(a * u for a, u in zip(weights, mu))
+        if e < M:
+            s = sum(k * u for k, u in enumerate(mu))
+            by_degree.setdefault(e, []).append((i, field.power_row(0, s)))
+    terms = sorted(by_degree.items())
+
+    def valuation(g):
+        for e, monomials in terms:
+            acc = [0] * len(weights)
+            for i, z_s in monomials:
+                c = g.coords[i] % p
+                if c:
+                    acc = [a + c * z for a, z in zip(acc, z_s)]
+            if any(a % p for a in acc):
+                return e
+        return M
+
+    return {"M": M, "d": max(map(valuation, gens)), "field_modulus": f,
+            "weights": weights}
+
+
+def _first_irreducible(p: int, r: int) -> list:
+    """(c_0, ..., c_(r-1), 1): the monic irreducible of degree r over F_p
+    with (c_0, ..., c_(r-1)) first in lexicographic order, that is the first
+    that no monic polynomial of degree 1..r/2 divides."""
+    divisors = [MonomialReducer([list(low) + [1]], modulus=p)
+                for deg in range(1, r // 2 + 1)
+                for low in itertools.product(range(p), repeat=deg)]
+    candidates = (list(low) + [1] for low in itertools.product(range(p), repeat=r))
+    return next(f for f in candidates
+                if all(g.reduce({(i,): c for i, c in enumerate(f)}) for g in divisors))
 
 
 def multiplicative_exact_ring(p: int, exponents) -> ExactPolyRing:

@@ -23,7 +23,9 @@ from tateshift.classifying import (
     V_count_image,
     build_classifying_ring,
     certify_root_difference,
+    height_sequence,
     induced_map,
+    orbit_representatives,
     quotient_image_elements,
     required_cap,
 )
@@ -402,3 +404,51 @@ def test_classifying_generators_are_nilpotent():
         for k in range(len(cr.group.exponents)):
             idx = cr.algebra.nilpotency_index(cr.algebra.gen(k))
             assert idx is not None
+
+
+# -- automorphism orbits ----------------------------------------------------------
+
+
+def brute_force_orbits(group):
+    """Aut(A)-orbits of A, from every assignment of generator images.
+
+    e_k may go to any u_k with p^(i_k) u_k = 0; the map is an automorphism
+    iff it is onto.
+    """
+    orders = group.orders
+    elements = list(group.elements())
+    images = [[u for u in elements
+               if all(o * a % m == 0 for a, m in zip(u, orders))]
+              for o in orders]
+    orbit = {w: {w} for w in elements}
+    for us in itertools.product(*images):
+        sigma = {w: tuple(sum(a * u[t] for a, u in zip(w, us)) % m
+                          for t, m in enumerate(orders)) for w in elements}
+        if len(set(sigma.values())) == len(elements):
+            for w, v in sigma.items():
+                orbit[w].add(v)
+    return {frozenset(o) for o in orbit.values()}
+
+
+@pytest.mark.parametrize("p, exponents", [
+    (2, (1, 1)), (2, (2, 1)), (2, (2, 2)), (2, (3, 1)), (2, (2, 1, 1)),
+    (3, (2, 1)), (3, (2,)),
+])
+def test_height_sequences_are_the_automorphism_orbits(p, exponents):
+    group = AbelianPGroup(p, exponents)
+    by_heights = {}
+    for w in group.elements():
+        by_heights.setdefault(height_sequence(group, w), set()).add(w)
+    assert {frozenset(c) for c in by_heights.values()} == brute_force_orbits(group)
+
+
+def test_orbit_representatives_are_first_of_each_class():
+    group = AbelianPGroup(2, (2, 1))
+    elements = inverted_element_set(group, SubgroupSpec((1, 1)))
+    # (0,1) and (2,1) have order 2 and height 0; odd w_1 gives order 4
+    assert height_sequence(group, (0, 1)) == (0,)
+    assert height_sequence(group, (2, 1)) == (0,)
+    assert height_sequence(group, (1, 0)) == (0, 1)
+    assert height_sequence(group, (2, 0)) == (1,)
+    assert elements[:2] == [(0, 1), (1, 0)]
+    assert orbit_representatives(group, elements) == [0, 1]

@@ -1,9 +1,16 @@
-"""Tate vanishing outcomes and blue-shift bound arithmetic."""
+"""Tate vanishing outcomes and blue-shift bound arithmetic.
 
+The lockstep over every inverted class and the unbudgeted breadth-first
+search, which finite certificates no longer run, are kept here as oracles
+for the orbit representatives and the valuation bound.
+"""
+
+import functools
 import itertools
 import operator
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from tateshift import tate_blueshift
@@ -37,6 +44,7 @@ from tateshift.tate_blueshift import (
     periodicity_report,
     tate_ring,
     tate_ring_exact,
+    valuation_witness,
 )
 
 
@@ -212,18 +220,21 @@ def test_finite_certificates_replay_and_are_shortest(kind, p, n, K, A):
         assert "search_budget" not in result.to_dict()["witness"]
 
 
-@pytest.mark.parametrize("budget", [1, 2, 3])
+@pytest.mark.parametrize("budget", [1, 2, 3, 11, 12])
 def test_finite_tiny_budget_keeps_the_nilpotent_power(monkeypatch, budget):
-    # F_2[x]/(x^4): x^4 is the certificate, and the search below it examines
-    # x, x^2, x^3; a budget of 3 covers them and proves x^4 minimal
+    # multiplicative Z/4[x]/(x^4 + 2x^2), A = Z/4, C = Z/2: x^6 is the
+    # certificate and the valuation bound is only 4, so the search below 6
+    # runs; it examines 12 products, and a budget of 12 proves x^6 minimal
     monkeypatch.setattr(tate_blueshift, "CERT_SEARCH_BUDGET", budget)
-    law = build_law("honda", 2, n=2, exponents=[1])
-    result = tate_ring(law, AbelianPGroup(2, [1]), SubgroupSpec([1]))
+    law = build_law("multiplicative", 2, modulus_power=2, exponents=[2])
+    result = tate_ring(law, AbelianPGroup(2, [2]), SubgroupSpec([1]),
+                       max_cert_len=6)
     assert result.status == TateRingResult.ZERO
     witness = result.to_dict()["witness"]
-    assert witness["certificate"]["generator_indices"] == [0, 0, 0, 0]
-    assert witness["certificate"]["minimal"] is (budget == 3)
-    assert witness.get("search_budget") == (None if budget == 3 else budget)
+    assert witness["certificate"]["generator_indices"] == [0] * 6
+    assert witness["certificate"]["minimal"] is (budget == 12)
+    assert witness.get("search_budget") == (None if budget == 12 else budget)
+    assert "valuation_witness" not in witness["certificate"]
 
 
 @pytest.mark.parametrize("params, length", [
@@ -232,13 +243,14 @@ def test_finite_tiny_budget_keeps_the_nilpotent_power(monkeypatch, budget):
 ])
 def test_finite_frontier_certificates_pinned(params, length):
     # the README headline and Honda n=2 A=(Z/4)^2: the nilpotent power of
-    # the first class, with the search below it stopped by its budget
+    # the first class, proved minimal by the valuation bound with no search
     code, report = run_job("tate", params)
     assert code == 0
     witness = report["witness"]
     assert witness["certificate"]["generator_indices"] == [0] * length
-    assert witness["certificate"]["minimal"] is False
-    assert witness["search_budget"] == 8192
+    assert witness["certificate"]["minimal"] is True
+    assert "search_budget" not in witness
+    assert witness["certificate"]["valuation_witness"]["M"] == length
 
 
 def test_finite_non_local_exhausted_budget_is_zero_without_certificate(monkeypatch):
@@ -256,6 +268,175 @@ def test_finite_non_local_exhausted_budget_is_zero_without_certificate(monkeypat
                             witness={"saturation_chain": chain, **found})
     assert result.to_dict()["witness"] == {
         "saturation_chain_length": len(chain), "search_budget": 1}
+
+
+# -- orbit representatives and the valuation bound ----------------------------------
+
+# (law, p, height n, modulus power K, A), every ring of rank at most 16
+SMALL_TOWERS = [
+    ("honda", 2, 1, 1, (1,)), ("honda", 2, 1, 1, (3,)), ("honda", 2, 1, 1, (2, 1)),
+    ("honda", 2, 1, 1, (1, 1, 1)), ("honda", 2, 1, 1, (2, 2)),
+    ("honda", 2, 1, 1, (3, 1)), ("honda", 3, 1, 1, (2,)), ("honda", 3, 1, 1, (1, 1)),
+    ("honda", 2, 2, 1, (1, 1)), ("multiplicative", 5, 1, 1, (1,)),
+    ("multiplicative", 3, 1, 1, (1, 1)), ("multiplicative", 2, 1, 2, (2,)),
+    ("multiplicative", 2, 1, 2, (2, 1)), ("multiplicative", 2, 1, 2, (1, 1, 1)),
+    ("multiplicative", 2, 1, 3, (1,)), ("multiplicative", 3, 1, 2, (1,)),
+]
+
+
+@functools.cache
+def small_tower(kind, p, n, K, A):
+    law = build_law(kind, p, n=n, modulus_power=K, exponents=list(A))
+    return law, build_classifying_ring(law, AbelianPGroup(p, A))
+
+
+@st.composite
+def small_tate_cases(draw):
+    tower = draw(st.sampled_from(SMALL_TOWERS))
+    C = draw(st.tuples(*(st.integers(0, i) for i in tower[-1])).filter(any))
+    return tower, C
+
+
+def lockstep_word(gens, limit):
+    """The all-class lockstep: [i]*m for the least m with some x_i^m = 0,
+    and the least such i."""
+    powers = list(gens)
+    for m in range(1, limit + 1):
+        zero = [i for i, x in enumerate(powers) if x.is_zero()]
+        if zero:
+            return [zero[0]] * m
+        powers = [x * g for x, g in zip(powers, gens)]
+    return None
+
+
+def tower_case(tower, C):
+    law, cr = small_tower(*tower)
+    inverted = inverted_element_set(cr.group, SubgroupSpec(C))
+    gens = [cr.euler_class(w).value for w in inverted]
+    # the classes lie in the maximal ideal m, m^rank lies in pR, so x^(K rank) = 0
+    return law, cr, gens, tower[3] * cr.algebra.rank
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_tate_cases())
+def test_orbit_representative_word_is_the_all_class_lockstep_word(case):
+    # on these towers no certificate is shorter than the nilpotent power,
+    # so the search, where it runs, keeps the lockstep's word
+    tower, C = case
+    law, cr, gens, limit = tower_case(tower, C)
+    result = tate_ring(law, cr.group, SubgroupSpec(C), max_cert_len=limit)
+    assert result.witness["certificate"]["word"] == lockstep_word(gens, limit)
+    assert result.witness["certificate"]["minimal"] is True
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_tate_cases())
+def test_valuation_bound_against_unbudgeted_search(case):
+    tower, C = case
+    law, cr, gens, limit = tower_case(tower, C)
+    witness = valuation_witness(cr.algebra, gens)
+    bound = -(-witness["M"] // witness["d"])
+    shortest = zero_product_certificate(gens, len(lockstep_word(gens, limit)))
+    assert bound <= len(shortest)
+    if law.domain.n == law.p:  # K = 1: the bound is sharp
+        assert bound == len(shortest)
+
+
+def psi_from_witness(witness, p, r):
+    """The map psi of a reported witness, rebuilt from its fields alone.
+
+    An element of F_q[t]/(t^M) is a list of M coefficients, each a tuple on
+    1, z, ..., z^(r-1) in F_q = F_p[z]/(f).  Returns (add, multiply, the
+    constant c, the images z^k t^(a_k) of the variables x_k).
+    """
+    f, M = witness["field_modulus"], witness["M"]
+    zero = (0,) * r
+
+    def fq_mul(a, b):
+        prod = [0] * (2 * r - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for top in range(2 * r - 2, r - 1, -1):  # z^r = -(f_0 + ... + f_(r-1) z^(r-1))
+            for i in range(r):
+                prod[top - r + i] -= prod[top] * f[i]
+        return tuple(c % p for c in prod[:r])
+
+    def add(a, b):
+        return [tuple((u + v) % p for u, v in zip(x, y)) for x, y in zip(a, b)]
+
+    def mul(a, b):
+        out = [zero] * M
+        for i, x in enumerate(a):
+            for j, y in enumerate(b[:M - i]):
+                if any(x) and any(y):
+                    out[i + j] = add([out[i + j]], [fq_mul(x, y)])[0]
+        return out
+
+    def const(c):
+        return [(c % p,) + zero[1:]] + [zero] * (M - 1)
+
+    xs = [[zero] * a_k + [tuple(int(i == k) for i in range(r))] + [zero] * (M - a_k - 1)
+          for k, a_k in enumerate(witness["weights"])]
+    return add, mul, const, xs
+
+
+@pytest.mark.parametrize("params", [
+    {"p": 2, "A": [2, 2, 2], "C": [1, 1, 1]},
+    {"p": 2, "A": [2, 2], "C": [1, 1], "fgl": "honda", "n": 2},
+    {"p": 2, "A": [2, 1], "C": [0, 1], "fgl": "honda", "n": 2},
+    {"p": 3, "A": [1, 1], "C": [1, 0], "fgl": "multiplicative"},
+])
+def test_valuation_witness_replays_in_a_fresh_ring(params):
+    code, report = run_job("tate", params)
+    assert code == 0
+    cert = report["witness"]["certificate"]
+    witness = cert["valuation_witness"]
+    p, r, M, d = params["p"], len(params["A"]), witness["M"], witness["d"]
+    f = witness["field_modulus"]
+    assert len(f) == r + 1 and f[-1] == 1
+    assert sympy.Poly(list(reversed(f)), sympy.Symbol("z"), modulus=p).is_irreducible
+    law = build_law(params.get("fgl", "honda"), p, n=params.get("n", 1),
+                    exponents=params["A"])
+    cr = build_classifying_ring(law, AbelianPGroup(p, params["A"]))
+    add, mul, const, xs = psi_from_witness(witness, p, r)
+    # psi(G_k) = 0 mod t^M, by Horner's rule on every coefficient mod p
+    for relation, x_k in zip(cr.relations, xs):
+        value = const(0)
+        for c in reversed(relation):
+            value = add(mul(value, x_k), const(c))
+        assert value == const(0)
+    # psi of each basis monomial, from the powers of the x_k
+    powers = [[const(1)] for _ in xs]
+    images = []
+    for mu in cr.algebra.presentation["exponents"]:
+        image = const(1)
+        for k, e in enumerate(mu):
+            while len(powers[k]) <= e:
+                powers[k].append(mul(powers[k][-1], xs[k]))
+            image = mul(image, powers[k][e])
+        images.append(image)
+
+    def valuation(e):
+        value = const(0)
+        for c, image in zip(e.coords, images):
+            value = add(value, mul(const(c), image))
+        return next((i for i, a in enumerate(value) if any(a)), M)
+
+    valuations = [valuation(cr.euler_class(tuple(w)).value)
+                  for w in report["inverted_classes"]]
+    assert max(valuations) == d
+    assert cert["length"] == -(-M // d)
+
+
+def test_finite_certificate_rejects_a_bound_above_its_word():
+    # F_2[x]/(x^4): x^4 = 0, so no valid bound exceeds 4
+    alg = FiniteAlgebra.from_presentation(BaseModulus(2), ["x"], [[0, 0, 0, 0, 1]])
+    gens = [alg.gen(0)]
+    assert finite_certificate(gens, 5, lower=4) == {
+        "certificate": {"word": [0] * 4, "minimal": True}}
+    with pytest.raises(RuntimeError):
+        finite_certificate(gens, 5, lower=5)
 
 
 def test_inverted_set_sizes():
