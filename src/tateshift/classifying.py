@@ -320,13 +320,14 @@ class ClassifyingRing:
 def required_cap(p: int, n: int, K: int, exponents) -> int:
     """A cap sufficient for building the ring and evaluating all Euler classes.
 
-    Weierstrass preparation needs p^(n * max i_k); the formal-sum folds need
-    the sum of the generator nilpotency bounds (K * p^(n*i_k) each).
+    Weierstrass preparation needs p^(n * max i_k); the formal-sum folds, and
+    for a cyclic A the [a]-series at x_1, need the sum of the generator
+    nilpotency bounds (K * p^(n*i_k) each).
     """
     j_max = max(exponents)
     build = p ** (n * j_max) + p
     folds = sum(K * p ** (n * i_k) - 1 for i_k in exponents)
-    return max(build, folds if len(exponents) > 1 else 0)
+    return max(build, folds)
 
 
 def build_classifying_ring(law: FormalGroupLaw, group: AbelianPGroup) -> ClassifyingRing:

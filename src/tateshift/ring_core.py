@@ -7,15 +7,15 @@ algebras (quotients) carry a structure-constant table.  Elements are
 coordinate vectors in a fixed graded-lexicographic monomial basis, so all
 serializations are bit-stable.
 
-ExactPolyRing is the exact-integer counterpart Z[x_1..x_m]/(relations): only
-normal-form arithmetic and zero-certificate search, no saturation (that needs
-finiteness).
+ExactPolyRing is the exact-integer counterpart Z[x_1..x_m]/(relations):
+normal-form arithmetic, zero-certificate search, and one integer elimination
+(integer_solve) for its unit, zero-divisor, division and ideal questions; no
+saturation (that needs finiteness).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import zmod
 
@@ -1162,102 +1162,51 @@ class ExactPolyRing:
     def from_terms(self, terms: dict) -> PolyElement:
         return PolyElement(self, self.reduce(dict(terms)))
 
-    def mul_matrix(self, e: PolyElement) -> list[list[int]]:
-        cols = []
-        for mono in self.monomials:
-            prod = e * PolyElement(self, {mono: 1})
-            col = [0] * self.rank
-            for ee, c in prod.terms.items():
-                col[self.index[ee]] = c
-            cols.append(col)
-        return [[cols[j][i] for j in range(self.rank)] for i in range(self.rank)]
+    def coords(self, e: PolyElement) -> list[int]:
+        """The coordinate vector of e over the monomial basis."""
+        vec = [0] * self.rank
+        for mono, c in e.terms.items():
+            vec[self.index[mono]] = c
+        return vec
+
+    def from_coords(self, vec) -> PolyElement:
+        return PolyElement(self, dict(zip(self.monomials, vec)))
+
+    def columns(self, e: PolyElement) -> list[list[int]]:
+        """The coordinate vectors of e * b_j over the monomial basis b_j."""
+        return [self.coords(e * PolyElement(self, {mono: 1}))
+                for mono in self.monomials]
+
+    def _solve(self, gens, target: PolyElement):
+        """integer_solve over the columns of every g in gens: the particular
+        coefficients of target in the ideal (gens) and the kernel."""
+        cols = [col for g in gens for col in self.columns(g)]
+        return integer_solve(cols, self.coords(target))
 
     def is_nzd(self, e: PolyElement) -> bool:
-        """Non-zero-divisor over Z: the multiplication matrix is injective."""
-        if e.is_zero():
-            return False
-        return integer_det(self.mul_matrix(e)) != 0
+        """Non-zero-divisor over Z: e * y = 0 has only the solution y = 0."""
+        return not self._solve([e], self.zero())[1]
 
     def is_unit(self, e: PolyElement) -> bool:
-        return abs(integer_det(self.mul_matrix(e))) == 1
+        return self._solve([e], self.one())[0] is not None
 
     def exact_div(self, a: PolyElement, d: PolyElement) -> PolyElement:
-        if not self.is_nzd(d):
+        particular, kernel = self._solve([d], a)
+        if kernel:
             raise ZeroDivisorDivisor("divisor is zero or a zero-divisor")
-        mat = self.mul_matrix(d)
-        rhs = [0] * self.rank
-        for e, c in a.terms.items():
-            rhs[self.index[e]] = c
-        sol = rational_solve(mat, rhs)
-        if sol is None or any(x.denominator != 1 for x in sol):
+        if particular is None:
             raise NotDivisible("no exact quotient in the ring")
-        return PolyElement(
-            self,
-            {m: int(x) for m, x in zip(self.monomials, sol) if x},
-        )
+        return self.from_coords(particular)
 
     def module_contains(self, gens, target: PolyElement) -> bool:
         """Whether target lies in the ideal (gens): integer lattice membership."""
-        rows = []
-        for g in gens:
-            mat = self.mul_matrix(g)
-            for j in range(self.rank):
-                rows.append([mat[i][j] for i in range(self.rank)])
-        tvec = [0] * self.rank
-        for e, c in target.terms.items():
-            tvec[self.index[e]] = c
-        return integer_lattice_contains(rows, tvec)
+        return self._solve(gens, target)[0] is not None
 
     def __repr__(self):
         rel = ", ".join(
             poly_label(v, r) for v, r in zip(self.variables, self.relations)
         )
         return f"Z[{', '.join(self.variables)}]/({rel})"
-
-
-def integer_det(mat: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant over Z."""
-    a = [list(r) for r in mat]
-    size = len(a)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, size):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[size - 1][size - 1]
-
-
-def rational_solve(mat, rhs):
-    """Unique rational solution of mat x = rhs, or None if singular/unsolvable."""
-    size = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(size)] + [Fraction(rhs[i])]
-         for i in range(size)]
-    for col in range(size):
-        pivot = None
-        for i in range(col, size):
-            if a[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(size):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][size] for i in range(size)]
 
 
 def _integer_echelon_transform(rows):
@@ -1298,37 +1247,18 @@ def _integer_echelon_transform(rows):
     return work, u, r0
 
 
-def integer_lattice_contains(rows, target) -> bool:
-    """Whether target is an integer combination of rows."""
-    return integer_lattice_solve(rows, target) is not None
-
-
-def integer_lattice_solve(rows, target):
-    """Coefficients c with sum c_i rows_i = target, or None."""
-    if not rows:
-        return [] if not any(target) else None
-    h, u, nrank = _integer_echelon_transform(rows)
-    t = list(target)
-    coeffs = [0] * len(rows)
+def integer_solve(cols, rhs):
+    """(particular, kernel) over Z for sum_j y_j cols_j = rhs, from one echelon
+    run on the columns; particular is None when no integer solution exists.
+    """
+    h, u, nrank = _integer_echelon_transform(cols)
+    t, particular = list(rhs), [0] * len(cols)
     for r in range(nrank):
         c = next(j for j, x in enumerate(h[r]) if x)
-        if t[c] % h[r][c]:
-            return None
-        q = t[c] // h[r][c]
-        if q:
-            t = [x - q * y for x, y in zip(t, h[r])]
-            coeffs = [x + q * y for x, y in zip(coeffs, u[r])]
-    return coeffs if not any(t) else None
-
-
-def integer_solve(mat, rhs):
-    """(particular, kernel_basis) over Z for mat @ y = rhs; particular None if unsolvable."""
-    ncols = len(mat[0]) if mat else 0
-    cols = [[mat[i][j] for i in range(len(mat))] for j in range(ncols)]
-    particular = integer_lattice_solve(cols, rhs)
-    _, u, nrank = _integer_echelon_transform(cols)
-    kernel = [u[i] for i in range(nrank, len(u)) if any(u[i])]
-    return particular, kernel
+        q = t[c] // h[r][c]  # a remainder stays in t[c]: no later row clears it
+        t = [x - q * y for x, y in zip(t, h[r])]
+        particular = [x + q * y for x, y in zip(particular, u[r])]
+    return (None if any(t) else particular), u[nrank:]
 
 
 # -- JSON wire format ---------------------------------------------------------
@@ -1382,15 +1312,8 @@ def exact_ring_from_json(data: dict) -> ExactPolyRing:
 
 
 def poly_element_to_json(e: PolyElement) -> list:
-    ring = e.parent
-    coords = [0] * ring.rank
-    for mono, c in e.terms.items():
-        coords[ring.index[mono]] = c
-    return [str(c) for c in coords]
+    return [str(c) for c in e.parent.coords(e)]
 
 
 def poly_element_from_json(ring: ExactPolyRing, coords) -> PolyElement:
-    terms = {
-        mono: int(c) for mono, c in zip(ring.monomials, coords) if int(c)
-    }
-    return PolyElement(ring, terms)
+    return ring.from_coords([int(c) for c in coords])

@@ -103,23 +103,11 @@ def elem_inv(x):
             raise NotInvertibleTuple(f"{x!r} is not invertible")
         return inv
     if isinstance(x, PolyElement):
-        return _poly_ring_inverse(x)
+        try:
+            return x.parent.exact_div(x.parent.one(), x)
+        except (NotDivisible, ZeroDivisorDivisor):
+            raise NotInvertibleTuple(f"{x!r} is not invertible") from None
     raise TypeError(f"unsupported element {x!r}")
-
-
-def _poly_ring_inverse(x: PolyElement) -> PolyElement:
-    ring = x.parent
-    if not ring.is_unit(x):
-        raise NotInvertibleTuple(f"{x!r} is not invertible")
-    from .ring_core import rational_solve
-
-    mat = ring.mul_matrix(x)
-    rhs = [0] * ring.rank
-    rhs[ring.index[tuple([0] * len(ring.variables))]] = 1
-    sol = rational_solve(mat, rhs)
-    return PolyElement(
-        ring, {m: int(c) for m, c in zip(ring.monomials, sol) if c}
-    )
 
 
 def elem_exact_div(a, d):
@@ -600,17 +588,14 @@ def _one_in_ideal(gens) -> bool:
     if isinstance(g0, RingElement):
         return ideal_contains_one(gens)
     if isinstance(g0, PolyElement):
-        ring = g0.parent
-        if any(ring.is_unit(g) for g in gens):
-            return True
-        return ring.module_contains(gens, ring.one())
+        return g0.parent.module_contains(gens, g0.parent.one())
     raise TypeError(f"unsupported element {g0!r}")
 
 
 # -- tuples verified in a localization ---------------------------------------------------
 
 # Unitness tests one difference may spend on integer cofactors over an
-# ExactPolyRing: each is a rank x rank Bareiss determinant.
+# ExactPolyRing: each is one integer elimination over rank columns.
 UNIT_SCAN_BUDGET = 512
 
 
@@ -669,10 +654,7 @@ def _scan_integer_cofactors(s, d, left):
     combinations, each costing one unitness test out of ``left``.
     """
     ring = s.parent
-    rhs = [0] * ring.rank
-    for e, c in d.terms.items():
-        rhs[ring.index[e]] = c
-    particular, kernel = integer_solve(ring.mul_matrix(s), rhs)
+    particular, kernel = integer_solve(ring.columns(s), ring.coords(d))
     if particular is None:
         return None, left
     box = (0, 1, -1, 2, -2, 3, -3)  # the all-zero combination comes first
@@ -683,7 +665,7 @@ def _scan_integer_cofactors(s, d, left):
         for c, k in zip(combo, kernel):
             if c:
                 vec = [x + c * y for x, y in zip(vec, k)]
-        cand = PolyElement(ring, dict(zip(ring.monomials, vec)))
+        cand = ring.from_coords(vec)
         if ring.is_unit(cand):
             return cand, left
     return None, left

@@ -143,7 +143,7 @@ def test_integer_solve_random():
         mat = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
         y0 = [rng.randrange(-5, 6) for _ in range(cols)]
         rhs = [sum(a * b for a, b in zip(row, y0)) for row in mat]
-        particular, kernel = integer_solve(mat, rhs)
+        particular, kernel = integer_solve([list(c) for c in zip(*mat)], rhs)
         assert particular is not None
         assert [
             sum(a * b for a, b in zip(row, particular)) for row in mat

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tateshift import zmod
 from tateshift.ring_core import (
@@ -18,11 +20,14 @@ from tateshift.ring_core import (
     exact_div,
     ideal_contains_one,
     ideal_module_rows,
+    integer_solve,
     is_unit,
     localize_by_saturation,
     project_element,
     zero_product_certificate,
 )
+from tateshift.ring_linalg import NotInvertibleTuple, elem_inv
+from tateshift.tate_blueshift import multiplicative_exact_ring
 
 
 def algebra_z4_x2_plus_2x():
@@ -295,3 +300,112 @@ def test_exact_div_poly_ring():
     assert ring.exact_div(three_x, x) == 3 * ring.one()
     with pytest.raises(NotDivisible):
         ring.exact_div(ring.one() + x, 2 * ring.one())
+
+
+# -- the one integer elimination against the algorithms it replaced ----------
+
+
+def integer_det(mat):
+    """Fraction-free Bareiss determinant over Z."""
+    a = [list(r) for r in mat]
+    size = len(a)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, size):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[size - 1][size - 1]
+
+
+def rational_solve(mat, rhs):
+    """Unique rational solution of mat x = rhs, or None if singular/unsolvable."""
+    size = len(mat)
+    a = [[Fraction(mat[i][j]) for j in range(size)] + [Fraction(rhs[i])]
+         for i in range(size)]
+    for col in range(size):
+        pivot = None
+        for i in range(col, size):
+            if a[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for i in range(size):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [a[i][size] for i in range(size)]
+
+
+EXACT_RINGS = [multiplicative_exact_ring(p, A)
+               for p, A in ((2, [1, 1]), (3, [1]), (2, [2]))]
+
+
+@st.composite
+def exact_ring_elements(draw):
+    """A small exact ring (a group ring Z[A] or Z[x]/(x^2 - c)) and three elements."""
+    if draw(st.booleans()):
+        ring = draw(st.sampled_from(EXACT_RINGS))
+    else:
+        ring = ExactPolyRing(["x"], [[-draw(st.integers(-4, 4)), 0, 1]])
+    coords = st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]),
+                      min_size=ring.rank, max_size=ring.rank)
+    a, d, g = (ring.from_coords(draw(coords)) for _ in range(3))
+    if draw(st.booleans()):  # +-prod (1 + x_k)^e_k: a unit of Z[A]
+        d = draw(st.sampled_from([1, -1])) * ring.one()
+        for k in range(len(ring.variables)):
+            for _ in range(draw(st.integers(0, 3))):
+                d = d * (ring.one() + ring.gen(k))
+    return ring, [a, d, g]
+
+
+def replay(cols, y):
+    return [sum(c * col[i] for c, col in zip(y, cols)) for i in range(len(cols[0]))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(exact_ring_elements())
+def test_exact_ring_questions_match_det_and_rational_oracles(case):
+    ring, (a, d, g) = case
+    cols = ring.columns(d)
+    mat = [list(row) for row in zip(*cols)]
+    det = integer_det(mat)
+    assert ring.is_unit(d) == (abs(det) == 1)
+    assert ring.is_nzd(d) == (det != 0 and not d.is_zero())
+    if det == 0:
+        with pytest.raises(ZeroDivisorDivisor):
+            ring.exact_div(a, d)
+    else:
+        assert ring.exact_div(a * d, d) == a
+        sol = rational_solve(mat, ring.coords(a))
+        if any(x.denominator != 1 for x in sol):
+            with pytest.raises(NotDivisible):
+                ring.exact_div(a, d)
+        else:
+            assert ring.coords(ring.exact_div(a, d)) == sol
+    if abs(det) == 1:
+        assert elem_inv(d) * d == ring.one()
+    else:
+        with pytest.raises(NotInvertibleTuple):
+            elem_inv(d)
+    # every particular and kernel vector replays, over the columns of two gens
+    cols += ring.columns(g)
+    particular, kernel = integer_solve(cols, ring.coords(a))
+    assert (particular is not None) == ring.module_contains([d, g], a)
+    if particular is not None:
+        assert replay(cols, particular) == ring.coords(a)
+    assert all(replay(cols, k) == [0] * ring.rank for k in kernel)
+    assert len(kernel) >= ring.rank

@@ -177,9 +177,12 @@ def test_tate_morava_mode_zero_with_certificate():
 
 
 def test_tate_multiplicative_z4_zero():
-    law = build_law("multiplicative", 2, modulus_power=2, exponents=[1])
-    result = tate_ring(law, AbelianPGroup(2, [1]), SubgroupSpec([1]))
-    assert result.status == TateRingResult.ZERO
+    # and cyclic A over Z/p^K with K >= 2, where the cap has to cover the
+    # [a]-series of a single class, not only Weierstrass preparation
+    for p, K, A in ((2, 2, [1]), (2, 3, [2]), (3, 2, [2]), (2, 2, [3])):
+        law = build_law("multiplicative", p, modulus_power=K, exponents=A)
+        result = tate_ring(law, AbelianPGroup(p, A), SubgroupSpec([1]))
+        assert result.status == TateRingResult.ZERO
 
 
 def test_tate_intermediate_subgroup():
