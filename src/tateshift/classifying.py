@@ -201,6 +201,7 @@ class ClassifyingRing:
         self._euler_cache: dict[tuple, RingElement] = {}
         self._single_tables: dict[tuple, list] = {}
         self._head = None  # (head element, its power table)
+        self._in_batch = False  # whether the tables above outlive a class
         self._g1 = None
 
     # -- Euler classes ------------------------------------------------------
@@ -210,12 +211,18 @@ class ClassifyingRing:
 
         Commutativity and associativity of F (verified at build) make the
         result order independent; the fixed fold gives byte-stable output.
+        Outside a batch of ``euler_classes`` no power table outlives the
+        call.
         """
         orders = self.group.orders
         if len(w) != len(orders):
             raise InvalidSubgroup("group element length mismatch")
         w = tuple(int(a) % o for a, o in zip(w, orders))
-        return EulerClass(w, self._euler(w))
+        try:
+            return EulerClass(w, self._euler(w))
+        finally:
+            if not self._in_batch:
+                self._drop_tables()
 
     def _euler(self, w: tuple) -> RingElement:
         """The left fold as one formal sum per element: with k the last nonzero
@@ -250,7 +257,8 @@ class ClassifyingRing:
         """Power table of e(v), built once per element.
 
         Tables of single classes e(a e_k) (for a = 1 the generator x_k) are
-        kept until the batch ends; a head's table is kept only while it is
+        kept until the batch ends (a call of ``euler_class`` outside one is
+        a batch of its own); a head's table is kept only while it is
         the latest head, since consecutive queries usually share it.
         """
         support = [k for k, a in enumerate(v) if a]
@@ -270,10 +278,16 @@ class ClassifyingRing:
     def euler_classes(self, elements):
         """Euler classes of elements, in order; the power tables they shared
         are dropped at the end, so they do not outlive the batch."""
-        out = [self.euler_class(w) for w in elements]
+        self._in_batch = True
+        try:
+            return [self.euler_class(w) for w in elements]
+        finally:
+            self._in_batch = False
+            self._drop_tables()
+
+    def _drop_tables(self):
         self._single_tables.clear()
         self._head = None
-        return out
 
     # -- p^j-series data -------------------------------------------------------
 
@@ -298,11 +312,10 @@ class ClassifyingRing:
             raise InvalidSubgroup("j must be >= 0")
         gj = self.gj_poly(j)
         out = []
-        for w in self.group.torsion_elements(j):
-            ec = self.euler_class(w)
+        for ec in self.euler_classes(self.group.torsion_elements(j)):
             if not poly_eval(gj, ec.value).is_zero():
                 raise ClassifyingError(
-                    f"euler class of {w} does not kill the p^{j} relation"
+                    f"euler class of {ec.element} does not kill the p^{j} relation"
                 )
             out.append(ec)
         expected = V_count(self.group, j)
@@ -377,9 +390,8 @@ def certify_root_difference(cr: ClassifyingRing, u, w):
     if p is None:
         raise ClassifyingError("root-difference units need a local tower")
     target = tuple((a - b) % o for a, b, o in zip(u, w, orders))
-    e_w = cr.euler_class(w).value
-    d = cr.euler_class(u).value - e_w
-    s = cr.euler_class(target).value
+    e_w, e_u, s = (ec.value for ec in cr.euler_classes([w, u, target]))
+    d = e_u - e_w
     unit = eval_at(_sum_unit_series(cr.law), [e_w, s], polynomial=True)
     if not (s * unit - d).is_zero():
         raise ClassifyingError("e(u) - e(w) = e(u - w) * G(e(w), e(u - w)) "
@@ -434,7 +446,7 @@ def induced_map(cr_target: ClassifyingRing, cr_source: ClassifyingRing,
     if len(matrix) != m or any(len(row) != k for row in matrix):
         raise NotAHomomorphism(f"matrix must be {m} x {k}")
     p = a1.p
-    images = []
+    weights = []
     for t in range(k):
         w = []
         for s in range(m):
@@ -446,7 +458,8 @@ def induced_map(cr_target: ClassifyingRing, cr_source: ClassifyingRing,
                     f"p^{a2.exponents[t]} | H*p^{a1.exponents[s]}"
                 )
             w.append((num // den) % p ** a1.exponents[s])
-        images.append(cr_target.euler_class(tuple(w)).value)
+        weights.append(w)
+    images = [ec.value for ec in cr_target.euler_classes(weights)]
     hom = AlgebraHom(cr_source, cr_target, images)
     for t in range(k):
         relation = cr_source.relations[t]

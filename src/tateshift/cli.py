@@ -296,8 +296,11 @@ def run_tate(params: dict) -> dict:
         report = result.to_dict()
         report["law"] = law.describe()
         if params.get("explain") and "saturation_chain" in result.witness:
+            # a ZERO chain ends in None, the whole module of rank |A|^n
+            rank = group.order ** law.height
             report["witness"]["saturation_chain"] = [
-                [[str(x) for x in row] for row in step]
+                [[str(x) for x in row]
+                 for row in (ring_core.identity_rows(rank) if step is None else step)]
                 for step in result.witness["saturation_chain"]
             ]
     return report

@@ -9,12 +9,10 @@ relations of classifying rings.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import zmod
 from .series import (
-    QQ,
     TruncatedSeries,
     ZModDomain,
     inverse as series_inverse,
@@ -89,15 +87,17 @@ class FormalGroupLaw:
             raise AxiomFailure("F(0, y) != y")
         if substitute(self.F, {X1: x2, X2: x1}) != self.F:
             raise AxiomFailure("F is not commutative")
+        # With F commutative, F(x, F(y, z)) = F(F(y, z), x) = L(y, z, x) for
+        # L(x, y, z) = F(F(x, y), z), so F is associative exactly when L is
+        # invariant under rotating its variables; rotating one way or the
+        # other is the same condition, checked on L's exponents
         v3 = ("x1", "x2", "x3")
         t1 = TruncatedSeries.variable(dom, v3, cap, "x1")
         t2 = TruncatedSeries.variable(dom, v3, cap, "x2")
         t3 = TruncatedSeries.variable(dom, v3, cap, "x3")
-        inner12 = substitute(self.F, {X1: t1, X2: t2})
-        inner23 = substitute(self.F, {X1: t2, X2: t3})
-        left = substitute(self.F, {X1: inner12, X2: t3})
-        right = substitute(self.F, {X1: t1, X2: inner23})
-        if left != right:
+        inner = substitute(self.F, {X1: t1, X2: t2})
+        left = substitute(self.F, {X1: inner, X2: t3}).terms
+        if any(left.get((b, c, a)) != v for (a, b, c), v in left.items()):
             raise AxiomFailure("F is not associative")
 
     # -- formal sum / inverse ---------------------------------------------------
@@ -200,46 +200,71 @@ def build_custom(F: TruncatedSeries, p: int, height=None) -> FormalGroupLaw:
 def build_honda(p: int, n: int, D: int) -> FormalGroupLaw:
     """Height-n law over F_p from the logarithm l(x) = sum_i x^(p^(n*i)) / p^i.
 
-    The rational law F_rat = e(l(x1) + l(x2)), e = l^-1 = sum_k e_k x^k, is
-    p-integral (a failure signals a bug, not bad input); reducing mod p
-    yields [p](x) = x^(p^n) exactly, the periodicity generator being
-    specialized to 1.
+    The rational law F_rat = e(l(x1) + l(x2)), e = l^-1, is p-integral (a
+    failure signals a bug, not bad input); reducing mod p yields
+    [p](x) = x^(p^n) exactly, the periodicity generator being specialized
+    to 1.
 
-    Only the reversion runs over Q.  With I the top index of l and p^w the
-    largest p-power in a denominator of e, S = p^I (l(x1) + l(x2)) is
-    integral and p^V F_rat = sum_k e_k p^(w + (D-k) I) S^k with V = w + D*I
-    has p-integral coefficients, so it is composed over Z/p^(V+1), the image
-    of the ring map from Z_(p).  F_rat is p-integral exactly when every
-    coefficient of the image is divisible by p^V, and F is the quotient.
+    No rational number is formed.  lam(x) = l(px)/p =
+    sum_i p^(p^(n*i) - i - 1) x^(p^(n*i)) is integral with linear
+    coefficient 1, so its reversion mu is integral, and e(p*y) = p*mu(y).
+    Since l(x1) + l(x2) separates,
+
+        F_rat(p*x1, p*x2) / p = mu(lam(x1) + lam(x2))
+                              = sum_(a,b) mu_(a+b) C(a+b, a) lam(x1)^a lam(x2)^b,
+
+    a bilinear form P^T M P with rows P_a = lam^a and
+    M_(a,b) = mu_(a+b) C(a+b, a), taken without any bivariate product.  Its
+    coefficient at x1^i x2^j is p^(i+j-1) times that of F_rat, so it is
+    evaluated over Z/p^D, the image of Z_(p): F_rat is p-integral exactly
+    when every degree-d coefficient of the form is divisible by p^(d-1),
+    and F is the quotient.  The law is graded
+    (Ravenel, Complex Cobordism, A2.2): mu_k = 0 unless k = 1 (mod p^n - 1),
+    and lam^a lives in degrees = a (mod p^n - 1), so M and P are sparse.
     """
     if D < p**n:
         raise CapTooSmall("cap must be at least p^n")
-    I = 0
-    while p ** (n * (I + 1)) <= D:
-        I += 1
-    log_terms, s_terms = {}, {}
-    for i in range(I + 1):
+    N = p**D
+    dom = ZModDomain(N)
+    lam_terms = {}
+    i = 0
+    while p ** (n * i) <= D:
         d = p ** (n * i)
-        log_terms[(d,)] = Fraction(1, p**i)
-        s_terms[(d, 0)] = s_terms[(0, d)] = p ** (I - i)
-    exp = reversion(TruncatedSeries(QQ, ("x",), D, log_terms))
-    w = max(_p_valuation(c.denominator, p) for c in exp.terms.values())
-    V = w + D * I
-    dom = ZModDomain(p ** (V + 1))
-    G = TruncatedSeries(dom, ("x",), D, {
-        (k,): _to_zmod(c * p ** (w + (D - k) * I), dom.n)
-        for (k,), c in exp.terms.items()
-    })
-    S = TruncatedSeries(dom, (X1, X2), D, s_terms)
-    scaled = substitute(G, {"x": S})
-    pV = p**V
-    for e, c in scaled.terms.items():
-        if c % pV:
+        lam_terms[(d,)] = p ** (d - i - 1)
+        i += 1
+    lam = TruncatedSeries(dom, ("x",), D, lam_terms)
+    mu = reversion(lam).univariate_coeffs()
+    powers = [TruncatedSeries.constant(dom, ("x",), D, 1)]
+    for _ in range(D):
+        powers.append(powers[-1] * lam)
+    # rows[a]: the terms (degree, coefficient) of lam^a by ascending degree
+    rows = [sorted((e, c) for (e,), c in power.terms.items()) for power in powers]
+    form = {}
+    for a, row_a in enumerate(rows):
+        # column a of M P: sum_b mu_(a+b) C(a+b, a) lam^b, below degree D - a
+        column = {}
+        for b in range(D - a + 1):
+            c = mu[a + b] and mu[a + b] * comb(a + b, a) % N
+            if c:
+                for j, v in rows[b]:
+                    if j > D - a:
+                        break
+                    column[j] = column.get(j, 0) + c * v
+        column = sorted((j, v % N) for j, v in column.items() if v % N)
+        for i, u in row_a:
+            for j, v in column:
+                if i + j > D:
+                    break
+                form[(i, j)] = form.get((i, j), 0) + u * v
+    terms = {}
+    for (i, j), c in form.items():
+        c, scale = c % N, p ** (i + j - 1)
+        if c % scale:
             raise IntegralityFailure(
-                f"coefficient at {e} has negative p-adic valuation"
+                f"coefficient at {(i, j)} has negative p-adic valuation"
             )
-    F = TruncatedSeries(ZModDomain(p), (X1, X2), D,
-                        {e: c // pV for e, c in scaled.terms.items()})
+        terms[(i, j)] = c // scale
+    F = TruncatedSeries(ZModDomain(p), (X1, X2), D, terms)
     law = FormalGroupLaw(F, p, n, "honda")
     pxp = law.p_series()
     expected = TruncatedSeries(ZModDomain(p), ("x",), D, {(p**n,): 1})
@@ -247,19 +272,6 @@ def build_honda(p: int, n: int, D: int) -> FormalGroupLaw:
         raise IntegralityFailure("p-series of the height-n law is not x^(p^n)")
     law._m_cache[p] = expected
     return law
-
-
-def _p_valuation(a: int, p: int) -> int:
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
-
-
-def _to_zmod(c: Fraction, n: int) -> int:
-    """Image in Z/n of a rational whose denominator is prime to n."""
-    return c.numerator * zmod.inv_mod(c.denominator, n) % n
 
 
 # -- formal difference with unit factor -----------------------------------------

@@ -648,12 +648,16 @@ def saturation_ideal(alg: FiniteAlgebra, s_gens) -> tuple[list[list[int]], list]
     row basis and the chain of distinct bases of ker(s^(2^i)), i = 0, 1, ...
     (the witness; empty iff s is a non-zero-divisor).
     """
-    rows, chain, _ = _saturate(alg, s_gens)
+    rows, chain, nilpotent = _saturate(alg, s_gens)
+    if nilpotent:
+        rows = chain[-1] = identity_rows(alg.rank)
     return rows, chain
 
 
 def _saturate(alg: FiniteAlgebra, s_gens):
-    """``saturation_ideal`` plus whether the power of s reached 0."""
+    """``saturation_ideal`` plus whether the power of s reached 0, in which
+    case the rows and the chain's last step are None: the whole module,
+    whose rank x rank identity rows are left unbuilt."""
     n = alg.base.n
     power = alg.one()
     for s in s_gens:
@@ -667,21 +671,21 @@ def _saturate(alg: FiniteAlgebra, s_gens):
         current = rows
         chain.append([list(r) for r in rows])
         power = power * power
-    full = _identity_rows(alg.rank)
-    chain.append(full)
-    return full, chain, True
+    chain.append(None)
+    return None, chain, True
 
 
-def _identity_rows(rank: int) -> list[list[int]]:
+def identity_rows(rank: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
 
 
 def localize_by_saturation(alg: FiniteAlgebra, s_gens):
     """Finite-ring localization: quotient by the saturation ideal.
 
-    Returns (quotient FiniteAlgebra, projection matrix, chain) or the string
-    ZERO_RING when 1 lies in the saturation.  In the quotient every image of
-    s_gens is a unit.
+    Returns (quotient FiniteAlgebra, projection matrix, chain), or
+    (ZERO_RING, None, chain) when 1 lies in the saturation; that chain ends
+    in None, the whole module.  In the quotient every image of s_gens is a
+    unit.
     """
     for s in s_gens:
         if s.parent is not alg:
@@ -691,7 +695,7 @@ def localize_by_saturation(alg: FiniteAlgebra, s_gens):
     if nilpotent:
         return ZERO_RING, None, chain
     if not rows:
-        return alg, _identity_rows(alg.rank), chain
+        return alg, identity_rows(alg.rank), chain
     return _quotient_algebra(alg, rows) + (chain,)
 
 
@@ -705,7 +709,7 @@ def quotient_by_ideal(alg: FiniteAlgebra, gens):
             return ZERO_RING, None
         rows = hf.rows
     if not rows:
-        return alg, _identity_rows(alg.rank)
+        return alg, identity_rows(alg.rank)
     return _quotient_algebra(alg, rows)
 
 

@@ -391,7 +391,14 @@ def substitute(f: TruncatedSeries, assignments: dict) -> TruncatedSeries:
 
 
 def reversion(f: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse g of a univariate f with f(0)=0, f'(0) a unit."""
+    """Compositional inverse g of a univariate f with f(0)=0, f'(0) a unit.
+
+    Newton iteration g <- g - (f(g) - x) / f'(g): if g is right through
+    degree k, the step leaves an error of order (g - f^-1)^2, so g is right
+    through degree 2k + 1.  Each round works at that precision, so
+    O(log cap) rounds of two substitutions and one inverse replace one full
+    substitution per degree.
+    """
     if len(f.vars) != 1:
         raise ValueError("reversion needs a univariate series")
     dom = f.domain
@@ -400,19 +407,19 @@ def reversion(f: TruncatedSeries) -> TruncatedSeries:
     coeffs = f.univariate_coeffs()
     if len(coeffs) < 2 or not dom.is_unit(coeffs[1]):
         raise NonUnitLinearTerm("linear coefficient must be a unit")
-    a1_inv = dom.inv(coeffs[1])
-    cap = f.cap
-    x = TruncatedSeries.variable(dom, f.vars, cap, f.vars[0])
-    g = x.scale(a1_inv)
-    for k in range(2, cap + 1):
-        err = substitute(f, {f.vars[0]: g})
-        ck = err.coefficient((k,))
-        if ck == dom.zero:
-            continue
-        correction = TruncatedSeries(
-            dom, f.vars, cap, {(k,): dom.neg(dom.mul(a1_inv, ck))}
-        )
-        g = g + correction
+    var, cap = f.vars[0], f.cap
+    # f' is known through degree cap - 1 only; its degree-cap coefficient,
+    # left 0, meets (f(g) - x), of valuation >= 2, beyond the cap
+    deriv = TruncatedSeries(dom, f.vars, cap, {
+        (k - 1,): dom.mul(dom.normalize(k), c) for (k,), c in f.terms.items()})
+    x = TruncatedSeries.variable(dom, f.vars, cap, var)
+    g = x.scale(dom.inv(coeffs[1]))
+    good = 1
+    while good < cap:
+        good = min(2 * good + 1, cap)
+        g = TruncatedSeries._reduced(dom, f.vars, good, g.terms)
+        err = substitute(f.truncate(good), {var: g}) - x.truncate(good)
+        g = g - err * inverse(substitute(deriv.truncate(good), {var: g}))
     return g
 
 

@@ -170,8 +170,9 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1) -> dict:
     1..limit when no power vanished) looks for a shorter word, examining at
     most ``CERT_SEARCH_BUDGET`` products.  Returns {"certificate": {"word",
     "minimal"}} when a word is known, plus "search_budget" when the budget
-    ran out; a search that finds nothing leaves only the saturation chain as
-    the ZERO witness.
+    ran out.  A search of all of 1..limit that finds nothing returns
+    {"not_found_max_len": limit}, the limit that left the ZERO without a
+    certificate.
     """
     step = range(len(gens)) if step is None else step
     powers = {i: gens[i] for i in step}
@@ -194,6 +195,8 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1) -> dict:
     out = {} if found.budget is None else {"search_budget": found.budget}
     if word:
         out["certificate"] = {"word": word, "minimal": found.budget is None}
+    elif found.budget is None:
+        out["not_found_max_len"] = found.max_len
     return out
 
 

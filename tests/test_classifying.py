@@ -193,6 +193,18 @@ def test_element_length_checked_before_reduction():
             certify_root_difference(cr, u, w)
 
 
+def test_no_power_table_outlives_a_call():
+    # rank 256; the tables are kept only within one batch of classes
+    cr = honda_ring(2, 2, [2, 2])
+    assert cr.algebra.rank == 256
+    for u, w in (((1, 2), (3, 1)), ((2, 3), (0, 1))):
+        certify_root_difference(cr, u, w)
+        assert not cr._single_tables and cr._head is None
+    for call in (lambda: cr.euler_class((3, 3)), lambda: cr.pj_root_set(1)):
+        call()
+        assert not cr._single_tables and cr._head is None
+
+
 # -- torsion root sets --------------------------------------------------------------
 
 

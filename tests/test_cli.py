@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tateshift import tate_blueshift
+from tateshift.classifying import AbelianPGroup, SubgroupSpec, build_classifying_ring
 from tateshift.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -14,6 +15,8 @@ from tateshift.cli import (
     run_batch,
     run_job,
 )
+from tateshift.ring_core import saturation_ideal
+from tateshift.tate_blueshift import build_law, inverted_element_set
 
 
 def run_cli(capsys, argv):
@@ -55,6 +58,32 @@ def test_tate_honda_zero_certificate(capsys):
     assert code == EXIT_OK
     assert report["status"] == "ZERO"
     assert report["witness"]["certificate"]["length"] == 2
+
+
+@pytest.mark.parametrize("job", [
+    '{"p":2,"A":[2],"C":[1],"fgl":"honda","n":2}',
+    '{"p":3,"A":[1,1],"C":[1,0],"fgl":"multiplicative"}',
+])
+def test_tate_explain_prints_the_full_saturation_chain(capsys, job):
+    # a ZERO chain ends in the whole module, kept as a marker; --explain
+    # prints the same bytes as the identity rows saturation_ideal builds
+    assert main(["tate", job, "--explain"]) == EXIT_OK
+    explained = capsys.readouterr().out
+    assert main(["tate", job]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    params = json.loads(job)
+    group = AbelianPGroup(params["p"], params["A"])
+    law = build_law(params["fgl"], params["p"], n=params.get("n", 1),
+                    exponents=params["A"])
+    cr = build_classifying_ring(law, group)
+    inverted = inverted_element_set(group, SubgroupSpec(params["C"]))
+    _, chain = saturation_ideal(
+        cr.algebra, [ec.value for ec in cr.euler_classes(inverted)])
+    assert chain[-1] == [[int(i == j) for j in range(cr.algebra.rank)]
+                         for i in range(cr.algebra.rank)]
+    report["witness"]["saturation_chain"] = [
+        [[str(x) for x in row] for row in step] for step in chain]
+    assert explained == dumps(report) + "\n"
 
 
 def test_tate_rejects_max_cert_len_below_one(capsys):

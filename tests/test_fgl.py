@@ -6,10 +6,12 @@ import random
 import pytest
 
 from tateshift.fgl import (
+    AxiomFailure,
     CapTooSmall,
     difference_identity_product,
     NotWeierstrassReady,
     build_additive,
+    build_custom,
     build_honda,
     build_multiplicative,
     formal_difference_with_unit,
@@ -112,6 +114,24 @@ def test_pj_equals_m_series_power():
     for law in (build_multiplicative(2, 2, 9), build_honda(2, 1, 9)):
         for j in (1, 2, 3):
             assert law.pj_series(j) == law.m_series(2**j)
+
+
+# -- axioms ------------------------------------------------------------------------
+
+
+def test_commutative_non_associative_law_is_refused():
+    dom = ZModDomain(4)
+    F = TruncatedSeries(dom, ("x1", "x2"), 4, {
+        (1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1})
+    x1, x2 = (TruncatedSeries.variable(dom, F.vars, 4, v) for v in F.vars)
+    assert substitute(F, {"x1": x2, "x2": x1}) == F
+    v3 = ("x", "y", "z")
+    x, y, z = (TruncatedSeries.variable(dom, v3, 4, v) for v in v3)
+    left = substitute(F, {"x1": substitute(F, {"x1": x, "x2": y}), "x2": z})
+    right = substitute(F, {"x1": x, "x2": substitute(F, {"x1": y, "x2": z})})
+    assert left != right
+    with pytest.raises(AxiomFailure, match="not associative"):
+        build_custom(F, 2)
 
 
 # -- Honda laws ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Kept here only as references: the tuple-zipping series product, the
 substitution that builds every term as a product with a scaled constant and
 copies the accumulator per term, the evaluation that checks nilpotency with
-``nilpotency_index`` and multiplies each term out, and the Honda law composed
-over Q and reduced mod p.
+``nilpotency_index`` and multiplies each term out, the reversion that fixes
+one degree per full substitution, the Honda law composed as e(S) over
+Z/p^(V+1), and the Honda law composed over Q and reduced mod p.
 """
 
 import functools
@@ -153,6 +154,54 @@ def rational_honda(p, n, D):
     return rational_to_zmod(F_rat, p)
 
 
+def per_degree_reversion(f):
+    """The compositional inverse fixed one degree at a time, each degree by a
+    full substitution."""
+    dom = f.domain
+    coeffs = f.univariate_coeffs()
+    a1_inv = dom.inv(coeffs[1])
+    x = TruncatedSeries.variable(dom, f.vars, f.cap, f.vars[0])
+    g = x.scale(a1_inv)
+    for k in range(2, f.cap + 1):
+        ck = substitute(f, {f.vars[0]: g}).coefficient((k,))
+        if ck != dom.zero:
+            g = g + TruncatedSeries(dom, f.vars, f.cap,
+                                    {(k,): dom.neg(dom.mul(a1_inv, ck))})
+    return g
+
+
+def composed_honda(p, n, D):
+    """F of the height-n Honda law by composing e with S = p^I (l(x1) + l(x2)).
+
+    With I the top index of l and p^w the largest p-power in a denominator
+    of e, p^V F_rat = sum_k e_k p^(w + (D-k) I) S^k, V = w + D*I, has
+    p-integral coefficients, so it is composed over Z/p^(V+1) and divided by
+    p^V.
+    """
+    I = 0
+    while p ** (n * (I + 1)) <= D:
+        I += 1
+    log_terms, s_terms = {}, {}
+    for i in range(I + 1):
+        d = p ** (n * i)
+        log_terms[(d,)] = Fraction(1, p**i)
+        s_terms[(d, 0)] = s_terms[(0, d)] = p ** (I - i)
+    exp = per_degree_reversion(TruncatedSeries(QQ, ("x",), D, log_terms))
+    w = 0
+    for c in exp.terms.values():
+        while c.denominator % p ** (w + 1) == 0:
+            w += 1
+    V = w + D * I
+    dom = ZModDomain(p ** (V + 1))
+    G = rational_to_zmod(TruncatedSeries(QQ, ("x",), D, {
+        (k,): c * p ** (w + (D - k) * I) for (k,), c in exp.terms.items()
+    }), dom.n)
+    scaled = substitute(G, {"x": TruncatedSeries(dom, ("x1", "x2"), D, s_terms)})
+    assert all(c % p**V == 0 for c in scaled.terms.values())
+    return TruncatedSeries(ZModDomain(p), ("x1", "x2"), D,
+                           {e: c // p**V for e, c in scaled.terms.items()})
+
+
 # -- random inputs ---------------------------------------------------------------
 #
 # Hypothesis draws a seeded Random per example; the inputs are built from it,
@@ -207,6 +256,19 @@ def test_substitute_matches_copying_substitute(rng):
     values = {v: random_series(rng, dom, nout, constant=False, max_terms=5)
               for v in f.vars}
     assert same(substitute(f, values), copy_substitute(f, values))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(RANDOMS)
+def test_newton_reversion_matches_per_degree_reversion(rng):
+    dom = rng.choice(DOMAINS)
+    f = random_series(rng, dom, 1, cap=rng.randint(1, 10), constant=False)
+    linear = rng.choice([c for c in range(1, 13) if dom.is_unit(c)])
+    f = f + TruncatedSeries(dom, f.vars, f.cap, {(1,): linear - f.coefficient((1,))})
+    g = reversion(f)
+    assert same(g, per_degree_reversion(f))
+    x = TruncatedSeries.variable(dom, f.vars, f.cap, "x")
+    assert substitute(f, {"x": g}) == x == substitute(g, {"x": f})
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -282,6 +344,14 @@ def test_honda_case_count():
 def test_honda_law_matches_rational_composition(p, n):
     for cap in range(p**n, 17):
         assert same(build_honda(p, n, cap).F, rational_honda(p, n, cap))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from(HONDA_HEIGHTS), st.data())
+def test_honda_law_matches_old_composition(height, data):
+    p, n = height
+    cap = data.draw(st.integers(p**n, 40), label="cap")
+    assert same(build_honda(p, n, cap).F, composed_honda(p, n, cap))
 
 
 def test_honda_cap_30_is_fast():

@@ -185,6 +185,17 @@ def test_tate_multiplicative_z4_zero():
         assert result.status == TateRingResult.ZERO
 
 
+def test_tate_zero_without_certificate_records_the_limit():
+    # the minimal words, x^15 and x^12, are longer than the default limit
+    # rank + 1, so the search up to the limit finds none
+    for p, K, A, limit in ((3, 2, [2], 10), (2, 2, [3], 9)):
+        law = build_law("multiplicative", p, modulus_power=K, exponents=A)
+        result = tate_ring(law, AbelianPGroup(p, A), SubgroupSpec([1]))
+        assert result.status == TateRingResult.ZERO
+        assert result.to_dict()["witness"] == {
+            "not_found_max_len": limit, "saturation_chain_length": 3}
+
+
 def test_tate_intermediate_subgroup():
     # A = Z/4, C = Z/2: inverted classes are the odd weights
     law = build_law("honda", 2, n=1, exponents=[2])
