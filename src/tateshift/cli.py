@@ -63,6 +63,8 @@ def _cap(params: dict):
 
 _INT = ("int", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _PRIME = ("prime", lambda v: _INT[1](v) and zmod.is_prime(v))
+_POSITIVE = ("int >= 1", lambda v: _INT[1](v) and v >= 1)
+_NATURAL = ("int >= 0", lambda v: _INT[1](v) and v >= 0)
 _BOOL = ("bool", lambda v: isinstance(v, bool))
 _STR = ("str", lambda v: isinstance(v, str))
 _INTS = ("list of ints", lambda v: isinstance(v, list)
@@ -74,18 +76,18 @@ SCHEMAS = {
     "fgl": {
         "kind": (_STR, True),
         "p": (_PRIME, True),
-        "n": (_INT, False),
-        "modulus_power": (_INT, False),
+        "n": (_POSITIVE, False),
+        "modulus_power": (_POSITIVE, False),
         "cap": (_INT, False),
         "m": (_INT, False),
-        "j": (_INT, False),
+        "j": (_NATURAL, False),
     },
     "bgroup": {
         "p": (_PRIME, True),
         "exponents": (_INTS, True),
         "fgl": (_STR, True),
-        "n": (_INT, False),
-        "modulus_power": (_INT, False),
+        "n": (_POSITIVE, False),
+        "modulus_power": (_POSITIVE, False),
         "cap": (_INT, False),
         "euler_classes": (_BOOL, False),
     },
@@ -101,8 +103,8 @@ SCHEMAS = {
         "A": (_INTS, True),
         "C": (_INTS, True),
         "fgl": (_STR, False),
-        "n": (_INT, False),
-        "modulus_power": (_INT, False),
+        "n": (_POSITIVE, False),
+        "modulus_power": (_POSITIVE, False),
         "cap": (_INT, False),
         "max_cert_len": (_INT, False),
         "exact": (_BOOL, False),

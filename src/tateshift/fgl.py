@@ -77,25 +77,26 @@ class FormalGroupLaw:
     # -- axioms ---------------------------------------------------------------
 
     def check_axioms(self):
-        dom, cap = self.F.domain, self.F.cap
-        zero = TruncatedSeries.zero(dom, (X1, X2), cap)
+        """Unitality and commutativity read off F's terms, associativity
+        from the one composition L(x, y, z) = F(F(x, y), z)."""
+        dom, cap, terms = self.F.domain, self.F.cap, self.F.terms
         x1 = TruncatedSeries.variable(dom, (X1, X2), cap, X1)
         x2 = TruncatedSeries.variable(dom, (X1, X2), cap, X2)
-        if substitute(self.F, {X1: x1, X2: zero}) != x1:
+        # F(x, 0) is the sum of F's x2-free terms, F(0, y) of its x1-free ones
+        if {e: c for e, c in terms.items() if not e[1]} != x1.terms:
             raise AxiomFailure("F(x, 0) != x")
-        if substitute(self.F, {X1: zero, X2: x2}) != x2:
+        if {e: c for e, c in terms.items() if not e[0]} != x2.terms:
             raise AxiomFailure("F(0, y) != y")
-        if substitute(self.F, {X1: x2, X2: x1}) != self.F:
+        if any(terms.get((b, a)) != c for (a, b), c in terms.items()):
             raise AxiomFailure("F is not commutative")
-        # With F commutative, F(x, F(y, z)) = F(F(y, z), x) = L(y, z, x) for
-        # L(x, y, z) = F(F(x, y), z), so F is associative exactly when L is
-        # invariant under rotating its variables; rotating one way or the
-        # other is the same condition, checked on L's exponents
+        # With F commutative, F(x, F(y, z)) = F(F(y, z), x) = L(y, z, x), so
+        # F is associative exactly when L is invariant under rotating its
+        # variables; rotating one way or the other is the same condition,
+        # checked on L's exponents
         v3 = ("x1", "x2", "x3")
-        t1 = TruncatedSeries.variable(dom, v3, cap, "x1")
-        t2 = TruncatedSeries.variable(dom, v3, cap, "x2")
+        inner = TruncatedSeries._reduced(
+            dom, v3, cap, {(a, b, 0): c for (a, b), c in terms.items()})
         t3 = TruncatedSeries.variable(dom, v3, cap, "x3")
-        inner = substitute(self.F, {X1: t1, X2: t2})
         left = substitute(self.F, {X1: inner, X2: t3}).terms
         if any(left.get((b, c, a)) != v for (a, b, c), v in left.items()):
             raise AxiomFailure("F is not associative")
@@ -174,6 +175,8 @@ class FormalGroupLaw:
 
 def build_multiplicative(p: int, K: int, D: int) -> FormalGroupLaw:
     """F = x1 + x2 + x1*x2 over Z/p^K; [p](x) = (1+x)^p - 1."""
+    if K < 1:
+        raise ValueError("modulus power K must be >= 1")
     if D < p:
         raise CapTooSmall("cap must be at least p")
     n = p**K
@@ -222,6 +225,8 @@ def build_honda(p: int, n: int, D: int) -> FormalGroupLaw:
     (Ravenel, Complex Cobordism, A2.2): mu_k = 0 unless k = 1 (mod p^n - 1),
     and lam^a lives in degrees = a (mod p^n - 1), so M and P are sparse.
     """
+    if n < 1:
+        raise ValueError("height n must be >= 1")
     if D < p**n:
         raise CapTooSmall("cap must be at least p^n")
     N = p**D

@@ -34,13 +34,19 @@ class NonNilpotentArgument(SeriesError):
 
 
 class ZModDomain:
-    """Coefficient arithmetic in Z/N on plain ints."""
+    """Coefficient arithmetic in Z/N on plain ints.
 
-    __slots__ = ("n",)
+    ``prime`` is N when N is prime, else 0: over the field F_N every
+    coefficient has c^N = c, so a series' N-th power is the series with its
+    exponents multiplied by N.
+    """
+
+    __slots__ = ("n", "prime")
     kind = "zmod"
 
     def __init__(self, n: int):
         self.n = n
+        self.prime = n if zmod.is_prime(n) else 0
 
     def normalize(self, c):
         return c % self.n
@@ -84,6 +90,7 @@ class RationalDomain:
     """Exact rational coefficients (Fraction keeps lowest terms)."""
 
     kind = "rational"
+    prime = 0
 
     def normalize(self, c):
         return Fraction(c)
@@ -341,6 +348,12 @@ def substitute(f: TruncatedSeries, assignments: dict) -> TruncatedSeries:
     exponent but the last: each group's coefficients scale cached powers of
     the last series into one sum, which then takes a single product with the
     group's powers of the other series.
+
+    Powers are cached per series.  Over a prime field F_q, g^(q*j) = (g^j)^q
+    is g^j with every exponent times q, which takes no product (the dropped
+    tail of g^j only reaches degrees past the cap); otherwise g^k is
+    g^(k-1) * g when g^(k-1) is cached, and square-and-multiply when it is
+    not.
     """
     if set(assignments) != set(f.vars):
         raise ValueError("assignments must cover exactly the variables of f")
@@ -358,16 +371,23 @@ def substitute(f: TruncatedSeries, assignments: dict) -> TruncatedSeries:
     out_vars = first.vars
     one = TruncatedSeries.constant(dom, out_vars, cap, dom.one)
     # cache powers of each substituted series
+    bases = [g.truncate(cap) for g in values]
     powers = [{0: one} for _ in values]
+    q = dom.prime
 
     def power(i, k):
         cache = powers[i]
         if k not in cache:
-            half = power(i, k // 2)
-            p = half * half
-            if k % 2:
-                p = p * values[i].truncate(cap)
-            cache[k] = p
+            if q and k % q == 0:
+                cache[k] = _frobenius(power(i, k // q), q)
+            elif k - 1 in cache:
+                cache[k] = cache[k - 1] * bases[i]
+            else:
+                half = power(i, k // 2)
+                p = half * half
+                if k % 2:
+                    p = p * bases[i]
+                cache[k] = p
         return cache[k]
 
     last = len(values) - 1
@@ -388,6 +408,13 @@ def substitute(f: TruncatedSeries, assignments: dict) -> TruncatedSeries:
         for e, v in group.terms.items():
             acc[e] = acc.get(e, 0) + v
     return TruncatedSeries(dom, out_vars, cap, acc)
+
+
+def _frobenius(g: TruncatedSeries, q: int) -> TruncatedSeries:
+    """g^q over F_q: every exponent times q, terms past the cap dropped."""
+    return TruncatedSeries._reduced(g.domain, g.vars, g.cap, {
+        tuple(q * k for k in e): c for e, c in g.terms.items()
+        if q * sum(e) <= g.cap})
 
 
 def reversion(f: TruncatedSeries) -> TruncatedSeries:
@@ -429,15 +456,17 @@ def inverse(f: TruncatedSeries) -> TruncatedSeries:
     c0 = f.constant_term()
     if not dom.is_unit(c0):
         raise NonUnitLinearTerm("constant term must be a unit")
-    c0_inv = dom.inv(c0)
-    out = TruncatedSeries.constant(dom, f.vars, f.cap, c0_inv)
-    # Newton iteration: g <- g*(2 - f*g), doubling correct degrees each round
-    two = TruncatedSeries.constant(dom, f.vars, f.cap, dom.add(dom.one, dom.one))
-    good = 1
-    while good <= f.cap:
-        out = out * (two - f * out)
-        good *= 2
-    return out
+    # Newton iteration g <- g - g*(f*g - 1): if g is right through degree k,
+    # f*g - 1 has valuation > k, so the step is right through degree 2k + 1
+    # and each round works at that precision
+    g = TruncatedSeries.constant(dom, f.vars, 0, dom.inv(c0))
+    good = 0
+    while good < f.cap:
+        good = min(2 * good + 1, f.cap)
+        g = TruncatedSeries._reduced(dom, f.vars, good, g.terms)
+        one = TruncatedSeries.constant(dom, f.vars, good, dom.one)
+        g = g - g * (f.truncate(good) * g - one)
+    return g
 
 
 def eval_at(f: TruncatedSeries, args, polynomial: bool = False) -> RingElement:

@@ -1,9 +1,14 @@
 """CLI contract: exit codes, schema validation, determinism, batch isolation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tateshift
 from tateshift import tate_blueshift
 from tateshift.classifying import AbelianPGroup, SubgroupSpec, build_classifying_ring
 from tateshift.cli import (
@@ -409,3 +414,57 @@ def test_non_prime_p_is_a_validation_error():
     ):
         code, _ = run_job(command, {"p": 4, **params})
         assert code == EXIT_VALIDATION
+
+
+# Each of these once hung (a height below 1 never ends the log loop of
+# build_honda), escaped run_job (j = -1 made the cap a float) or reported a
+# computation error over Z/0.5 (a modulus power below 1).
+BAD_LAW_JOBS = [
+    ("fgl", {"kind": "honda", "p": 2, "n": 0}, "field 'n' must be int >= 1"),
+    ("fgl", {"kind": "honda", "p": 3, "n": -1}, "field 'n' must be int >= 1"),
+    ("bgroup", {"p": 2, "exponents": [1], "fgl": "honda", "n": 0},
+     "field 'n' must be int >= 1"),
+    ("tate", {"p": 2, "A": [1], "C": [1], "fgl": "honda", "n": -2},
+     "field 'n' must be int >= 1"),
+    ("fgl", {"kind": "honda", "p": 2, "j": -1}, "field 'j' must be int >= 0"),
+    ("fgl", {"kind": "multiplicative", "p": 2, "modulus_power": 0},
+     "field 'modulus_power' must be int >= 1"),
+    ("bgroup", {"p": 2, "exponents": [1], "fgl": "multiplicative",
+                "modulus_power": -1}, "field 'modulus_power' must be int >= 1"),
+    ("tate", {"p": 2, "A": [1], "C": [1], "modulus_power": 0},
+     "field 'modulus_power' must be int >= 1"),
+]
+
+
+def _child(args):
+    """Python with tateshift importable, in a child process under a timeout,
+    so that a regression to a hang fails instead of stalling the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tateshift.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=30, env=env)
+
+
+def test_bad_height_modulus_power_and_j_are_validation_errors(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps({"command": c, "params": p}) + "\n"
+                            for c, p, _ in BAD_LAW_JOBS))
+    proc = _child(["-m", "tateshift.cli", "batch", str(path)])
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    jobs = json.loads(proc.stdout)["jobs"]
+    assert [(job["exit_code"], job["report"]["error"]["message"]) for job in jobs] \
+        == [(EXIT_VALIDATION, message) for _, _, message in BAD_LAW_JOBS]
+
+
+def test_law_builders_refuse_height_and_modulus_power_below_one():
+    proc = _child(["-c", """
+from tateshift.fgl import build_honda, build_multiplicative
+for build, args in ((build_honda, (2, 0, 8)), (build_honda, (3, -1, 8)),
+                    (build_multiplicative, (2, 0, 8)),
+                    (build_multiplicative, (2, -1, 8))):
+    try:
+        build(*args)
+    except ValueError as exc:
+        print(exc)
+"""])
+    assert proc.stdout.splitlines() == ["height n must be >= 1"] * 2 \
+        + ["modulus power K must be >= 1"] * 2, proc.stderr

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tateshift import fgl
 from tateshift.fgl import (
     AxiomFailure,
     CapTooSmall,
@@ -132,6 +133,32 @@ def test_commutative_non_associative_law_is_refused():
     assert left != right
     with pytest.raises(AxiomFailure, match="not associative"):
         build_custom(F, 2)
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({(2, 0): 1}, "F(x, 0) != x"),
+    ({(0, 2): 1}, "F(0, y) != y"),
+    ({(2, 1): 1}, "F is not commutative"),
+])
+def test_each_axiom_failure_is_named(extra, message):
+    F = TruncatedSeries(ZModDomain(4), ("x1", "x2"), 4,
+                        {(1, 0): 1, (0, 1): 1, **extra})
+    with pytest.raises(AxiomFailure) as exc:
+        build_custom(F, 2)
+    assert str(exc.value) == message
+
+
+def test_check_axioms_takes_one_substitution(monkeypatch):
+    calls = []
+
+    def counted(f, assignments):
+        calls.append(f)
+        return substitute(f, assignments)
+
+    law = build_honda(2, 2, 20)
+    monkeypatch.setattr(fgl, "substitute", counted)
+    law.check_axioms()
+    assert calls == [law.F]
 
 
 # -- Honda laws ------------------------------------------------------------------

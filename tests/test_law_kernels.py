@@ -1,8 +1,10 @@
 """The law-layer kernels against the algorithms they replaced.
 
 Kept here only as references: the tuple-zipping series product, the
-substitution that builds every term as a product with a scaled constant and
-copies the accumulator per term, the evaluation that checks nilpotency with
+substitution that builds every term as a product with a scaled constant,
+copies the accumulator per term and takes every power by square-and-multiply,
+the series inverse that runs every Newton round at full precision, the axiom
+check by five substitutions, the evaluation that checks nilpotency with
 ``nilpotency_index`` and multiplies each term out, the reversion that fixes
 one degree per full substitution, the Honda law composed as e(S) over
 Z/p^(V+1), and the Honda law composed over Q and reduced mod p.
@@ -15,7 +17,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tateshift.fgl import IntegralityFailure, build_honda
+from tateshift.fgl import (
+    AxiomFailure,
+    FormalGroupLaw,
+    IntegralityFailure,
+    build_honda,
+)
 from tateshift.ring_core import BaseModulus, FiniteAlgebra, graded_lex_key
 from tateshift.series import (
     QQ,
@@ -24,6 +31,7 @@ from tateshift.series import (
     TruncatedSeries,
     ZModDomain,
     eval_at,
+    inverse,
     reversion,
     substitute,
 )
@@ -84,6 +92,37 @@ def copy_substitute(f, assignments):
                 term = tuple_mul(term, power(i, k))
         acc = acc + term
     return acc
+
+
+def full_precision_inverse(f):
+    dom = f.domain
+    out = TruncatedSeries.constant(dom, f.vars, f.cap, dom.inv(f.constant_term()))
+    two = TruncatedSeries.constant(dom, f.vars, f.cap, dom.add(dom.one, dom.one))
+    good = 1
+    while good <= f.cap:
+        out = out * (two - f * out)
+        good *= 2
+    return out
+
+
+def five_substitution_axioms(F):
+    """Raise AxiomFailure with the first failing axiom's message."""
+    dom, cap = F.domain, F.cap
+    zero = TruncatedSeries.zero(dom, ("x1", "x2"), cap)
+    x1 = TruncatedSeries.variable(dom, ("x1", "x2"), cap, "x1")
+    x2 = TruncatedSeries.variable(dom, ("x1", "x2"), cap, "x2")
+    if substitute(F, {"x1": x1, "x2": zero}) != x1:
+        raise AxiomFailure("F(x, 0) != x")
+    if substitute(F, {"x1": zero, "x2": x2}) != x2:
+        raise AxiomFailure("F(0, y) != y")
+    if substitute(F, {"x1": x2, "x2": x1}) != F:
+        raise AxiomFailure("F is not commutative")
+    v3 = ("x1", "x2", "x3")
+    t1, t2, t3 = (TruncatedSeries.variable(dom, v3, cap, v) for v in v3)
+    inner = substitute(F, {"x1": t1, "x2": t2})
+    left = substitute(F, {"x1": inner, "x2": t3}).terms
+    if any(left.get((b, c, a)) != v for (a, b, c), v in left.items()):
+        raise AxiomFailure("F is not associative")
 
 
 def old_eval_at(f, args, polynomial=False):
@@ -269,6 +308,83 @@ def test_newton_reversion_matches_per_degree_reversion(rng):
     assert same(g, per_degree_reversion(f))
     x = TruncatedSeries.variable(dom, f.vars, f.cap, "x")
     assert substitute(f, {"x": g}) == x == substitute(g, {"x": f})
+
+
+FIELDS = [ZModDomain(q) for q in (3, 5, 7)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(RANDOMS)
+def test_substitute_over_prime_fields_matches_square_and_multiply(rng):
+    dom = rng.choice(FIELDS)
+    q = dom.n
+    cap = rng.randint(q, 20)
+    nout = rng.randint(1, 3 if cap <= 10 else 2)
+    f = random_series(rng, dom, rng.randint(1, 2), cap=cap)
+    # one exponent a multiple of q, so the Frobenius rule is always reached
+    e = [0] * len(f.vars)
+    e[rng.randrange(len(e))] = q * rng.randint(1, cap // q)
+    f = f + TruncatedSeries(dom, f.vars, cap, {tuple(e): rng.randint(1, q - 1)})
+    values = {v: random_series(rng, dom, nout, cap=cap, constant=False, max_terms=4)
+              for v in f.vars}
+    assert same(substitute(f, values), copy_substitute(f, values))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(RANDOMS)
+def test_inverse_matches_full_precision_newton(rng):
+    dom = rng.choice(DOMAINS)
+    f = random_series(rng, dom, rng.randint(1, 3), cap=rng.randint(0, 9))
+    unit = rng.choice([c for c in range(1, 13) if dom.is_unit(c)])
+    zero = (0,) * len(f.vars)
+    f = f + TruncatedSeries(dom, f.vars, f.cap, {zero: unit - f.coefficient(zero)})
+    g = inverse(f)
+    assert same(g, full_precision_inverse(f))
+    assert f * g == TruncatedSeries.constant(dom, f.vars, f.cap, 1)
+
+
+def random_law(rng, dom, cap):
+    """x1 + x2 + c*x1*x2 conjugated by a random phi with a unit linear term,
+    which is a law, then perhaps spoiled by one or two more terms."""
+    n, v2 = dom.n, ("x1", "x2")
+    base = TruncatedSeries(dom, v2, cap, {(1, 0): 1, (0, 1): 1,
+                                          (1, 1): rng.randrange(n)})
+    phi = random_series(rng, dom, 1, cap=cap, constant=False, max_terms=4)
+    phi = phi + TruncatedSeries(dom, ("x",), cap, {
+        (1,): rng.choice([c for c in range(1, n) if dom.is_unit(c)])
+        - phi.coefficient((1,))})
+    psi = reversion(phi)
+    F = substitute(phi, {"x": substitute(base, {
+        v: substitute(psi, {"x": TruncatedSeries.variable(dom, v2, cap, v)})
+        for v in v2})})
+    a = rng.randint(0, cap)
+    b = rng.randint(0, cap - a)
+    c = rng.randrange(1, n)
+    roll = rng.random()
+    if roll < 0.3:
+        F = F + TruncatedSeries(dom, v2, cap, {(a, b): c})
+    elif roll < 0.6:
+        F = F + TruncatedSeries(dom, v2, cap, {(a, b): c}) \
+            + TruncatedSeries(dom, v2, cap, {(b, a): c})
+    return F
+
+
+def axiom_message(check, F):
+    try:
+        check(F)
+    except AxiomFailure as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(RANDOMS)
+def test_check_axioms_matches_five_substitutions(rng):
+    dom = rng.choice([ZModDomain(4), ZModDomain(2), ZModDomain(3)])
+    F = random_law(rng, dom, rng.randint(1, 6))
+    law = FormalGroupLaw(F, 2, None, "custom", check=False)
+    assert axiom_message(lambda _: law.check_axioms(), F) == \
+        axiom_message(five_substitution_axioms, F)
 
 
 # -- evaluation --------------------------------------------------------------------
