@@ -69,6 +69,10 @@ _BOOL = ("bool", lambda v: isinstance(v, bool))
 _STR = ("str", lambda v: isinstance(v, str))
 _INTS = ("list of ints", lambda v: isinstance(v, list)
          and all(isinstance(x, int) and not isinstance(x, bool) for x in v))
+_EXPONENTS = ("nonempty list of ints >= 1",
+              lambda v: _INTS[1](v) and v and all(x >= 1 for x in v))
+_SUB_EXPONENTS = ("list of ints >= 0",
+                  lambda v: _INTS[1](v) and all(x >= 0 for x in v))
 _LIST = ("list", lambda v: isinstance(v, list))
 _DICT = ("object", lambda v: isinstance(v, dict))
 
@@ -84,7 +88,7 @@ SCHEMAS = {
     },
     "bgroup": {
         "p": (_PRIME, True),
-        "exponents": (_INTS, True),
+        "exponents": (_EXPONENTS, True),
         "fgl": (_STR, True),
         "n": (_POSITIVE, False),
         "modulus_power": (_POSITIVE, False),
@@ -100,8 +104,8 @@ SCHEMAS = {
     },
     "tate": {
         "p": (_PRIME, True),
-        "A": (_INTS, True),
-        "C": (_INTS, True),
+        "A": (_EXPONENTS, True),
+        "C": (_SUB_EXPONENTS, True),
         "fgl": (_STR, False),
         "n": (_POSITIVE, False),
         "modulus_power": (_POSITIVE, False),
@@ -112,8 +116,8 @@ SCHEMAS = {
     },
     "blueshift": {
         "p": (_PRIME, True),
-        "A": (_INTS, True),
-        "C": (_INTS, True),
+        "A": (_EXPONENTS, True),
+        "C": (_SUB_EXPONENTS, True),
         "nonabelian": (_BOOL, False),
         "explain": (_BOOL, False),
     },
@@ -139,7 +143,17 @@ def validate_params(command: str, params: dict) -> dict:
             continue
         if not check(params[field]):
             raise ValidationError(f"field {field!r} must be {type_name}")
+    if "C" in params and (len(params["C"]) != len(params["A"]) or any(
+            j > i for j, i in zip(params["C"], params["A"]))):
+        raise ValidationError("field 'C' must give one C_k <= A_k for each A_k")
     return params
+
+
+def _check_cap(cap: int, p: int, height: int, top: int = 1):
+    """A user-given cap must reach p^(height * top): p^height for the law,
+    p^(height * max i_k) for the classifying ring of A."""
+    if cap < p ** (height * top):
+        raise ValidationError(f"cap must be >= {p ** (height * top)}")
 
 
 # -- command runners -----------------------------------------------------------------
@@ -152,10 +166,12 @@ def run_fgl(params: dict) -> dict:
     p = params["p"]
     n = params.get("n", 1)
     K = params.get("modulus_power", 1)
+    height = n if kind == "honda" else 1
     cap = _cap(params)
     j = params.get("j")
-    if cap is None and j:
-        height = n if kind == "honda" else 1
+    if cap is not None:
+        _check_cap(cap, p, height)
+    elif j:
         cap = p ** (height * j) + p
     law = build_law(kind, p, n=n, modulus_power=K, cap=cap)
     report = {"law": law.describe(), "F": law.F.to_json_dict()}
@@ -192,6 +208,7 @@ def _law_for_group(params: dict, exponents):
     K = params.get("modulus_power", 1)
     cap = _cap(params)
     if cap is not None:
+        _check_cap(cap, p, n if kind == "honda" else 1, max(exponents))
         return build_law(kind, p, n=n, modulus_power=K, cap=cap)
     return build_law(kind, p, n=n, modulus_power=K, exponents=exponents)
 

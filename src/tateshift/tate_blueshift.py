@@ -3,9 +3,10 @@
 For a subgroup C of A (componentwise exponents j_k <= i_k) the generalized
 Tate ring is the classifying ring of A with the Euler classes of A - im phi(A/C)
 inverted.  Over a finite base that localization is decided by saturation;
-over exact integers only zero-product certificates are searched.  A ZERO
-outcome is certified either way; a NONZERO outcome at truncation level K says
-nothing about the completed ring and is labeled as such.
+over exact integers a cyclic C is answered by a character of A, and any
+other C by a zero-product certificate search.  A ZERO outcome is certified
+either way; a NONZERO outcome at truncation level K says nothing about the
+completed ring and is labeled as such.
 
 The blue-shift number s of the construction satisfies t <= s <= rank_p(C)
 with the closed-form lower bound
@@ -94,6 +95,8 @@ class TateRingResult:
             wit["saturation_chain_length"] = len(self.witness["saturation_chain"])
         if "not_found_max_len" in self.witness:
             wit["not_found_max_len"] = self.witness["not_found_max_len"]
+        if "character" in self.witness:
+            wit["character"] = self.witness["character"]
         out["witness"] = wit
         return out
 
@@ -339,21 +342,43 @@ def tate_ring_exact(p: int, exponents, sub_exponents,
                     max_cert_len: int = 8) -> TateRingResult:
     """Exact-integer Tate vanishing for the multiplicative law.
 
-    Saturation needs finiteness, so only the zero-product certificate search
-    runs here; an exhausted search is INCONCLUSIVE, never NONZERO, and
-    records ``search_budget`` when ``EXACT_SEARCH_BUDGET`` ran out.  The ring
-    Z[x]/((1+x_k)^(p^i_k) - 1) is the group ring Z[A] with t_k = 1 + x_k, so
-    the search runs in the group-element basis, where every product is one
+    The ring Z[x]/((1+x_k)^(p^i_k) - 1) is the group ring Z[A] with
+    t_k = 1 + x_k, and the Euler class of w is t^w - 1.  Q[A] is a product
+    of cyclotomic fields, one per orbit of characters chi of A, so a product
+    of classes t^w - 1 is 0 exactly when every chi sends some factor's w to
+    1.  The classes not inverted form H = im phi(A/C).
+
+    When C is cyclic (exactly one j_k > 0), A/H is cyclic and the character
+    chi(t^w) = zeta^(w_k), zeta of order p^(j_k), is 1 on H alone: no
+    product of inverted classes is 0 at any length.  The result is
+    INCONCLUSIVE with that character as its witness
+    ({"order": p^(j_k), "weights": e_k}, meaning
+    chi(t^w) = zeta^(sum weights_l * w_l)) and nothing is searched; the
+    character does not pass to the completed ring, so it proves no NONZERO.
+
+    For any other C every character is 1 on some inverted class, so a
+    certificate exists, and the zero-product search runs up to
+    ``max_cert_len``.  An exhausted search is INCONCLUSIVE, never NONZERO,
+    and records ``search_budget`` when ``EXACT_SEARCH_BUDGET`` ran out.  The
+    search runs in the group-element basis, where every product is one
     shifted difference.  The change of basis is unimodular over Z, so zero
     tests and dedup equalities, hence the word found, are the same as in the
     monomial basis; the certificate is replayed there.
     """
+    if max_cert_len < 1:
+        raise ValueError("max_cert_len must be >= 1")
     group = AbelianPGroup(p, exponents)
     sub = SubgroupSpec(sub_exponents)
     inverted = inverted_element_set(group, sub)
     if not inverted:
         return TateRingResult(
             TateRingResult.NONZERO, quotient=None, inverted=[], mode="exact",
+        )
+    character = _cyclic_character(group, sub, inverted)
+    if character is not None:
+        return TateRingResult(
+            TateRingResult.INCONCLUSIVE, inverted=inverted, mode="exact",
+            witness={"character": character, "not_found_max_len": max_cert_len},
         )
     gens = _group_ring_euler_classes(group, inverted)
     cert = zero_product_certificate(gens, max_cert_len, budget=EXACT_SEARCH_BUDGET)
@@ -377,6 +402,25 @@ def tate_ring_exact(p: int, exponents, sub_exponents,
                                  "elements": [inverted[i] for i in cert]}},
         mode="exact",
     )
+
+
+def _cyclic_character(group: AbelianPGroup, sub: SubgroupSpec, inverted):
+    """A character of A that is 1 on no inverted class, or None.
+
+    None unless C is cyclic (j_k its only positive exponent); then
+    chi(t^w) = zeta^(w_k) for zeta of order p^(j_k).  Returns
+    {"order": p^(j_k), "weights": e_k} after checking that every inverted w
+    has w_k != 0 mod p^(j_k).
+    """
+    moving = [k for k, j in enumerate(sub.exponents) if j > 0]
+    if len(moving) != 1:
+        return None
+    k = moving[0]
+    order = group.p ** sub.exponents[k]
+    if any(w[k] % order == 0 for w in inverted):
+        raise RuntimeError("character is 1 on an inverted class")  # H invariant
+    return {"order": order,
+            "weights": [int(l == k) for l in range(len(group.exponents))]}
 
 
 # -- blue-shift bounds -----------------------------------------------------------

@@ -401,6 +401,54 @@ def test_tate_exact_mode_cli(capsys):
     assert report["witness"]["certificate"]["length"] == 3
 
 
+def test_tate_exact_cyclic_c_report_bytes(capsys):
+    assert main(["tate", '{"p":3,"A":[1,1],"C":[1,0]}', "--exact"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        '{"inverted_classes": [[1,0],[1,1],[1,2],[2,0],[2,1],[2,2]],'
+        '"mode": "exact","status": "INCONCLUSIVE","witness": {"character": '
+        '{"order": 3,"weights": [1,0]},"not_found_max_len": 8}}\n')
+
+
+_GROUP = "field 'exponents' must be nonempty list of ints >= 1"
+_A = "field 'A' must be nonempty list of ints >= 1"
+_C = "field 'C' must give one C_k <= A_k for each A_k"
+# Each of these once reached the algebra and came back as a computation
+# error (InvalidSubgroup or CapTooSmall).
+OUT_OF_RANGE_JOBS = [
+    ("bgroup", {"p": 2, "exponents": [0], "fgl": "honda"}, _GROUP),
+    ("bgroup", {"p": 2, "exponents": [-1], "fgl": "honda"}, _GROUP),
+    ("bgroup", {"p": 2, "exponents": [], "fgl": "honda"}, _GROUP),
+    ("tate", {"p": 2, "A": [-1], "C": [0]}, _A),
+    ("tate", {"p": 2, "A": [0], "C": [0], "exact": True}, _A),
+    ("blueshift", {"p": 2, "A": [-1], "C": [0]}, _A),
+    ("blueshift", {"p": 3, "A": [0], "C": [0], "nonabelian": True}, _A),
+    ("tate", {"p": 2, "A": [1, 1], "C": [2, 0]}, _C),
+    ("tate", {"p": 2, "A": [1, 1], "C": [-1, 0], "exact": True},
+     "field 'C' must be list of ints >= 0"),
+    ("blueshift", {"p": 2, "A": [1, 1], "C": [1]}, _C),
+    ("fgl", {"kind": "honda", "p": 2, "cap": 1}, "cap must be >= 2"),
+    ("fgl", {"kind": "multiplicative", "p": 3, "cap": -1}, "cap must be >= 3"),
+    ("bgroup", {"p": 2, "exponents": [1], "fgl": "honda", "cap": 1},
+     "cap must be >= 2"),
+    ("bgroup", {"p": 2, "exponents": [1], "fgl": "multiplicative", "cap": -1},
+     "cap must be >= 2"),
+    # the law needs p^n = 2, the ring of Z/4 needs p^(n*2) = 4
+    ("bgroup", {"p": 2, "exponents": [2], "fgl": "honda", "cap": 3},
+     "cap must be >= 4"),
+    ("tate", {"p": 2, "A": [1, 2], "C": [1, 1], "fgl": "honda", "n": 2,
+              "cap": 15}, "cap must be >= 16"),
+]
+
+
+def test_out_of_range_groups_and_caps_are_validation_errors():
+    code, report = run_batch(
+        [json.dumps({"command": c, "params": p}) for c, p, _ in OUT_OF_RANGE_JOBS])
+    assert code == EXIT_VALIDATION
+    assert [(job["exit_code"], job["report"]["error"]["message"])
+            for job in report["jobs"]] \
+        == [(EXIT_VALIDATION, message) for _, _, message in OUT_OF_RANGE_JOBS]
+
+
 def test_non_prime_p_is_a_validation_error():
     for p in (4, 6):
         for extra in ({}, {"exact": True}):

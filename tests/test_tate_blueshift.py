@@ -7,6 +7,7 @@ for the orbit representatives and the valuation bound.
 
 import functools
 import itertools
+import math
 import operator
 
 import pytest
@@ -26,6 +27,7 @@ from tateshift.cli import run_job
 from tateshift.ring_core import (
     ZERO_RING,
     BaseModulus,
+    CertificateNotFound,
     FiniteAlgebra,
     localize_by_saturation,
     multiset_products,
@@ -517,10 +519,14 @@ SMALL_GROUPS = [
 
 
 @st.composite
-def exact_searches(draw):
+def subgroups(draw):
     p, A = draw(st.sampled_from(SMALL_GROUPS))
-    C = tuple(draw(st.integers(0, i)) for i in A)
-    return p, A, C, draw(st.integers(1, 4))
+    return p, A, tuple(draw(st.integers(0, i)) for i in A)
+
+
+@st.composite
+def exact_searches(draw):
+    return *draw(subgroups()), draw(st.integers(1, 4))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -546,6 +552,41 @@ def test_group_basis_search_matches_exact_poly_search(case):
         image = [sum(map(operator.mul, row, value.coeffs)) for row in to_monomials]
         assert image == [expected.terms.get(m, 0) for m in ring.monomials]
         assert value.is_zero() == expected.is_zero()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(subgroups())
+def test_exact_mode_character_replays_and_other_c_vanish(case):
+    # a cyclic C carries a character, replayed in F_l for the least prime
+    # l = 1 mod its order: relations go to 0 and inverted classes do not;
+    # for any other nontrivial C the product of all inverted classes is 0
+    p, A, C = case
+    result = tate_ring_exact(p, A, C, max_cert_len=4)
+    ring = multiplicative_exact_ring(p, A)
+    classes = [multiplicative_euler_class_exact(ring, w) for w in result.inverted]
+    if not classes:
+        assert result.status == TateRingResult.NONZERO
+        return
+    if sum(j > 0 for j in C) > 1:
+        assert "character" not in result.witness
+        assert functools.reduce(operator.mul, classes).is_zero()
+        return
+    character = result.to_dict()["witness"]["character"]
+    assert result.status == TateRingResult.INCONCLUSIVE
+    order = character["order"]
+    ell = next(q for q in itertools.count(order + 1, order) if sympy.isprime(q))
+    g = pow(sympy.primitive_root(ell), (ell - 1) // order, ell)
+    point = [pow(g, a, ell) - 1 for a in character["weights"]]
+    for rel, x in zip(ring.relations, point):
+        assert sum(c * x**t for t, c in enumerate(rel)) % ell == 0
+    for e in classes:
+        assert sum(c * math.prod(x**k for x, k in zip(point, mono))
+                   for mono, c in e.terms.items()) % ell
+    # oracle: the unbudgeted search finds no word up to length 4
+    group = AbelianPGroup(p, A)
+    found = zero_product_certificate(
+        tate_blueshift._group_ring_euler_classes(group, result.inverted), 4)
+    assert isinstance(found, CertificateNotFound) and found.budget is None
 
 
 def test_exact_euler_class_closed_form():
