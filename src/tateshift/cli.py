@@ -65,6 +65,7 @@ _INT = ("int", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _PRIME = ("prime", lambda v: _INT[1](v) and zmod.is_prime(v))
 _POSITIVE = ("int >= 1", lambda v: _INT[1](v) and v >= 1)
 _NATURAL = ("int >= 0", lambda v: _INT[1](v) and v >= 0)
+_MODULUS = ("int >= 2", lambda v: _INT[1](v) and v >= 2)
 _BOOL = ("bool", lambda v: isinstance(v, bool))
 _STR = ("str", lambda v: isinstance(v, str))
 _INTS = ("list of ints", lambda v: isinstance(v, list)
@@ -96,7 +97,7 @@ SCHEMAS = {
         "euler_classes": (_BOOL, False),
     },
     "roots": {
-        "modulus": (_INT, False),
+        "modulus": (_MODULUS, False),
         "ring": (_DICT, False),
         "f": (_LIST, True),
         "tuple": (_LIST, True),
@@ -124,7 +125,7 @@ SCHEMAS = {
     "vanish-cert": {
         "ring": (_DICT, True),
         "gens": (_LIST, True),
-        "max_len": (_INT, True),
+        "max_len": (_POSITIVE, True),
     },
 }
 
@@ -147,6 +148,16 @@ def validate_params(command: str, params: dict) -> dict:
             j > i for j, i in zip(params["C"], params["A"]))):
         raise ValidationError("field 'C' must give one C_k <= A_k for each A_k")
     return params
+
+
+def _decode(decode, *args):
+    """decode(*args) on a ring or elements the job gave: data that does not
+    decode (a missing key, a non-integer, a non-monic relation, a vector of
+    the wrong length) is the job's fault."""
+    try:
+        return decode(*args)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def _check_cap(cap: int, p: int, height: int, top: int = 1):
@@ -243,15 +254,14 @@ def run_roots(params: dict) -> dict:
             ring_core.BaseModulus(params["modulus"])
         )
     else:
-        alg = ring_core.algebra_from_json(params["ring"])
+        alg = _decode(ring_core.algebra_from_json, params["ring"])
 
-    def parse_elem(v):
-        if isinstance(v, (int, str)):
-            return alg.from_int(int(v))
-        return ring_core.element_from_json(alg, v)
+    def parse_elems(values):
+        return [alg.from_int(int(v)) if isinstance(v, (int, str))
+                else ring_core.element_from_json(alg, v) for v in values]
 
-    f_coeffs = [parse_elem(c) for c in params["f"]]
-    elements = [parse_elem(t) for t in params["tuple"]]
+    f_coeffs = _decode(parse_elems, params["f"])
+    elements = _decode(parse_elems, params["tuple"])
     ok, pair = ring_linalg.is_ntuple(elements, f_coeffs)
     if not ok:
         i, j = pair
@@ -315,11 +325,13 @@ def run_tate(params: dict) -> dict:
         report = result.to_dict()
         report["law"] = law.describe()
         if params.get("explain") and "saturation_chain" in result.witness:
-            # a ZERO chain ends in None, the whole module of rank |A|^n
+            # step i is s^(2^i), printed as the Howell rows of its kernel; a
+            # ZERO chain ends in None, the whole module of rank |A|^n
             rank = group.order ** law.height
             report["witness"]["saturation_chain"] = [
                 [[str(x) for x in row]
-                 for row in (ring_core.identity_rows(rank) if step is None else step)]
+                 for row in (ring_core.identity_rows(rank) if step is None else
+                             (e.coords for e in ring_core.annihilator(step)))]
                 for step in result.witness["saturation_chain"]
             ]
     return report
@@ -335,12 +347,14 @@ def run_blueshift(params: dict) -> dict:
 def run_vanish_cert(params: dict) -> dict:
     ring_data = params["ring"]
     if ring_data.get("type") == "exact":
-        ring = ring_core.exact_ring_from_json(ring_data)
-        gens = [ring_core.poly_element_from_json(ring, g) for g in params["gens"]]
+        ring = _decode(ring_core.exact_ring_from_json, ring_data)
+        gens = _decode(lambda: [ring_core.poly_element_from_json(ring, g)
+                                for g in params["gens"]])
         budget = tate_blueshift.EXACT_SEARCH_BUDGET
     else:
-        alg = ring_core.algebra_from_json(ring_data)
-        gens = [ring_core.element_from_json(alg, g) for g in params["gens"]]
+        alg = _decode(ring_core.algebra_from_json, ring_data)
+        gens = _decode(lambda: [ring_core.element_from_json(alg, g)
+                                for g in params["gens"]])
         budget = tate_blueshift.CERT_SEARCH_BUDGET
     cert = ring_core.zero_product_certificate(gens, params["max_len"], budget=budget)
     if isinstance(cert, ring_core.CertificateNotFound):
@@ -373,7 +387,12 @@ _DOMAIN_ERRORS = (RingError, SeriesError, FGLError, ClassifyingError,
 
 
 def run_job(command: str, params: dict):
-    """(exit_code, report) with every error mapped to a stable code."""
+    """(exit_code, report) with every error mapped to a stable code.
+
+    Exit 2 (validation) is reported only for a ``ValidationError``, raised
+    by ``validate_params`` or a runner's input check; any other exception is
+    exit 3 (computation), named by its type and the module that raised it.
+    """
     try:
         params = validate_params(command, dict(params))
     except ValidationError as exc:
@@ -391,11 +410,28 @@ def run_job(command: str, params: dict):
                 "message": str(exc),
             }
         }
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
-        return EXIT_VALIDATION, {
-            "error": {"code": "validation", "message": f"{exc}"}
+    except Exception as exc:  # a fault of the program, not of the input
+        return EXIT_COMPUTE, {
+            "error": {
+                "code": "computation",
+                "module": _raising_module(exc),
+                "name": type(exc).__name__,
+                "message": str(exc),
+            }
         }
     return EXIT_OK, report
+
+
+def _raising_module(exc: BaseException) -> str:
+    """The innermost tateshift module in exc's traceback, as ``ring_core``."""
+    module = "cli"
+    tb = exc.__traceback__
+    while tb is not None:
+        name = tb.tb_frame.f_globals.get("__name__", "")
+        if name.startswith("tateshift."):
+            module = name.rpartition(".")[2]
+        tb = tb.tb_next
+    return module
 
 
 def run_batch(lines) -> tuple[int, dict]:

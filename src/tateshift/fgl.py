@@ -380,14 +380,26 @@ def _difference_unit_series(law: FormalGroupLaw) -> TruncatedSeries:
 
 
 class WeierstrassFactorization:
-    """alpha = unit * g with g monic of degree deg_W(alpha)."""
+    """alpha = unit * g with g monic of degree deg_W(alpha).
 
-    __slots__ = ("unit", "poly", "degree")
+    ``unit`` is the inverse of the quotient q of the division x^d = r +
+    alpha*q, taken when first read: the classifying ring reads only
+    ``poly``.
+    """
 
-    def __init__(self, unit: TruncatedSeries, poly: list[int], degree: int):
-        self.unit = unit
+    __slots__ = ("_quotient", "_unit", "poly", "degree")
+
+    def __init__(self, quotient: TruncatedSeries, poly: list[int], degree: int):
+        self._quotient = quotient
+        self._unit = None
         self.poly = poly
         self.degree = degree
+
+    @property
+    def unit(self) -> TruncatedSeries:
+        if self._unit is None:
+            self._unit = series_inverse(self._quotient)
+        return self._unit
 
     def __repr__(self):
         return f"WeierstrassFactorization(degree={self.degree}, poly={self.poly})"
@@ -469,17 +481,17 @@ def weierstrass_prepare(alpha: TruncatedSeries) -> WeierstrassFactorization:
     """alpha = eps * g, eps a unit series, g monic of degree deg_W(alpha).
 
     Divide x^d by alpha: x^d = r + alpha*q; then g = x^d - r and eps = q^-1
-    (q has unit constant term because alpha = a_d x^d mod the maximal ideal).
+    (q has unit constant term because alpha = a_d x^d mod the maximal ideal),
+    inverted when ``unit`` is first read.
     """
     dom = alpha.domain
     d = weierstrass_degree(alpha)
     cap = alpha.cap
     xd = TruncatedSeries(dom, alpha.vars, cap, {(d,): dom.one})
     r, q = weierstrass_divide(xd, alpha)
-    eps = series_inverse(q)
     r_coeffs = r.univariate_coeffs()[:d]
     poly = [dom.neg(c) for c in r_coeffs] + [dom.one]
-    return WeierstrassFactorization(eps, poly, d)
+    return WeierstrassFactorization(q, poly, d)
 
 
 def poly_compose(outer: list[int], inner: list[int], n: int) -> list[int]:

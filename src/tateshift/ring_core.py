@@ -646,33 +646,40 @@ def saturation_ideal(alg: FiniteAlgebra, s_gens) -> tuple[list[list[int]], list]
     means they have stopped, so s is squared until two consecutive kernels
     agree or the power is 0 (kernel = the whole module).  Returns the Howell
     row basis and the chain of distinct bases of ker(s^(2^i)), i = 0, 1, ...
-    (the witness; empty iff s is a non-zero-divisor).
+    (the witness; empty iff s is a non-zero-divisor).  Every step's rows are
+    built, on every ring; ``localize_by_saturation`` builds none on a local
+    tower.
     """
-    rows, chain, nilpotent = _saturate(alg, s_gens)
+    _, kernels, nilpotent = _kernel_chain(alg, _product(alg, s_gens))
+    chain = [[list(r) for r in rows] for rows in kernels]
     if nilpotent:
-        rows = chain[-1] = identity_rows(alg.rank)
-    return rows, chain
+        chain.append(identity_rows(alg.rank))
+    return (chain[-1] if chain else []), chain
 
 
-def _saturate(alg: FiniteAlgebra, s_gens):
-    """``saturation_ideal`` plus whether the power of s reached 0, in which
-    case the rows and the chain's last step are None: the whole module,
-    whose rank x rank identity rows are left unbuilt."""
-    n = alg.base.n
+def _product(alg: FiniteAlgebra, s_gens):
     power = alg.one()
     for s in s_gens:
         power = power * s
+    return power
+
+
+def _kernel_chain(alg: FiniteAlgebra, s):
+    """(powers, kernels, nilpotent): the powers s^(2^i) whose kernels grow
+    strictly, the Howell rows of those kernels, and whether a power reached
+    0, whose kernel, the whole module, is left to the caller."""
+    n = alg.base.n
     current: list[list[int]] = []
-    chain = []
-    while not power.is_zero():
-        rows = zmod.right_kernel(alg.mul_matrix(power), n)
+    powers, kernels = [], []
+    while not s.is_zero():
+        rows = zmod.right_kernel(alg.mul_matrix(s), n)
         if rows == current:
-            return current, chain, False
+            return powers, kernels, False
         current = rows
-        chain.append([list(r) for r in rows])
-        power = power * power
-    chain.append(None)
-    return None, chain, True
+        powers.append(s)
+        kernels.append(rows)
+        s = s * s
+    return powers, kernels, True
 
 
 def identity_rows(rank: int) -> list[list[int]]:
@@ -683,20 +690,39 @@ def localize_by_saturation(alg: FiniteAlgebra, s_gens):
     """Finite-ring localization: quotient by the saturation ideal.
 
     Returns (quotient FiniteAlgebra, projection matrix, chain), or
-    (ZERO_RING, None, chain) when 1 lies in the saturation; that chain ends
-    in None, the whole module.  In the quotient every image of s_gens is a
-    unit.
+    (ZERO_RING, None, chain) when 1 lies in the saturation.  In the quotient
+    every image of s_gens is a unit.  The chain holds one power s^(2^i) per
+    step of ``saturation_ideal``'s chain, whose rows are the Howell basis of
+    its annihilator; a ZERO chain ends in None, the whole module.
+
+    A local tower over Z/p^K is a finite local ring, so s is a unit when its
+    constant coordinate is prime to p (the chain is empty) and nilpotent
+    otherwise.  Then no kernel is built: the chain is the nonzero powers s,
+    s^2, s^4, ... and the whole module, as long as the Howell chain, whose
+    kernels grow strictly until the power is 0 (ker s^a = ker s^2a would
+    make them stable from a on, so s^a = 0).  Other rings run the Howell
+    chain, which detects where the kernels stop.
     """
     for s in s_gens:
         if s.parent is not alg:
             raise RingMismatch("generators from different rings")
-    rows, chain, nilpotent = _saturate(alg, s_gens)
+    s = _product(alg, s_gens)
+    p = alg.local_tower_prime()
+    if p is not None:
+        if s.coords[0] % p:
+            return alg, identity_rows(alg.rank), []
+        chain = []
+        while not s.is_zero():
+            chain.append(s)
+            s = s * s
+        return ZERO_RING, None, chain + [None]
+    chain, kernels, nilpotent = _kernel_chain(alg, s)
     # 1 is in the saturation iff a power of s is 0
     if nilpotent:
-        return ZERO_RING, None, chain
-    if not rows:
+        return ZERO_RING, None, chain + [None]
+    if not kernels:
         return alg, identity_rows(alg.rank), chain
-    return _quotient_algebra(alg, rows) + (chain,)
+    return _quotient_algebra(alg, kernels[-1]) + (chain,)
 
 
 def quotient_by_ideal(alg: FiniteAlgebra, gens):

@@ -68,10 +68,13 @@ def test_tate_honda_zero_certificate(capsys):
 @pytest.mark.parametrize("job", [
     '{"p":2,"A":[2],"C":[1],"fgl":"honda","n":2}',
     '{"p":3,"A":[1,1],"C":[1,0],"fgl":"multiplicative"}',
+    # rank 256, chain length 2
+    '{"p":2,"A":[2,2],"C":[1,1],"fgl":"honda","n":2}',
 ])
 def test_tate_explain_prints_the_full_saturation_chain(capsys, job):
-    # a ZERO chain ends in the whole module, kept as a marker; --explain
-    # prints the same bytes as the identity rows saturation_ideal builds
+    # a local tower's chain holds the powers s^(2^i) and ends in the whole
+    # module, kept as a marker; --explain prints the same bytes as the
+    # kernel rows and identity rows saturation_ideal builds
     assert main(["tate", job, "--explain"]) == EXIT_OK
     explained = capsys.readouterr().out
     assert main(["tate", job]) == EXIT_OK
@@ -249,6 +252,73 @@ def test_computation_error_carries_module_name():
     assert code == EXIT_COMPUTE
     assert report["error"]["name"] == "CapTooSmall"
     assert report["error"]["module"] == "fgl"
+
+
+@pytest.mark.parametrize("exc", [
+    ValueError("bad pivot"), KeyError("missing"), ZeroDivisionError("1 / 0"),
+    TypeError("not iterable"),
+])
+def test_internal_errors_are_computation_errors(monkeypatch, exc):
+    # an exception that no input check raised is a fault of the program:
+    # exit 3 naming its type and module, never a validation error
+    def runner(params):
+        raise exc
+
+    monkeypatch.setitem(tateshift.cli.RUNNERS, "blueshift", runner)
+    code, report = run_job("blueshift", {"p": 2, "A": [1], "C": [1]})
+    assert code == EXIT_COMPUTE
+    assert report == {"error": {"code": "computation", "module": "cli",
+                                "name": type(exc).__name__, "message": str(exc)}}
+    # a ValidationError a runner raises is still the job's fault
+    def checking_runner(params):
+        raise tateshift.cli.ValidationError("bad input")
+
+    monkeypatch.setitem(tateshift.cli.RUNNERS, "blueshift", checking_runner)
+    assert run_job("blueshift", {"p": 2, "A": [1], "C": [1]}) == (
+        EXIT_VALIDATION, {"error": {"code": "validation", "message": "bad input"}})
+
+
+def test_deep_internal_error_names_the_raising_module(monkeypatch):
+    def broken(alg):
+        raise ZeroDivisionError("broken tower test")
+
+    monkeypatch.setattr(tateshift.ring_core.FiniteAlgebra, "local_tower_prime", broken)
+    code, report = run_job("tate", {"p": 2, "A": [1], "C": [1]})
+    assert code == EXIT_COMPUTE
+    assert report == {"error": {"code": "computation", "module": "ring_core",
+                                "name": "ZeroDivisionError",
+                                "message": "broken tower test"}}
+
+
+MALFORMED_JOBS = [
+    ("roots", {"modulus": 1, "f": [1, 1], "tuple": [1]},
+     "field 'modulus' must be int >= 2"),
+    ("roots", {"modulus": 5, "f": ["a", 1], "tuple": [1]},
+     "invalid literal for int() with base 10: 'a'"),
+    ("roots", {"modulus": 5, "f": [1, 1], "tuple": [[1, 2]]},
+     "coordinate length != rank"),
+    ("roots", {"modulus": 5, "f": [1, 1], "tuple": [None]},
+     "'NoneType' object is not iterable"),
+    ("roots", {"ring": {"base": "4"}, "f": [1, 1], "tuple": [1]}, "'vars'"),
+    ("roots", {"ring": {"base": "4", "vars": ["x"], "relations": [["0", "2"]]},
+               "f": [1, 1], "tuple": [1]}, "relations must be monic of degree >= 1"),
+    ("vanish-cert", {"ring": {"base": "4", "vars": ["x"], "relations": [["0", "0", "1"]]},
+                     "gens": [["1"]], "max_len": 3}, "coordinate length != rank"),
+    ("vanish-cert", {"ring": {"base": "4", "vars": ["x"], "relations": [["0", "0", "1"]]},
+                     "gens": [["2", "0"]], "max_len": 0}, "field 'max_len' must be int >= 1"),
+    ("vanish-cert", {"ring": {"type": "exact"}, "gens": [["2"]], "max_len": 3}, "'vars'"),
+    ("vanish-cert", {"ring": {"type": "exact", "vars": ["x"], "relations": [["1", "0"]]},
+                     "gens": [["2"]], "max_len": 3}, "relations must be monic of degree >= 1"),
+]
+
+
+def test_malformed_rings_and_elements_are_validation_errors():
+    code, report = run_batch(
+        [json.dumps({"command": c, "params": p}) for c, p, _ in MALFORMED_JOBS])
+    assert code == EXIT_VALIDATION
+    assert [(job["exit_code"], job["report"]["error"]["message"])
+            for job in report["jobs"]] \
+        == [(EXIT_VALIDATION, message) for _, _, message in MALFORMED_JOBS]
 
 
 def test_byte_stable_output(capsys):

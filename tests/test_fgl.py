@@ -22,7 +22,7 @@ from tateshift.fgl import (
     weierstrass_divide,
     weierstrass_prepare,
 )
-from tateshift.series import TruncatedSeries, ZModDomain, substitute
+from tateshift.series import TruncatedSeries, ZModDomain, inverse, substitute
 
 
 def uni(dom, cap, terms):
@@ -333,6 +333,37 @@ def test_weierstrass_unit_times_poly_reassembles():
                                 {(i,): c for i, c in enumerate(fac.poly)})
         assert fac.unit * gpoly == alpha
         assert dom.is_unit(fac.unit.constant_term())
+
+
+@pytest.mark.parametrize("kind, p, n_or_K, j", [
+    ("honda", 2, 1, 1), ("honda", 2, 1, 3), ("honda", 2, 2, 1), ("honda", 2, 2, 2),
+    ("honda", 3, 1, 2), ("honda", 3, 2, 1), ("multiplicative", 2, 1, 2),
+    ("multiplicative", 2, 2, 2), ("multiplicative", 2, 3, 2),
+    ("multiplicative", 3, 2, 1), ("multiplicative", 3, 3, 2),
+])
+def test_weierstrass_unit_is_taken_when_read(kind, p, n_or_K, j):
+    # .poly needs no unit; the eager preparation, x^d = r + alpha*q with
+    # g = x^d - r and unit q^-1, gives the same poly, and the unit it
+    # inverts on first read reassembles alpha.  These [p^j]-series are
+    # polynomials (unit 1), so each also runs times a unit series u.
+    height = n_or_K if kind == "honda" else 1
+    cap = p ** (height * j) + p
+    law = (build_honda(p, n_or_K, cap) if kind == "honda"
+           else build_multiplicative(p, n_or_K, cap))
+    dom = law.domain
+    u = uni(dom, cap, {(0,): 1, (1,): 1, (3,): p - 1})
+    for alpha in (law.pj_series(j), u * law.pj_series(j)):
+        fac = weierstrass_prepare(alpha)
+        d = fac.degree
+        r, q = weierstrass_divide(uni(dom, alpha.cap, {(d,): 1}), alpha)
+        eager = [dom.neg(c) for c in r.univariate_coeffs()[:d]] + [1]
+        assert fac.poly == eager
+        assert fac._unit is None  # reading .poly inverted nothing
+        gpoly = uni(dom, alpha.cap, {(i,): c for i, c in enumerate(fac.poly)})
+        assert fac.unit == inverse(q)
+        assert fac.unit * gpoly == alpha
+        assert fac.unit is fac.unit  # inverted once
+    assert fac.unit != uni(dom, cap, {(0,): 1})
 
 
 def test_weierstrass_poly_is_xd_mod_maximal_ideal():

@@ -1,8 +1,11 @@
-"""Product-power saturation against the colon-ideal iteration it replaced.
+"""Product-power saturation against the colon-ideal iteration it replaced,
+and localization by squaring on local towers against the Howell chain.
 
 The colon iteration I_{t+1} = sum_i (I_t : s_i), run to a fixed point, is
 kept here only as the reference: it computes the same saturation ideal by an
-independent route.
+independent route.  ``saturation_ideal`` builds the Howell rows of every
+step on every ring and is the reference for ``localize_by_saturation``,
+which builds none on a local tower.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,8 @@ from tateshift.ring_core import (
     FiniteAlgebra,
     NonFreeQuotient,
     ZERO_RING,
+    annihilator,
+    identity_rows,
     localize_by_saturation,
     saturation_ideal,
 )
@@ -79,6 +84,12 @@ def is_zero_ring(alg, gens):
         return False
 
 
+def rows_on_demand(alg, chain):
+    """The rows --explain prints for a localization chain."""
+    return [identity_rows(alg.rank) if step is None
+            else [list(e.coords) for e in annihilator(step)] for step in chain]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(towers_with_generators())
 def test_power_kernel_matches_colon_iteration(case):
@@ -113,6 +124,12 @@ def test_chain_replays(case):
     assert (rows == full) == is_zero_ring(alg, gens)
     # an empty chain means s is a non-zero-divisor
     assert (not chain) == (not zmod.right_kernel(alg.mul_matrix(s), alg.base.n))
+    # localization keeps the chain's powers; their annihilators are its steps
+    try:
+        powers = localize_by_saturation(alg, gens)[2]
+    except NonFreeQuotient:
+        return
+    assert rows_on_demand(alg, powers) == chain
 
 
 def test_nilpotent_chain_ends_in_full_module():
@@ -126,3 +143,40 @@ def test_nilpotent_chain_ends_in_full_module():
     ]
     assert rows == chain[-1]
     assert localize_by_saturation(alg, [alg.gen(0)])[0] == ZERO_RING
+
+
+@st.composite
+def local_towers(draw):
+    """A local tower over Z/p^K, p drawn first, and 1-3 elements."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = p ** draw(st.integers(1, 3 if p == 2 else 2))
+    degrees = draw(st.sampled_from([[2], [3], [4], [2, 2], [2, 3]]))
+    relations = [
+        [p * draw(st.integers(0, n // p - 1)) for _ in range(d)] + [1]
+        for d in degrees
+    ]
+    alg = FiniteAlgebra.from_presentation(
+        BaseModulus(n), [f"x{k + 1}" for k in range(len(degrees))], relations
+    )
+    assert alg.local_tower_prime() == p
+    # units and nilpotents both common: constant coordinates 1, n-1 or in (p)
+    coord = st.sampled_from([0, 0, 1, p, n - 1])
+    gens = draw(st.lists(
+        st.lists(coord, min_size=alg.rank, max_size=alg.rank).map(alg.from_coords),
+        min_size=1, max_size=3,
+    ))
+    return alg, gens
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(local_towers())
+def test_local_tower_squaring_matches_the_howell_chain(case):
+    alg, gens = case
+    rows, steps = saturation_ideal(alg, gens)
+    quotient, proj, chain = localize_by_saturation(alg, gens)
+    assert len(chain) == len(steps)
+    assert (quotient == ZERO_RING) == (rows == identity_rows(alg.rank))
+    if quotient != ZERO_RING:  # a local ring: s is a unit, nothing is saturated
+        assert quotient is alg and chain == [] and rows == []
+        assert proj == identity_rows(alg.rank)
+    assert rows_on_demand(alg, chain) == steps

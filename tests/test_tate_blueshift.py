@@ -518,10 +518,21 @@ SMALL_GROUPS = [
 ]
 
 
+# Strata (p, whether C must be non-cyclic), drawn before the group: 15 of
+# the 18 groups are 2-groups and the one non-cyclic C at p = 3 is C = A =
+# (Z/3)^2, so a draw of the group alone almost never reaches p = 3.
+SUBGROUP_STRATA = [(p, noncyclic) for p in (2, 3) for noncyclic in (False, True)]
+
+
 @st.composite
 def subgroups(draw):
-    p, A = draw(st.sampled_from(SMALL_GROUPS))
-    return p, A, tuple(draw(st.integers(0, i)) for i in A)
+    p, noncyclic = draw(st.sampled_from(SUBGROUP_STRATA))
+    A = draw(st.sampled_from(
+        [A for q, A in SMALL_GROUPS if q == p and (len(A) > 1 or not noncyclic)]))
+    C = st.tuples(*(st.integers(0, i) for i in A))
+    if noncyclic:
+        C = C.filter(lambda C: sum(j > 0 for j in C) > 1)
+    return p, A, draw(C)
 
 
 @st.composite
