@@ -1,10 +1,12 @@
 """Command-line front end: JSON jobs in, JSON reports out.
 
-Exit codes: 0 success, 2 validation error, 3 computation error.  Output is
-deterministic (sorted keys, decimal-string coefficients, fixed basis order).
-Batch mode runs newline-delimited JSON jobs independently and exits with the
-maximum of the individual codes.  TATESHIFT_CAP overrides the default series
-truncation degree.
+Each command takes its parameters as inline JSON or ``--input FILE``, plus
+one flag per scalar or int-list field of its schema in ``SCHEMAS``; a flag
+overrides the JSON field.  Exit codes: 0 success, 2 validation error, 3
+computation error.  Output is deterministic (sorted keys, decimal-string
+coefficients, fixed basis order).  Batch mode runs newline-delimited JSON
+jobs independently and exits with the maximum of the individual codes.
+TATESHIFT_CAP overrides the default series truncation degree.
 """
 
 from __future__ import annotations
@@ -60,26 +62,40 @@ def _cap(params: dict):
 
 
 # -- parameter schemas ------------------------------------------------------------
+#
+# A type is (name, check, flag): check validates the JSON value, and flag holds
+# the argparse keywords of the field's command-line flag, or None for a field
+# that only JSON can give.
 
-_INT = ("int", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_PRIME = ("prime", lambda v: _INT[1](v) and zmod.is_prime(v))
-_POSITIVE = ("int >= 1", lambda v: _INT[1](v) and v >= 1)
-_NATURAL = ("int >= 0", lambda v: _INT[1](v) and v >= 0)
-_MODULUS = ("int >= 2", lambda v: _INT[1](v) and v >= 2)
-_BOOL = ("bool", lambda v: isinstance(v, bool))
-_STR = ("str", lambda v: isinstance(v, str))
+
+def _csv_ints(raw: str):
+    try:
+        return [int(x) for x in raw.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"expected comma separated integers: {raw!r}") from exc
+
+
+_INT = ("int", lambda v: isinstance(v, int) and not isinstance(v, bool),
+        {"type": int})
+_PRIME = ("prime", lambda v: _INT[1](v) and zmod.is_prime(v), _INT[2])
+_POSITIVE = ("int >= 1", lambda v: _INT[1](v) and v >= 1, _INT[2])
+_NATURAL = ("int >= 0", lambda v: _INT[1](v) and v >= 0, _INT[2])
+_MODULUS = ("int >= 2", lambda v: _INT[1](v) and v >= 2, _INT[2])
+_BOOL = ("bool", lambda v: isinstance(v, bool), {"action": "store_true"})
+_LAW = ("multiplicative or honda", lambda v: v in ("multiplicative", "honda"), {})
 _INTS = ("list of ints", lambda v: isinstance(v, list)
-         and all(isinstance(x, int) and not isinstance(x, bool) for x in v))
+         and all(isinstance(x, int) and not isinstance(x, bool) for x in v),
+         {"type": _csv_ints, "metavar": "K,K,..."})
 _EXPONENTS = ("nonempty list of ints >= 1",
-              lambda v: _INTS[1](v) and v and all(x >= 1 for x in v))
+              lambda v: _INTS[1](v) and v and all(x >= 1 for x in v), _INTS[2])
 _SUB_EXPONENTS = ("list of ints >= 0",
-                  lambda v: _INTS[1](v) and all(x >= 0 for x in v))
-_LIST = ("list", lambda v: isinstance(v, list))
-_DICT = ("object", lambda v: isinstance(v, dict))
+                  lambda v: _INTS[1](v) and all(x >= 0 for x in v), _INTS[2])
+_LIST = ("list", lambda v: isinstance(v, list), None)
+_DICT = ("object", lambda v: isinstance(v, dict), None)
 
 SCHEMAS = {
     "fgl": {
-        "kind": (_STR, True),
+        "kind": (_LAW, True),
         "p": (_PRIME, True),
         "n": (_POSITIVE, False),
         "modulus_power": (_POSITIVE, False),
@@ -90,7 +106,7 @@ SCHEMAS = {
     "bgroup": {
         "p": (_PRIME, True),
         "exponents": (_EXPONENTS, True),
-        "fgl": (_STR, True),
+        "fgl": (_LAW, True),
         "n": (_POSITIVE, False),
         "modulus_power": (_POSITIVE, False),
         "cap": (_INT, False),
@@ -99,7 +115,7 @@ SCHEMAS = {
     "roots": {
         "modulus": (_MODULUS, False),
         "ring": (_DICT, False),
-        "f": (_LIST, True),
+        "f": (("nonempty list", lambda v: _LIST[1](v) and v, None), True),
         "tuple": (_LIST, True),
         "explain": (_BOOL, False),
     },
@@ -107,11 +123,11 @@ SCHEMAS = {
         "p": (_PRIME, True),
         "A": (_EXPONENTS, True),
         "C": (_SUB_EXPONENTS, True),
-        "fgl": (_STR, False),
+        "fgl": (_LAW, False),
         "n": (_POSITIVE, False),
         "modulus_power": (_POSITIVE, False),
         "cap": (_INT, False),
-        "max_cert_len": (_INT, False),
+        "max_cert_len": (_POSITIVE, False),
         "exact": (_BOOL, False),
         "explain": (_BOOL, False),
     },
@@ -133,11 +149,13 @@ SCHEMAS = {
 def validate_params(command: str, params: dict) -> dict:
     if command not in SCHEMAS:
         raise ValidationError(f"unknown command {command!r}")
+    if not isinstance(params, dict):
+        raise ValidationError("params must be a JSON object")
     schema = SCHEMAS[command]
     unknown = sorted(set(params) - set(schema))
     if unknown:
         raise ValidationError(f"unknown fields for {command}: {unknown}")
-    for field, ((type_name, check), required) in schema.items():
+    for field, ((type_name, check, _), required) in schema.items():
         if field not in params:
             if required:
                 raise ValidationError(f"{command} requires field {field!r}")
@@ -171,9 +189,8 @@ def _check_cap(cap: int, p: int, height: int, top: int = 1):
 
 
 def run_fgl(params: dict) -> dict:
+    """build a law; emit series and Weierstrass data"""
     kind = params["kind"]
-    if kind not in ("multiplicative", "honda"):
-        raise ValidationError("kind must be multiplicative or honda")
     p = params["p"]
     n = params.get("n", 1)
     K = params.get("modulus_power", 1)
@@ -212,8 +229,6 @@ def run_fgl(params: dict) -> dict:
 
 def _law_for_group(params: dict, exponents):
     kind = params.get("fgl", "honda")
-    if kind not in ("multiplicative", "honda"):
-        raise ValidationError("fgl must be multiplicative or honda")
     p = params["p"]
     n = params.get("n", 1)
     K = params.get("modulus_power", 1)
@@ -225,6 +240,7 @@ def _law_for_group(params: dict, exponents):
 
 
 def run_bgroup(params: dict) -> dict:
+    """classifying ring of an abelian p-group"""
     group = AbelianPGroup(params["p"], params["exponents"])
     law = _law_for_group(params, params["exponents"])
     cr = build_classifying_ring(law, group)
@@ -245,10 +261,9 @@ def run_bgroup(params: dict) -> dict:
 
 
 def run_roots(params: dict) -> dict:
+    """root-coefficient relations for a tuple"""
     if ("modulus" in params) == ("ring" in params):
         raise ValidationError("roots needs exactly one of 'modulus' or 'ring'")
-    if not params["f"]:
-        raise ValidationError("roots needs a nonempty coefficient list 'f'")
     if "modulus" in params:
         alg = ring_core.FiniteAlgebra.scalar_ring(
             ring_core.BaseModulus(params["modulus"])
@@ -304,12 +319,11 @@ def run_roots(params: dict) -> dict:
 
 
 def run_tate(params: dict) -> dict:
+    """generalized Tate ring computation"""
     p = params["p"]
     group = AbelianPGroup(p, params["A"])
     sub = SubgroupSpec(params["C"])
     sub.validate_in(group)
-    if params.get("max_cert_len", 1) < 1:
-        raise ValidationError("max_cert_len must be >= 1")
     if params.get("exact"):
         if params.get("fgl", "multiplicative") != "multiplicative":
             raise ValidationError("exact mode supports the multiplicative law")
@@ -338,6 +352,7 @@ def run_tate(params: dict) -> dict:
 
 
 def run_blueshift(params: dict) -> dict:
+    """blue-shift number bounds"""
     if params.get("nonabelian"):
         return nonabelian_lower_bound(params["p"], params["A"], params["C"])
     report = blueshift_bounds(params["p"], params["A"], params["C"])
@@ -345,6 +360,7 @@ def run_blueshift(params: dict) -> dict:
 
 
 def run_vanish_cert(params: dict) -> dict:
+    """zero-product certificate search"""
     ring_data = params["ring"]
     if ring_data.get("type") == "exact":
         ring = _decode(ring_core.exact_ring_from_json, ring_data)
@@ -394,13 +410,10 @@ def run_job(command: str, params: dict):
     exit 3 (computation), named by its type and the module that raised it.
     """
     try:
-        params = validate_params(command, dict(params))
-    except ValidationError as exc:
-        return EXIT_VALIDATION, {"error": {"code": "validation", "message": str(exc)}}
-    try:
+        params = validate_params(command, params)
         report = RUNNERS[command](params)
     except ValidationError as exc:
-        return EXIT_VALIDATION, {"error": {"code": "validation", "message": str(exc)}}
+        return EXIT_VALIDATION, _invalid(exc)
     except _DOMAIN_ERRORS as exc:
         return EXIT_COMPUTE, {
             "error": {
@@ -420,6 +433,10 @@ def run_job(command: str, params: dict):
             }
         }
     return EXIT_OK, report
+
+
+def _invalid(exc: ValidationError) -> dict:
+    return {"error": {"code": "validation", "message": str(exc)}}
 
 
 def _raising_module(exc: BaseException) -> str:
@@ -453,19 +470,21 @@ def run_batch(lines) -> tuple[int, dict]:
             command = spec.get("command")
             if command not in COMMANDS:
                 raise ValidationError(f"unknown command {command!r}")
+            out_path = spec.get("out")
+            if out_path and not isinstance(out_path, str):
+                raise ValidationError("job field 'out' must be a path")
             code, report = run_job(command, spec.get("params", {}))
             entry.update({"command": command, "exit_code": code, "report": report})
-            out_path = spec.get("out")
             if out_path and code == EXIT_OK:
-                with open(out_path, "w") as fh:
-                    fh.write(dumps(report))
-                    fh.write("\n")
+                try:
+                    with open(out_path, "w") as fh:
+                        fh.write(dumps(report))
+                        fh.write("\n")
+                except OSError as exc:
+                    raise ValidationError(f"cannot write 'out': {exc}") from exc
         except (json.JSONDecodeError, ValidationError) as exc:
             code = EXIT_VALIDATION
-            entry.update({
-                "exit_code": code,
-                "report": {"error": {"code": "validation", "message": str(exc)}},
-            })
+            entry.update({"exit_code": code, "report": _invalid(exc)})
         worst = max(worst, code)
         jobs.append(entry)
     return worst, {"jobs": jobs}
@@ -478,170 +497,71 @@ def dumps(report: dict) -> str:
 # -- argument parsing ------------------------------------------------------------------
 
 
-def _add_json_source(sub):
-    sub.add_argument("job", nargs="?", help="inline JSON parameters")
-    sub.add_argument("--input", help="file with JSON parameters")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per schema: a job as inline JSON or --input, and the
+    flag --<field> (underscores as dashes) for each field whose type has one."""
     parser = argparse.ArgumentParser(
         prog="tateshift",
         description="exact formal-group-law arithmetic, Tate vanishing "
                     "certificates and blue-shift bounds",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_fgl = subs.add_parser("fgl", help="build a law; emit series and Weierstrass data")
-    p_fgl.add_argument("--kind", required=True)
-    p_fgl.add_argument("--p", type=int, required=True)
-    p_fgl.add_argument("--n", type=int)
-    p_fgl.add_argument("--modulus-power", type=int, dest="modulus_power")
-    p_fgl.add_argument("--cap", type=int)
-    p_fgl.add_argument("--m", type=int)
-    p_fgl.add_argument("--j", type=int)
-
-    p_bg = subs.add_parser("bgroup", help="classifying ring of an abelian p-group")
-    p_bg.add_argument("--p", type=int, required=True)
-    p_bg.add_argument("--exponents", required=True,
-                      help="comma separated, e.g. 2,1")
-    p_bg.add_argument("--fgl", required=True)
-    p_bg.add_argument("--n", type=int)
-    p_bg.add_argument("--modulus-power", type=int, dest="modulus_power")
-    p_bg.add_argument("--cap", type=int)
-    p_bg.add_argument("--euler-classes", action="store_true",
-                      dest="euler_classes")
-
-    p_roots = subs.add_parser("roots", help="root-coefficient relations for a tuple")
-    _add_json_source(p_roots)
-    p_roots.add_argument("--explain", action="store_true")
-
-    p_tate = subs.add_parser("tate", help="generalized Tate ring computation")
-    _add_json_source(p_tate)
-    p_tate.add_argument("--fgl")
-    p_tate.add_argument("--n", type=int)
-    p_tate.add_argument("--modulus-power", type=int, dest="modulus_power")
-    p_tate.add_argument("--cap", type=int)
-    p_tate.add_argument("--max-cert-len", type=int, dest="max_cert_len")
-    p_tate.add_argument("--exact", action="store_true")
-    p_tate.add_argument("--explain", action="store_true")
-
-    p_blue = subs.add_parser("blueshift", help="blue-shift number bounds")
-    _add_json_source(p_blue)
-    p_blue.add_argument("--p", type=int)
-    p_blue.add_argument("--A", dest="A", help="comma separated exponents")
-    p_blue.add_argument("--C", dest="C", help="comma separated exponents")
-    p_blue.add_argument("--nonabelian", action="store_true")
-    p_blue.add_argument("--explain", action="store_true")
-
-    p_cert = subs.add_parser("vanish-cert", help="zero-product certificate search")
-    _add_json_source(p_cert)
-
+    for command, schema in SCHEMAS.items():
+        # a flag left out is no attribute, so it never overrides the JSON
+        sub = subs.add_parser(command, help=RUNNERS[command].__doc__,
+                              argument_default=argparse.SUPPRESS)
+        sub.add_argument("job", nargs="?", default=None,
+                         help="inline JSON parameters")
+        sub.add_argument("--input", default=None, help="file with JSON parameters")
+        for field, ((type_name, _, flag), _) in schema.items():
+            if flag is not None:
+                sub.add_argument("--" + field.replace("_", "-"), dest=field,
+                                 help=type_name, **flag)
     p_batch = subs.add_parser("batch", help="run newline-delimited JSON jobs")
     p_batch.add_argument("file")
-
     return parser
 
 
-def _json_params(args) -> dict:
-    if args.job and args.input:
-        raise ValidationError("give inline JSON or --input, not both")
-    raw = None
-    if args.job:
-        raw = args.job
-    elif args.input:
-        with open(args.input) as fh:
-            raw = fh.read()
-    if raw is None:
-        return {}
+def _read(path: str) -> str:
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON parameters: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError("JSON parameters must be an object")
-    return data
-
-
-def _csv_ints(raw: str):
-    try:
-        return [int(x) for x in raw.split(",") if x != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma separated integers: {raw!r}") from exc
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def params_from_args(args) -> dict:
-    command = args.command
-    if command == "fgl":
-        params = {"kind": args.kind, "p": args.p}
-        for field in ("n", "modulus_power", "cap", "m", "j"):
-            value = getattr(args, field)
-            if value is not None:
-                params[field] = value
-        return params
-    if command == "bgroup":
-        params = {
-            "p": args.p,
-            "exponents": _csv_ints(args.exponents),
-            "fgl": args.fgl,
-        }
-        for field in ("n", "modulus_power", "cap"):
-            value = getattr(args, field)
-            if value is not None:
-                params[field] = value
-        if args.euler_classes:
-            params["euler_classes"] = True
-        return params
-    if command in ("roots", "vanish-cert"):
-        params = _json_params(args)
-        if command == "roots" and getattr(args, "explain", False):
-            params["explain"] = True
-        return params
-    if command == "tate":
-        params = _json_params(args)
-        for field in ("fgl", "n", "modulus_power", "cap", "max_cert_len"):
-            value = getattr(args, field)
-            if value is not None:
-                params[field] = value
-        if args.exact:
-            params["exact"] = True
-        if args.explain:
-            params["explain"] = True
-        return params
-    if command == "blueshift":
-        params = _json_params(args)
-        if args.p is not None:
-            params["p"] = args.p
-        if args.A is not None:
-            params["A"] = _csv_ints(args.A)
-        if args.C is not None:
-            params["C"] = _csv_ints(args.C)
-        if args.nonabelian:
-            params["nonabelian"] = True
-        if args.explain:
-            params["explain"] = True
-        return params
-    raise ValidationError(f"unknown command {command!r}")
+    """The job's JSON parameters, with each flag given on top."""
+    flags = vars(args).copy()
+    job, path = flags.pop("job"), flags.pop("input")
+    del flags["command"]
+    if job and path:
+        raise ValidationError("give inline JSON or --input, not both")
+    if path:
+        raw = _read(path)
+    elif job:
+        raw = job
+    else:
+        return flags
+    try:
+        params = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"invalid JSON parameters: {exc}") from exc
+    if not isinstance(params, dict):
+        raise ValidationError("JSON parameters must be an object")
+    return {**params, **flags}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "batch":
-        try:
-            with open(args.file) as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            print(dumps({"error": {"code": "validation", "message": str(exc)}}))
-            return EXIT_VALIDATION
-        code, report = run_batch(lines)
-        print(dumps(report))
-        return code
     try:
-        params = params_from_args(args)
+        # a comma separated flag that does not parse raises here
+        args = build_parser().parse_args(argv)
+        if args.command == "batch":
+            code, report = run_batch(_read(args.file).split("\n"))
+        else:
+            code, report = run_job(args.command, params_from_args(args))
     except ValidationError as exc:
-        print(dumps({"error": {"code": "validation", "message": str(exc)}}))
-        return EXIT_VALIDATION
-    code, report = run_job(args.command, params)
+        code, report = EXIT_VALIDATION, _invalid(exc)
     print(dumps(report))
     return code
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,11 @@ from tateshift.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
     EXIT_VALIDATION,
+    SCHEMAS,
+    build_parser,
     dumps,
     main,
+    params_from_args,
     run_batch,
     run_job,
 )
@@ -586,3 +591,125 @@ for build, args in ((build_honda, (2, 0, 8)), (build_honda, (3, -1, 8)),
 """])
     assert proc.stdout.splitlines() == ["height n must be >= 1"] * 2 \
         + ["modulus power K must be >= 1"] * 2, proc.stderr
+
+
+# A valid value of each schema type that has a flag.
+FLAG_SAMPLES = {
+    "int": 7, "prime": 3, "int >= 1": 2, "int >= 0": 0, "int >= 2": 4,
+    "bool": True, "multiplicative or honda": "honda",
+    "nonempty list of ints >= 1": [2, 1], "list of ints >= 0": [1, 0],
+}
+JSON_ONLY = {"list", "nonempty list", "object"}
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_every_scalar_and_int_list_field_has_a_flag(command):
+    parser = build_parser()
+    for field, ((type_name, check, _), _) in SCHEMAS[command].items():
+        flag = "--" + field.replace("_", "-")
+        if type_name in JSON_ONLY:
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, flag, "[]"])
+            continue
+        value = FLAG_SAMPLES[type_name]
+        assert check(value)
+        argv = [flag] if value is True else [
+            flag, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+        assert params_from_args(parser.parse_args([command, *argv])) == {field: value}
+        # the flag overrides the JSON field and keeps the others
+        job = json.dumps({field: None, "other": 1})
+        assert params_from_args(parser.parse_args([command, job, *argv])) \
+            == {field: value, "other": 1}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_exit_zero(capsys, tmp_path):
+    block = README.read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(cmd, comments=True)
+                for cmd in re.split(r"^tateshift ", block, flags=re.M) if cmd.strip()]
+    assert sorted({argv[0] for argv in commands}) == sorted([*SCHEMAS, "batch"])
+    jobs = tmp_path / "jobs.ndjson"
+    jobs.write_text(
+        json.dumps({"command": "blueshift", "params": {"p": 2, "A": [2], "C": [1]}})
+        + "\n" + json.dumps({"command": "fgl", "params": {"kind": "honda", "p": 2}})
+        + "\n")
+    for argv in commands:
+        if argv[0] == "batch":
+            argv = ["batch", str(jobs)]
+        assert main(argv) == EXIT_OK, argv
+        assert "error" not in json.loads(capsys.readouterr().out)
+
+
+def test_missing_required_flag_is_a_json_validation_error(capsys):
+    code, report = run_cli(capsys, ["fgl", "--p", "2"])
+    assert (code, report) == (EXIT_VALIDATION, {"error": {
+        "code": "validation", "message": "fgl requires field 'kind'"}})
+    # fgl and bgroup take their parameters as JSON too
+    assert main(["fgl", "--kind", "honda", "--p", "2", "--j", "1"]) == EXIT_OK
+    flags = capsys.readouterr().out
+    assert main(["fgl", '{"kind": "honda", "p": 2}', "--j", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == flags
+
+
+@pytest.mark.parametrize("command, params, message", [
+    ("fgl", {"kind": "formal", "p": 2}, "field 'kind' must be multiplicative or honda"),
+    ("bgroup", {"p": 2, "exponents": [1], "fgl": "additive"},
+     "field 'fgl' must be multiplicative or honda"),
+    ("tate", {"p": 2, "A": [1], "C": [1], "fgl": 1},
+     "field 'fgl' must be multiplicative or honda"),
+    ("tate", {"p": 2, "A": [1], "C": [1], "max_cert_len": -1, "exact": True},
+     "field 'max_cert_len' must be int >= 1"),
+    ("roots", {"ring": {}, "f": [], "tuple": []}, "field 'f' must be nonempty list"),
+])
+def test_single_field_checks_are_schema_checks(command, params, message):
+    assert run_job(command, params) == (
+        EXIT_VALIDATION, {"error": {"code": "validation", "message": message}})
+
+
+def test_unreadable_input_is_a_validation_error(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, report = run_cli(capsys, ["tate", "--input", str(missing)])
+    assert code == EXIT_VALIDATION
+    assert str(missing) in report["error"]["message"]
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    code, report = run_cli(capsys, ["tate", "--input", str(binary)])
+    assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("exponents", ["2,,2", "2,2,", ""])
+def test_empty_comma_separated_entry_is_a_validation_error(capsys, exponents):
+    # "2,,2" once parsed as [2, 2]
+    code, report = run_cli(
+        capsys, ["blueshift", "--p", "2", "--A", exponents, "--C", "1,1"])
+    assert (code, report) == (EXIT_VALIDATION, {"error": {
+        "code": "validation",
+        "message": f"expected comma separated integers: {exponents!r}"}})
+
+
+def test_batch_params_that_are_not_an_object_fail_alone():
+    lines = [json.dumps({"command": "blueshift", "params": params})
+             for params in ([1, 2], "x", None, {"p": 2, "A": [2], "C": [1]})]
+    code, report = run_batch(lines)
+    assert code == EXIT_VALIDATION
+    invalid = {"error": {"code": "validation", "message": "params must be a JSON object"}}
+    assert [job["report"] for job in report["jobs"][:3]] == [invalid] * 3
+    assert [job["exit_code"] for job in report["jobs"]] == [EXIT_VALIDATION] * 3 + [EXIT_OK]
+    assert report["jobs"][3]["report"]["exact"] == 1
+
+
+def test_batch_out_that_cannot_be_written_fails_alone(tmp_path):
+    unwritable = tmp_path / "nonexistent" / "dir" / "x.json"
+    written = tmp_path / "x.json"
+    params = {"p": 2, "A": [2], "C": [1]}
+    lines = [json.dumps({"command": "blueshift", "params": params, "out": out})
+             for out in (str(unwritable), 3, str(written))]
+    code, report = run_batch(lines)
+    assert code == EXIT_VALIDATION
+    jobs = report["jobs"]
+    assert [job["exit_code"] for job in jobs] == [EXIT_VALIDATION] * 2 + [EXIT_OK]
+    assert str(unwritable) in jobs[0]["report"]["error"]["message"]
+    assert jobs[1]["report"]["error"]["message"] == "job field 'out' must be a path"
+    assert json.loads(written.read_text())["exact"] == 1
