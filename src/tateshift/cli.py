@@ -6,14 +6,14 @@ overrides the JSON field.  Exit codes: 0 success, 2 validation error, 3
 computation error.  Output is deterministic (sorted keys, decimal-string
 coefficients, fixed basis order).  Batch mode runs newline-delimited JSON
 jobs independently and exits with the maximum of the individual codes.
-TATESHIFT_CAP overrides the default series truncation degree.
+A law's series truncation degree follows from the job: only ``fgl``, whose
+report prints the series, takes a ``cap``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import ring_core, ring_linalg, tate_blueshift, zmod
@@ -44,21 +44,6 @@ EXIT_COMPUTE = 3
 
 class ValidationError(Exception):
     pass
-
-
-def _env_cap():
-    raw = os.environ.get("TATESHIFT_CAP")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"TATESHIFT_CAP must be an integer: {raw!r}") from exc
-
-
-def _cap(params: dict):
-    """The job's cap, or TATESHIFT_CAP when the job gives none."""
-    return params["cap"] if "cap" in params else _env_cap()
 
 
 # -- parameter schemas ------------------------------------------------------------
@@ -109,7 +94,6 @@ SCHEMAS = {
         "fgl": (_LAW, True),
         "n": (_POSITIVE, False),
         "modulus_power": (_POSITIVE, False),
-        "cap": (_INT, False),
         "euler_classes": (_BOOL, False),
     },
     "roots": {
@@ -126,7 +110,6 @@ SCHEMAS = {
         "fgl": (_LAW, False),
         "n": (_POSITIVE, False),
         "modulus_power": (_POSITIVE, False),
-        "cap": (_INT, False),
         "max_cert_len": (_POSITIVE, False),
         "exact": (_BOOL, False),
         "explain": (_BOOL, False),
@@ -178,13 +161,6 @@ def _decode(decode, *args):
         raise ValidationError(str(exc)) from exc
 
 
-def _check_cap(cap: int, p: int, height: int, top: int = 1):
-    """A user-given cap must reach p^(height * top): p^height for the law,
-    p^(height * max i_k) for the classifying ring of A."""
-    if cap < p ** (height * top):
-        raise ValidationError(f"cap must be >= {p ** (height * top)}")
-
-
 # -- command runners -----------------------------------------------------------------
 
 
@@ -195,10 +171,14 @@ def run_fgl(params: dict) -> dict:
     n = params.get("n", 1)
     K = params.get("modulus_power", 1)
     height = n if kind == "honda" else 1
-    cap = _cap(params)
+    cap = params.get("cap")
     j = params.get("j")
     if cap is not None:
-        _check_cap(cap, p, height)
+        # the series must reach degree p^(height * j), the Weierstrass
+        # degree of [p^j]; j = 0 still prints [p] of degree p^height
+        least = p ** (height * max(j or 0, 1))
+        if cap < least:
+            raise ValidationError(f"cap must be >= {least}")
     elif j:
         cap = p ** (height * j) + p
     law = build_law(kind, p, n=n, modulus_power=K, cap=cap)
@@ -228,15 +208,11 @@ def run_fgl(params: dict) -> dict:
 
 
 def _law_for_group(params: dict, exponents):
-    kind = params.get("fgl", "honda")
-    p = params["p"]
-    n = params.get("n", 1)
-    K = params.get("modulus_power", 1)
-    cap = _cap(params)
-    if cap is not None:
-        _check_cap(cap, p, n if kind == "honda" else 1, max(exponents))
-        return build_law(kind, p, n=n, modulus_power=K, cap=cap)
-    return build_law(kind, p, n=n, modulus_power=K, exponents=exponents)
+    """The job's law, truncated where the classifying ring of A needs it."""
+    return build_law(params.get("fgl", "honda"), params["p"],
+                     n=params.get("n", 1),
+                     modulus_power=params.get("modulus_power", 1),
+                     exponents=exponents)
 
 
 def run_bgroup(params: dict) -> dict:
@@ -482,7 +458,7 @@ def run_batch(lines) -> tuple[int, dict]:
                         fh.write("\n")
                 except OSError as exc:
                     raise ValidationError(f"cannot write 'out': {exc}") from exc
-        except (json.JSONDecodeError, ValidationError) as exc:
+        except (json.JSONDecodeError, RecursionError, ValidationError) as exc:
             code = EXIT_VALIDATION
             entry.update({"exit_code": code, "report": _invalid(exc)})
         worst = max(worst, code)
@@ -545,7 +521,7 @@ def params_from_args(args) -> dict:
         return flags
     try:
         params = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON parameters: {exc}") from exc
     if not isinstance(params, dict):
         raise ValidationError("JSON parameters must be an object")

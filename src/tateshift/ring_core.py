@@ -1327,14 +1327,6 @@ def element_from_json(alg: FiniteAlgebra, coords) -> RingElement:
     return RingElement(alg, [int(c) for c in coords])
 
 
-def exact_ring_to_json(ring: ExactPolyRing) -> dict:
-    return {
-        "type": "exact",
-        "vars": list(ring.variables),
-        "relations": [[str(c) for c in rel] for rel in ring.relations],
-    }
-
-
 def exact_ring_from_json(data: dict) -> ExactPolyRing:
     return ExactPolyRing(
         list(data["vars"]), [[int(c) for c in rel] for rel in data["relations"]]

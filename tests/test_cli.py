@@ -25,6 +25,7 @@ from tateshift.cli import (
     run_batch,
     run_job,
 )
+from tateshift.fgl import CapTooSmall
 from tateshift.ring_core import saturation_ideal
 from tateshift.tate_blueshift import build_law, inverted_element_set
 
@@ -248,12 +249,13 @@ def test_schema_rejects_missing_field():
     assert code == EXIT_VALIDATION
 
 
-def test_computation_error_carries_module_name():
-    # cap too small for the requested p^j-series
-    code, report = run_job(
-        "fgl",
-        {"kind": "multiplicative", "p": 2, "modulus_power": 2, "cap": 2, "j": 3},
-    )
+def test_computation_error_carries_module_name(monkeypatch):
+    # a domain error keeps the name and module of the layer that raised it
+    def runner(params):
+        raise CapTooSmall("cap 3 < p^(n*j) = 4")
+
+    monkeypatch.setitem(tateshift.cli.RUNNERS, "fgl", runner)
+    code, report = run_job("fgl", {"kind": "honda", "p": 2})
     assert code == EXIT_COMPUTE
     assert report["error"]["name"] == "CapTooSmall"
     assert report["error"]["module"] == "fgl"
@@ -404,32 +406,40 @@ def test_ring_json_roundtrip_byte_stable():
 
 
 def test_env_var_default_cap(capsys, monkeypatch):
-    monkeypatch.setenv("TATESHIFT_CAP", "9")
-    code, report = run_cli(
-        capsys, ["fgl", "--kind", "multiplicative", "--p", "2",
-                 "--modulus-power", "2"]
-    )
-    assert code == EXIT_OK
-    assert report["F"]["cap"] == 9
-    monkeypatch.setenv("TATESHIFT_CAP", "banana")
-    code, report = run_cli(
-        capsys, ["fgl", "--kind", "multiplicative", "--p", "2"]
-    )
-    assert code == EXIT_VALIDATION
+    # TATESHIFT_CAP no longer sets a default cap: no report changes with it
+    argvs = [["fgl", "--kind", "multiplicative", "--p", "2", "--modulus-power", "2"],
+             ["bgroup", '{"p": 2, "exponents": [1], "fgl": "honda"}'],
+             ["tate", '{"p": 2, "A": [1], "C": [1], "fgl": "honda"}']]
+
+    def reports():
+        codes = [main(argv) for argv in argvs]
+        assert codes == [EXIT_OK] * len(argvs)
+        return capsys.readouterr().out
+
+    monkeypatch.delenv("TATESHIFT_CAP", raising=False)
+    unset = reports()
+    for raw in ("18", "banana"):
+        monkeypatch.setenv("TATESHIFT_CAP", raw)
+        assert reports() == unset
 
 
 def test_env_cap_read_only_without_job_cap(monkeypatch):
+    # only an fgl job sets a cap; the variable neither overrides nor replaces it
     monkeypatch.setenv("TATESHIFT_CAP", "abc")
     code, report = run_job("fgl", {"kind": "honda", "p": 2, "cap": 6})
-    assert code == EXIT_OK
-    assert report["F"]["cap"] == 6
-    code, report = run_job(
-        "bgroup", {"p": 2, "exponents": [1], "fgl": "honda", "cap": 6}
-    )
-    assert code == EXIT_OK
-    code, report = run_job("fgl", {"kind": "honda", "p": 2})
+    assert (code, report["F"]["cap"]) == (EXIT_OK, 6)
+    # a group job's law is truncated where its ring needs it, never by the job
+    parser = build_parser()
+    for command, params in (("bgroup", {"p": 2, "exponents": [1], "fgl": "honda"}),
+                            ("tate", {"p": 2, "A": [1], "C": [1]})):
+        assert run_job(command, {**params, "cap": 6}) == (EXIT_VALIDATION, {"error": {
+            "code": "validation", "message": f"unknown fields for {command}: ['cap']"}})
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, json.dumps(params), "--cap", "6"])
+    # a cap below the 30 that the ring of (Z/4)^2 needs is refused up front
+    code, report = run_job("tate", {"p": 2, "A": [2, 2], "C": [1, 1], "fgl": "honda",
+                                     "n": 2, "cap": 18})
     assert code == EXIT_VALIDATION
-    assert "TATESHIFT_CAP" in report["error"]["message"]
 
 
 def test_fgl_m_series_far_out():
@@ -503,15 +513,16 @@ OUT_OF_RANGE_JOBS = [
     ("blueshift", {"p": 2, "A": [1, 1], "C": [1]}, _C),
     ("fgl", {"kind": "honda", "p": 2, "cap": 1}, "cap must be >= 2"),
     ("fgl", {"kind": "multiplicative", "p": 3, "cap": -1}, "cap must be >= 3"),
+    # the [p^j]-series needs a cap of at least p^(n*j) = 4
+    ("fgl", {"kind": "honda", "p": 2, "cap": 3, "j": 2}, "cap must be >= 4"),
     ("bgroup", {"p": 2, "exponents": [1], "fgl": "honda", "cap": 1},
-     "cap must be >= 2"),
+     "unknown fields for bgroup: ['cap']"),
     ("bgroup", {"p": 2, "exponents": [1], "fgl": "multiplicative", "cap": -1},
-     "cap must be >= 2"),
-    # the law needs p^n = 2, the ring of Z/4 needs p^(n*2) = 4
+     "unknown fields for bgroup: ['cap']"),
     ("bgroup", {"p": 2, "exponents": [2], "fgl": "honda", "cap": 3},
-     "cap must be >= 4"),
+     "unknown fields for bgroup: ['cap']"),
     ("tate", {"p": 2, "A": [1, 2], "C": [1, 1], "fgl": "honda", "n": 2,
-              "cap": 15}, "cap must be >= 16"),
+              "cap": 15}, "unknown fields for tate: ['cap']"),
 ]
 
 
@@ -713,3 +724,25 @@ def test_batch_out_that_cannot_be_written_fails_alone(tmp_path):
     assert str(unwritable) in jobs[0]["report"]["error"]["message"]
     assert jobs[1]["report"]["error"]["message"] == "job field 'out' must be a path"
     assert json.loads(written.read_text())["exact"] == 1
+
+
+def test_deeply_nested_json_is_a_validation_error(capsys, tmp_path):
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for argv in (["tate", deep], ["tate", "--input", str(path)]):
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["code"] == "validation"
+        assert error["message"].startswith("invalid JSON parameters: maximum recursion")
+    # a batch line nested too deep fails alone
+    path.write_text(deep + "\n" + json.dumps(
+        {"command": "blueshift", "params": {"p": 2, "A": [2], "C": [1]}}) + "\n")
+    assert main(["batch", str(path)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    jobs = json.loads(out)["jobs"]
+    assert err == ""
+    assert [job["exit_code"] for job in jobs] == [EXIT_VALIDATION, EXIT_OK]
+    assert jobs[0]["report"]["error"]["code"] == "validation"
