@@ -28,20 +28,19 @@ from .zmod import is_prime
 
 
 class ClassifyingError(Exception):
-    name = "ClassifyingError"
-    module = "classifying"
+    pass
 
 
 class InvalidSubgroup(ClassifyingError):
-    name = "InvalidSubgroup"
+    pass
 
 
 class NotAHomomorphism(ClassifyingError):
-    name = "NotAHomomorphism"
+    pass
 
 
 class RelationNotKilled(ClassifyingError):
-    name = "RelationNotKilled"
+    pass
 
 
 class AbelianPGroup:

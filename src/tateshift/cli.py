@@ -15,17 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import ring_core, ring_linalg, tate_blueshift, zmod
-from .classifying import (
-    AbelianPGroup,
-    ClassifyingError,
-    SubgroupSpec,
-    build_classifying_ring,
-)
-from .fgl import FGLError, weierstrass_prepare
-from .ring_core import RingError
-from .series import SeriesError
+from .classifying import AbelianPGroup, SubgroupSpec, build_classifying_ring
+from .fgl import weierstrass_prepare
 from .tate_blueshift import (
     GRADING_NOTE,
     blueshift_bounds,
@@ -148,7 +142,23 @@ def validate_params(command: str, params: dict) -> dict:
     if "C" in params and (len(params["C"]) != len(params["A"]) or any(
             j > i for j, i in zip(params["C"], params["A"]))):
         raise ValidationError("field 'C' must give one C_k <= A_k for each A_k")
+    # a law parameter that the job's law would ignore is refused, not dropped
+    law = _law_kind(params)
+    if params.get("n", 1) != 1 and law != "honda":
+        raise ValidationError("field 'n' must be 1 unless the law is honda")
+    if params.get("modulus_power", 1) != 1 and params.get("exact"):
+        raise ValidationError("field 'modulus_power' must be 1 in exact mode")
+    if params.get("modulus_power", 1) != 1 and law != "multiplicative":
+        raise ValidationError(
+            "field 'modulus_power' must be 1 unless the law is multiplicative")
     return params
+
+
+def _law_kind(params: dict) -> str:
+    """The law a job builds: its ``kind`` or ``fgl`` field if it has one,
+    else multiplicative in exact mode and honda otherwise."""
+    return params.get("kind") or params.get(
+        "fgl", "multiplicative" if params.get("exact") else "honda")
 
 
 def _decode(decode, *args):
@@ -166,11 +176,8 @@ def _decode(decode, *args):
 
 def run_fgl(params: dict) -> dict:
     """build a law; emit series and Weierstrass data"""
-    kind = params["kind"]
     p = params["p"]
-    n = params.get("n", 1)
-    K = params.get("modulus_power", 1)
-    height = n if kind == "honda" else 1
+    height = params.get("n", 1)  # 1 off the honda law, by validate_params
     cap = params.get("cap")
     j = params.get("j")
     if cap is not None:
@@ -181,7 +188,8 @@ def run_fgl(params: dict) -> dict:
             raise ValidationError(f"cap must be >= {least}")
     elif j:
         cap = p ** (height * j) + p
-    law = build_law(kind, p, n=n, modulus_power=K, cap=cap)
+    law = build_law(params["kind"], p, n=height,
+                    modulus_power=params.get("modulus_power", 1), cap=cap)
     report = {"law": law.describe(), "F": law.F.to_json_dict()}
     prep = weierstrass_prepare(law.p_series())
     report["weierstrass"] = {
@@ -209,7 +217,7 @@ def run_fgl(params: dict) -> dict:
 
 def _law_for_group(params: dict, exponents):
     """The job's law, truncated where the classifying ring of A needs it."""
-    return build_law(params.get("fgl", "honda"), params["p"],
+    return build_law(_law_kind(params), params["p"],
                      n=params.get("n", 1),
                      modulus_power=params.get("modulus_power", 1),
                      exponents=exponents)
@@ -301,7 +309,7 @@ def run_tate(params: dict) -> dict:
     sub = SubgroupSpec(params["C"])
     sub.validate_in(group)
     if params.get("exact"):
-        if params.get("fgl", "multiplicative") != "multiplicative":
+        if _law_kind(params) != "multiplicative":
             raise ValidationError("exact mode supports the multiplicative law")
         result = tate_ring_exact(
             p, params["A"], params["C"],
@@ -374,36 +382,25 @@ RUNNERS = {
     "vanish-cert": run_vanish_cert,
 }
 
-_DOMAIN_ERRORS = (RingError, SeriesError, FGLError, ClassifyingError,
-                  ring_linalg.LinalgError)
-
 
 def run_job(command: str, params: dict):
     """(exit_code, report) with every error mapped to a stable code.
 
     Exit 2 (validation) is reported only for a ``ValidationError``, raised
     by ``validate_params`` or a runner's input check; any other exception is
-    exit 3 (computation), named by its type and the module that raised it.
+    exit 3 (computation), named by its type and by the module that defines
+    it, or for a type from outside tateshift the module that raised it.
     """
     try:
         params = validate_params(command, params)
         report = RUNNERS[command](params)
     except ValidationError as exc:
         return EXIT_VALIDATION, _invalid(exc)
-    except _DOMAIN_ERRORS as exc:
+    except Exception as exc:  # a domain error, or a fault of the program
         return EXIT_COMPUTE, {
             "error": {
                 "code": "computation",
-                "module": exc.module,
-                "name": exc.name,
-                "message": str(exc),
-            }
-        }
-    except Exception as exc:  # a fault of the program, not of the input
-        return EXIT_COMPUTE, {
-            "error": {
-                "code": "computation",
-                "module": _raising_module(exc),
+                "module": _error_module(exc),
                 "name": type(exc).__name__,
                 "message": str(exc),
             }
@@ -415,16 +412,14 @@ def _invalid(exc: ValidationError) -> dict:
     return {"error": {"code": "validation", "message": str(exc)}}
 
 
-def _raising_module(exc: BaseException) -> str:
-    """The innermost tateshift module in exc's traceback, as ``ring_core``."""
-    module = "cli"
-    tb = exc.__traceback__
-    while tb is not None:
-        name = tb.tb_frame.f_globals.get("__name__", "")
-        if name.startswith("tateshift."):
-            module = name.rpartition(".")[2]
-        tb = tb.tb_next
-    return module
+def _error_module(exc: BaseException) -> str:
+    """The tateshift module that defines exc's type, as ``fgl``; else the
+    innermost tateshift module in exc's traceback."""
+    frames = [frame for frame, _ in traceback.walk_tb(exc.__traceback__)]
+    names = [type(exc).__module__] + [
+        frame.f_globals.get("__name__", "") for frame in reversed(frames)]
+    return next((name.rpartition(".")[2] for name in names
+                 if name.startswith("tateshift.")), "cli")
 
 
 def run_batch(lines) -> tuple[int, dict]:

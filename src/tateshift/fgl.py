@@ -5,6 +5,11 @@ F_p satisfying unitality, commutativity and associativity (checked exactly on
 all stored coefficients at build time).  The p-series and its iterates drive
 everything downstream: Weierstrass preparation turns them into the monic
 relations of classifying rings.
+
+Writing F(x1, x2) = x1 + x2 * G(x1, x2), G(0, 0) = 1, gives every difference
+its unit: F(b, a -_F b) = a makes a - b = (a -_F b) * G(b, a -_F b).  The
+same G serves formal differences of series and the root differences of
+classifying rings.
 """
 
 from __future__ import annotations
@@ -22,28 +27,27 @@ from .series import (
 
 
 class FGLError(Exception):
-    name = "FGLError"
-    module = "fgl"
+    pass
 
 
 class CapTooSmall(FGLError):
-    name = "CapTooSmall"
+    pass
 
 
 class NotWeierstrassReady(FGLError):
-    name = "NotWeierstrassReady"
+    pass
 
 
 class NonLocalRing(FGLError):
-    name = "NonLocalRing"
+    pass
 
 
 class IntegralityFailure(FGLError):
-    name = "IntegralityFailure"
+    pass
 
 
 class AxiomFailure(FGLError):
-    name = "AxiomFailure"
+    pass
 
 
 X1, X2 = "x1", "x2"
@@ -286,47 +290,20 @@ def formal_difference_with_unit(law: FormalGroupLaw, a: TruncatedSeries,
                                 b: TruncatedSeries):
     """(a -_F b, eps) with a -_F b = (a - b) * eps and eps(0) = 1.
 
-    eps comes from the two-parameter expansion of F(x1, i(x2)): substituting
-    x1 = u + x2 makes every term divisible by u (setting u = 0 gives 0), so
-    the quotient by u is a genuine series and no ring division is needed.
+    With d = a -_F b, F(b, d) = a and F(x1, x2) = x1 + x2 * G(x1, x2) give
+    a - b = d * G(b, d), so eps = G(b, d)^-1, from the same G that certifies
+    root differences; nothing is divided by a - b.
 
-    The quotient is determined only up to total degree cap - 1 (its degree-cap
-    part would need F beyond the cap), so eps carries cap - 1; the identity
-    still holds at full cap because a - b has no constant term.
+    G is known to total degree cap - 1, so eps carries min(cap - 1, a.cap,
+    b.cap); the identity still holds at the cap of a - b because a - b has no
+    constant term.
     """
-    dom, cap = law.domain, law.cap
+    dom = law.domain
     if a.constant_term() != dom.zero or b.constant_term() != dom.zero:
         raise ValueError("formal difference needs zero constant terms")
-    diff_series = _difference_series(law)        # F(x1, i(x2)) in (x1, x2)
-    eps_series = _difference_unit_series(law)    # with diff = (x1 - x2) * eps
-    diff = substitute(diff_series, {X1: a, X2: b})
-    eps_cap = min(cap - 1, a.cap, b.cap)
-    eps = substitute(eps_series.truncate(eps_cap), {X1: a, X2: b}) + \
-        TruncatedSeries.constant(dom, a.vars, eps_cap, dom.one)
-    return diff, eps
-
-
-def difference_identity_product(a: TruncatedSeries, b: TruncatedSeries,
-                                eps: TruncatedSeries) -> TruncatedSeries:
-    """(a - b) * eps at the cap of a - b.
-
-    Valid one degree above eps's own cap: the missing top coefficients of eps
-    only hit degrees beyond the result cap since a - b has valuation >= 1.
-    """
-    target_cap = min(a.cap, b.cap)
-    padded = TruncatedSeries(eps.domain, eps.vars, target_cap, eps.terms)
-    return (a - b) * padded
-
-
-def _difference_series(law: FormalGroupLaw) -> TruncatedSeries:
-    if getattr(law, "_diff_series", None) is None:
-        inv = law.formal_inverse()
-        dom, cap = law.domain, law.cap
-        x2 = TruncatedSeries.variable(dom, (X1, X2), cap, X2)
-        inv2 = substitute(inv, {"x": x2})
-        x1 = TruncatedSeries.variable(dom, (X1, X2), cap, X1)
-        law._diff_series = substitute(law.F, {X1: x1, X2: inv2})
-    return law._diff_series
+    diff = law.formal_sum(a, substitute(law.formal_inverse(), {"x": b}))
+    return diff, series_inverse(substitute(_sum_unit_series(law),
+                                           {X1: b, X2: diff}))
 
 
 def _sum_unit_series(law: FormalGroupLaw) -> TruncatedSeries:
@@ -346,34 +323,6 @@ def _sum_unit_series(law: FormalGroupLaw) -> TruncatedSeries:
             raise AxiomFailure("F(x, 0) != x")
     law._sum_unit = TruncatedSeries(dom, (X1, X2), law.cap - 1, shifted)
     return law._sum_unit
-
-
-def _difference_unit_series(law: FormalGroupLaw) -> TruncatedSeries:
-    """eps - 1 as a series in (x1, x2): eps has constant term 1."""
-    if getattr(law, "_eps_series", None) is not None:
-        return law._eps_series
-    dom, cap = law.domain, law.cap
-    diff = _difference_series(law)
-    # substitute x1 = u + x2 (graded degree-1 assignment: no truncation loss)
-    u = TruncatedSeries.variable(dom, ("u", X2), cap, "u")
-    x2u = TruncatedSeries.variable(dom, ("u", X2), cap, X2)
-    g = substitute(diff, {X1: u + x2u, X2: x2u})
-    # every term of g is divisible by u: shift the u-exponent down
-    shifted = {}
-    for (eu, e2), c in g.terms.items():
-        if eu == 0:
-            if c != dom.zero:
-                raise AxiomFailure("difference series not divisible by x1 - x2")
-            continue
-        shifted[(eu - 1, e2)] = c
-    eps_u = TruncatedSeries(dom, ("u", X2), cap, shifted)
-    # back-substitute u = x1 - x2 (again degree-1 graded, exact)
-    x1 = TruncatedSeries.variable(dom, (X1, X2), cap, X1)
-    x2 = TruncatedSeries.variable(dom, (X1, X2), cap, X2)
-    eps = substitute(eps_u, {"u": x1 - x2, X2: x2})
-    one = TruncatedSeries.constant(dom, (X1, X2), cap, dom.one)
-    law._eps_series = eps - one
-    return law._eps_series
 
 
 # -- Weierstrass division and preparation ----------------------------------------

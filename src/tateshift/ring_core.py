@@ -21,26 +21,23 @@ from . import zmod
 
 
 class RingError(Exception):
-    """Base class; ``name`` is the stable machine-readable error code."""
-
-    name = "RingError"
-    module = "ring_core"
+    """Base class; the class name is the stable machine-readable error code."""
 
 
 class RingMismatch(RingError):
-    name = "RingMismatch"
+    pass
 
 
 class NotDivisible(RingError):
-    name = "NotDivisible"
+    pass
 
 
 class ZeroDivisorDivisor(RingError):
-    name = "ZeroDivisorDivisor"
+    pass
 
 
 class NonFreeQuotient(RingError):
-    name = "NonFreeQuotient"
+    pass
 
 
 ZERO_RING = "ZERO"  # explicit marker for the zero ring, never a rank-0 table

@@ -32,24 +32,23 @@ from .ring_core import (
 
 
 class LinalgError(Exception):
-    name = "LinalgError"
-    module = "ring_linalg"
+    pass
 
 
 class PivotNotCancellable(LinalgError):
-    name = "PivotNotCancellable"
+    pass
 
 
 class DivisibilityFailure(LinalgError):
-    name = "DivisibilityFailure"
+    pass
 
 
 class NotInvertibleTuple(LinalgError):
-    name = "NotInvertibleTuple"
+    pass
 
 
 class NotATuple(LinalgError):
-    name = "NotATuple"
+    pass
 
 
 # -- element dispatch ---------------------------------------------------------

@@ -17,20 +17,19 @@ from . import zmod
 
 
 class SeriesError(Exception):
-    name = "SeriesError"
-    module = "series"
+    pass
 
 
 class NonzeroConstantTerm(SeriesError):
-    name = "NonzeroConstantTerm"
+    pass
 
 
 class NonUnitLinearTerm(SeriesError):
-    name = "NonUnitLinearTerm"
+    pass
 
 
 class NonNilpotentArgument(SeriesError):
-    name = "NonNilpotentArgument"
+    pass
 
 
 class ZModDomain:

@@ -261,6 +261,40 @@ def test_computation_error_carries_module_name(monkeypatch):
     assert report["error"]["module"] == "fgl"
 
 
+DOMAIN_ERRORS = {
+    "classifying": ["ClassifyingError", "InvalidSubgroup", "NotAHomomorphism",
+                    "RelationNotKilled"],
+    "fgl": ["FGLError", "CapTooSmall", "NotWeierstrassReady", "NonLocalRing",
+            "IntegralityFailure", "AxiomFailure"],
+    "ring_core": ["RingError", "RingMismatch", "NotDivisible",
+                  "ZeroDivisorDivisor", "NonFreeQuotient"],
+    "ring_linalg": ["LinalgError", "PivotNotCancellable", "DivisibilityFailure",
+                    "NotInvertibleTuple", "NotATuple"],
+    "series": ["SeriesError", "NonzeroConstantTerm", "NonUnitLinearTerm",
+               "NonNilpotentArgument"],
+}
+
+
+def test_every_domain_error_is_named_by_its_class_and_module(monkeypatch):
+    # the runner lives outside tateshift, so the module named is the one
+    # that defines the class, not the one that raised it
+    found = {}
+    for module in DOMAIN_ERRORS:
+        mod = getattr(tateshift, module)
+        found[module] = [name for name, cls in vars(mod).items()
+                         if isinstance(cls, type) and issubclass(cls, Exception)
+                         and cls.__module__ == mod.__name__]
+        for name in found[module]:
+            def runner(params, cls=getattr(mod, name)):
+                raise cls("out of luck")
+
+            monkeypatch.setitem(tateshift.cli.RUNNERS, "blueshift", runner)
+            assert run_job("blueshift", {"p": 2, "A": [1], "C": [1]}) == (
+                EXIT_COMPUTE, {"error": {"code": "computation", "module": module,
+                                         "name": name, "message": "out of luck"}})
+    assert found == DOMAIN_ERRORS
+
+
 @pytest.mark.parametrize("exc", [
     ValueError("bad pivot"), KeyError("missing"), ZeroDivisionError("1 / 0"),
     TypeError("not iterable"),
@@ -497,6 +531,8 @@ def test_tate_exact_cyclic_c_report_bytes(capsys):
 _GROUP = "field 'exponents' must be nonempty list of ints >= 1"
 _A = "field 'A' must be nonempty list of ints >= 1"
 _C = "field 'C' must give one C_k <= A_k for each A_k"
+_N = "field 'n' must be 1 unless the law is honda"
+_K = "field 'modulus_power' must be 1 unless the law is multiplicative"
 # Each of these once reached the algebra and came back as a computation
 # error (InvalidSubgroup or CapTooSmall).
 OUT_OF_RANGE_JOBS = [
@@ -523,6 +559,25 @@ OUT_OF_RANGE_JOBS = [
      "unknown fields for bgroup: ['cap']"),
     ("tate", {"p": 2, "A": [1, 2], "C": [1, 1], "fgl": "honda", "n": 2,
               "cap": 15}, "unknown fields for tate: ['cap']"),
+    # These three once exited 0 with a report that ignored the field: height
+    # 1, modulus 2, and the answer for n = 1.
+    ("bgroup", {"p": 2, "exponents": [1], "fgl": "multiplicative", "n": 3}, _N),
+    ("fgl", {"kind": "honda", "p": 2, "modulus_power": 3}, _K),
+    ("tate", {"p": 2, "A": [1, 1], "C": [1, 1], "exact": True, "n": 3}, _N),
+    ("fgl", {"kind": "multiplicative", "p": 3, "n": 2}, _N),
+    ("tate", {"p": 2, "A": [1, 1], "C": [1, 1], "fgl": "multiplicative",
+              "n": 2}, _N),
+    ("bgroup", {"p": 2, "exponents": [1], "fgl": "honda", "modulus_power": 2}, _K),
+    # a tate job without a law builds the Honda law, or in exact mode Z[A]
+    ("tate", {"p": 2, "A": [1], "C": [1], "modulus_power": 2}, _K),
+    ("tate", {"p": 2, "A": [1], "C": [1], "exact": True, "modulus_power": 2},
+     "field 'modulus_power' must be 1 in exact mode"),
+    ("tate", {"p": 2, "A": [1], "C": [1], "exact": True,
+              "fgl": "multiplicative", "modulus_power": 2},
+     "field 'modulus_power' must be 1 in exact mode"),
+    # an honest n on the Honda law reaches the exact-mode law check
+    ("tate", {"p": 2, "A": [1], "C": [1], "exact": True, "fgl": "honda",
+              "n": 2}, "exact mode supports the multiplicative law"),
 ]
 
 

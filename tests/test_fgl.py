@@ -4,12 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tateshift import fgl
 from tateshift.fgl import (
     AxiomFailure,
     CapTooSmall,
-    difference_identity_product,
     NotWeierstrassReady,
     build_additive,
     build_custom,
@@ -199,7 +199,9 @@ def test_formal_difference_b_zero():
     b = TruncatedSeries.zero(dom, ("x1", "x2"), 5)
     diff, eps = formal_difference_with_unit(law, a, b)
     assert diff == a
-    assert difference_identity_product(a, b, eps) == diff
+    # eps reaches degree cap - 1 only; its missing top term meets a - b,
+    # of valuation >= 1, past the cap, so the product is taken at full cap
+    assert (a - b) * TruncatedSeries(dom, eps.vars, 5, eps.terms) == diff
     assert eps.constant_term() == 1
 
 
@@ -225,7 +227,7 @@ def test_formal_difference_multiplicative_geometric_unit():
         dom, ("x1", "x2"), 3, {(0, k): (-1) ** k for k in range(4)}
     )
     assert eps == expected_eps
-    assert diff == difference_identity_product(x1, x2, eps)
+    assert diff == (x1 - x2) * TruncatedSeries(dom, eps.vars, 4, eps.terms)
 
 
 def test_formal_difference_identity_random():
@@ -244,8 +246,76 @@ def test_formal_difference_identity_random():
              if 1 <= i + j <= 3},
         )
         diff, eps = formal_difference_with_unit(law, a, b)
-        assert diff == difference_identity_product(a, b, eps)
+        assert diff == (a - b) * TruncatedSeries(dom, eps.vars, 6, eps.terms)
         assert dom.is_unit(eps.constant_term())
+
+
+def u_substitution_difference(law, a, b):
+    """(a -_F b, eps) by substitution alone, as an oracle.
+
+    D = F(x1, i(x2)) vanishes at x1 = x2, so with x1 = u + x2 every term of
+    D is divisible by u; the quotient, with u = x1 - x2 substituted back, is
+    the universal eps, known to degree cap - 1.
+    """
+    dom, cap = law.domain, law.cap
+    x1, x2 = (TruncatedSeries.variable(dom, ("x1", "x2"), cap, v)
+              for v in ("x1", "x2"))
+    D = substitute(law.F, {"x1": x1, "x2": substitute(law.formal_inverse(),
+                                                      {"x": x2})})
+    u, v = (TruncatedSeries.variable(dom, ("u", "x2"), cap, w)
+            for w in ("u", "x2"))
+    g = substitute(D, {"x1": u + v, "x2": v})
+    assert all(eu for eu, _ in g.terms)
+    quotient = TruncatedSeries(dom, ("u", "x2"), cap - 1,
+                               {(eu - 1, e2): c for (eu, e2), c in g.terms.items()})
+    eps = substitute(quotient, {"u": x1 - x2, "x2": x2})
+    eps_cap = min(cap - 1, a.cap, b.cap)
+    return (substitute(D, {"x1": a, "x2": b}),
+            substitute(eps.truncate(eps_cap), {"x1": a, "x2": b}))
+
+
+LAWS = {
+    "multiplicative Z/2": lambda: build_multiplicative(2, 1, 7),
+    "multiplicative Z/4": lambda: build_multiplicative(2, 2, 6),
+    "multiplicative Z/9": lambda: build_multiplicative(3, 2, 6),
+    "multiplicative Z/5": lambda: build_multiplicative(5, 1, 6),
+    "honda p=2 n=1": lambda: build_honda(2, 1, 7),
+    "honda p=2 n=2": lambda: build_honda(2, 2, 7),
+    "honda p=3 n=1": lambda: build_honda(3, 1, 6),
+    "additive Z/5": lambda: build_additive(5, 6),
+    "additive Z/8": lambda: build_additive(8, 5),
+}
+_BUILT = {}
+
+
+def random_argument(rng, law, variables):
+    """A series in ``variables`` with zero constant term, at a cap below,
+    at or above the law's."""
+    dom, nvars = law.domain, len(variables)
+    cap = rng.randint(1, law.cap + 1)
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        e = [0] * nvars
+        for _ in range(rng.randint(1, 3)):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = rng.randrange(dom.n)
+    return TruncatedSeries(dom, variables, cap, terms)
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(LAWS)), st.randoms(use_true_random=False))
+def test_formal_difference_matches_u_substitution(name, rng):
+    if name not in _BUILT:
+        _BUILT[name] = LAWS[name]()
+    law = _BUILT[name]
+    variables = rng.choice([("x",), ("x1", "x2"), ("s", "t", "w")])
+    a = random_argument(rng, law, variables)
+    b = random_argument(rng, law, variables)
+    diff, eps = formal_difference_with_unit(law, a, b)
+    want_diff, want_eps = u_substitution_difference(law, a, b)
+    assert diff == want_diff and diff.cap == min(law.cap, a.cap, b.cap)
+    assert eps == want_eps and eps.cap == min(law.cap - 1, a.cap, b.cap)
+    assert eps.constant_term() == 1
 
 
 # -- Weierstrass division and preparation ------------------------------------------
