@@ -7,7 +7,10 @@ computation error.  Output is deterministic (sorted keys, decimal-string
 coefficients, fixed basis order).  Batch mode runs newline-delimited JSON
 jobs independently and exits with the maximum of the individual codes.
 A law's series truncation degree follows from the job: only ``fgl``, whose
-report prints the series, takes a ``cap``.
+report prints the series, takes a ``cap``.  Consecutive ``fgl``, ``bgroup``
+and ``tate`` jobs with the same law parameters (law, p, n, modulus_power and
+the resolved cap) share one law; one law is held at a time, and reports are
+the same bytes as when each job runs alone.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ import sys
 import traceback
 
 from . import ring_core, ring_linalg, tate_blueshift, zmod
-from .classifying import AbelianPGroup, SubgroupSpec, build_classifying_ring
+from .classifying import (
+    AbelianPGroup,
+    SubgroupSpec,
+    build_classifying_ring,
+    required_cap,
+)
 from .fgl import weierstrass_prepare
 from .tate_blueshift import (
     GRADING_NOTE,
@@ -151,6 +159,11 @@ def validate_params(command: str, params: dict) -> dict:
     if params.get("modulus_power", 1) != 1 and law != "multiplicative":
         raise ValidationError(
             "field 'modulus_power' must be 1 unless the law is multiplicative")
+    # neither the exact tate ring nor the nonabelian bound has a trace to print
+    if params.get("explain") and params.get("exact"):
+        raise ValidationError("field 'explain' must be false in exact mode")
+    if params.get("explain") and params.get("nonabelian"):
+        raise ValidationError("field 'explain' must be false with 'nonabelian'")
     return params
 
 
@@ -176,20 +189,8 @@ def _decode(decode, *args):
 
 def run_fgl(params: dict) -> dict:
     """build a law; emit series and Weierstrass data"""
-    p = params["p"]
-    height = params.get("n", 1)  # 1 off the honda law, by validate_params
-    cap = params.get("cap")
+    law = _law(params)
     j = params.get("j")
-    if cap is not None:
-        # the series must reach degree p^(height * j), the Weierstrass
-        # degree of [p^j]; j = 0 still prints [p] of degree p^height
-        least = p ** (height * max(j or 0, 1))
-        if cap < least:
-            raise ValidationError(f"cap must be >= {least}")
-    elif j:
-        cap = p ** (height * j) + p
-    law = build_law(params["kind"], p, n=height,
-                    modulus_power=params.get("modulus_power", 1), cap=cap)
     report = {"law": law.describe(), "F": law.F.to_json_dict()}
     prep = weierstrass_prepare(law.p_series())
     report["weierstrass"] = {
@@ -215,18 +216,42 @@ def run_fgl(params: dict) -> dict:
     return report
 
 
-def _law_for_group(params: dict, exponents):
-    """The job's law, truncated where the classifying ring of A needs it."""
-    return build_law(_law_kind(params), params["p"],
-                     n=params.get("n", 1),
-                     modulus_power=params.get("modulus_power", 1),
-                     exponents=exponents)
+# The last law built, keyed by what determines it: at most one entry, so
+# consecutive jobs under one law share it (with its m-series) and a job
+# under another law releases it.  A law is immutable and its caches hold
+# pure functions of the key, so sharing changes no report.
+_last_law: dict = {}
+
+
+def _law(params: dict, exponents=None):
+    """The job's law, truncated for ``fgl`` at its ``cap`` (by default just
+    past the degree its report prints) and for a group A where the
+    classifying ring of A needs it; the last law built if its key agrees."""
+    p = params["p"]
+    # by validate_params, n is 1 off the honda law and K off the multiplicative
+    n, K = params.get("n", 1), params.get("modulus_power", 1)
+    if exponents is None:
+        # the series must reach degree p^(n * j), the Weierstrass degree of
+        # [p^j]; j = 0 still prints [p] of degree p^n
+        least = p ** (n * max(params.get("j", 0), 1))
+        cap = params.get("cap", least + p)
+        if cap < least:
+            raise ValidationError(f"cap must be >= {least}")
+    else:
+        cap = required_cap(p, n, K, exponents)
+    kind = _law_kind(params)
+    key = (kind, p, n, K, cap)
+    law = _last_law.get(key)
+    if law is None:
+        _last_law.clear()  # release the old law before building the new one
+        law = _last_law[key] = build_law(kind, p, n=n, modulus_power=K, cap=cap)
+    return law
 
 
 def run_bgroup(params: dict) -> dict:
     """classifying ring of an abelian p-group"""
     group = AbelianPGroup(params["p"], params["exponents"])
-    law = _law_for_group(params, params["exponents"])
+    law = _law(params, params["exponents"])
     cr = build_classifying_ring(law, group)
     report = {
         "law": law.describe(),
@@ -317,7 +342,7 @@ def run_tate(params: dict) -> dict:
         )
         report = result.to_dict()
     else:
-        law = _law_for_group(params, params["A"])
+        law = _law(params, params["A"])
         result = tate_ring(law, group, sub,
                            max_cert_len=params.get("max_cert_len"))
         report = result.to_dict()

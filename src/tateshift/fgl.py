@@ -138,13 +138,22 @@ class FormalGroupLaw:
             out = substitute(self.formal_inverse(), {"x": self.m_series(-m)})
             self._m_cache[m] = out
             return out
-        # fill upward from the largest cached index below m
-        k = max(i for i in self._m_cache if 0 <= i < m)
-        x = self._m_cache[1]
-        while k < m:
-            k += 1
-            self._m_cache[k] = self.formal_sum(self._m_cache[k - 1], x)
-        return self._m_cache[m]
+        # [k] = [k - 1] +_F x when [k - 1] is cached, as in an ascending scan,
+        # else [k - k // 2] +_F [k // 2]: at most two formal sums per halving
+        cache, x = self._m_cache, self._m_cache[1]
+        chain = [m]
+        while chain[-1] not in cache and chain[-1] - 1 not in cache:
+            chain.append(chain[-1] // 2)
+        for k in reversed(chain):
+            if k in cache:
+                continue
+            if k - 1 in cache:
+                cache[k] = self.formal_sum(cache[k - 1], x)
+                continue
+            if k - k // 2 not in cache:  # k odd: [k // 2 + 1] = [k // 2] +_F x
+                cache[k - k // 2] = self.formal_sum(cache[k // 2], x)
+            cache[k] = self.formal_sum(cache[k - k // 2], cache[k // 2])
+        return cache[m]
 
     def p_series(self) -> TruncatedSeries:
         return self.m_series(self.p)

@@ -1,11 +1,14 @@
 """CLI contract: exit codes, schema validation, determinism, batch isolation."""
 
+import gc
+import itertools
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,7 @@ from tateshift.cli import (
     run_batch,
     run_job,
 )
-from tateshift.fgl import CapTooSmall
+from tateshift.fgl import CapTooSmall, IntegralityFailure
 from tateshift.ring_core import saturation_ideal
 from tateshift.tate_blueshift import build_law, inverted_element_set
 
@@ -578,6 +581,12 @@ OUT_OF_RANGE_JOBS = [
     # an honest n on the Honda law reaches the exact-mode law check
     ("tate", {"p": 2, "A": [1], "C": [1], "exact": True, "fgl": "honda",
               "n": 2}, "exact mode supports the multiplicative law"),
+    # These two once exited 0 with the report of the job without 'explain'.
+    ("tate", {"p": 2, "A": [1, 1], "C": [1, 1], "exact": True, "explain": True},
+     "field 'explain' must be false in exact mode"),
+    ("blueshift", {"p": 3, "A": [1, 1], "C": [1, 1], "nonabelian": True,
+                   "explain": True},
+     "field 'explain' must be false with 'nonabelian'"),
 ]
 
 
@@ -603,6 +612,69 @@ def test_non_prime_p_is_a_validation_error():
     ):
         code, _ = run_job(command, {"p": 4, **params})
         assert code == EXIT_VALIDATION
+
+
+def _every_c(A):
+    return [list(c) for c in itertools.product(*(range(i + 1) for i in A))]
+
+
+# (command, params, whether the law build raises): every C of three groups,
+# one law each, so most jobs follow a job under the same law; an fgl job, a
+# validation error and a failed build come between them.
+MEMO_JOBS = (
+    [("tate", {"p": 2, "A": [2, 1], "C": c}, False) for c in _every_c([2, 1])]
+    + [("bgroup", {"p": 2, "exponents": [2, 1], "fgl": "honda",
+                   "euler_classes": True}, False),
+       ("fgl", {"kind": "honda", "p": 2, "n": 2, "j": 2, "m": 5}, False)]
+    + [("tate", {"p": 2, "A": [1, 1], "C": c, "fgl": "honda", "n": 2}, False)
+       for c in _every_c([1, 1])]
+    + [("tate", {"p": 2, "A": [1, 1], "C": [1, 1], "fgl": "multiplicative",
+                 "n": 2}, False),
+       ("tate", {"p": 2, "A": [2, 1], "C": [1, 0], "fgl": "multiplicative",
+                 "modulus_power": 2}, True)]
+    + [("tate", {"p": 2, "A": [2, 1], "C": c, "fgl": "multiplicative",
+                 "modulus_power": 2}, False) for c in _every_c([2, 1])]
+)
+
+
+def _held_laws():
+    return list(tateshift.cli._last_law.values())
+
+
+def test_consecutive_jobs_share_one_law(monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_law(*args, **kwargs)
+
+    def broken(*args, **kwargs):
+        raise IntegralityFailure("injected")
+
+    def run(command, params, raises):
+        with monkeypatch.context() as m:
+            m.setattr(tateshift.cli, "build_law", broken if raises else counted)
+            code, report = run_job(command, params)
+        assert (code == EXIT_COMPUTE) == raises
+        return code, dumps(report)
+
+    tateshift.cli._last_law.clear()
+    shared, released = [], 0
+    for command, params, raises in MEMO_JOBS:
+        ref = [weakref.ref(law) for law in _held_laws()]
+        shared.append(run(command, params, raises))
+        held = _held_laws()
+        assert len(held) == (0 if raises else 1)
+        if ref and ref[0]() not in held:
+            gc.collect()
+            assert ref[0]() is None  # the old law is released, not kept
+            released += 1
+    # one build per run of jobs under one law; the failed build keeps nothing
+    assert len(builds) == 4 and released == 3
+    for (command, params, raises), result in zip(MEMO_JOBS, shared):
+        tateshift.cli._last_law.clear()
+        assert run(command, params, raises) == result
+    tateshift.cli._last_law.clear()
 
 
 # Each of these once hung (a height below 1 never ends the log loop of

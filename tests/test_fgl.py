@@ -98,6 +98,56 @@ def test_m_series_multiplicativity():
         assert lhs == rhs
 
 
+def upward_m_series(law, m):
+    """Oracle: [m](x) for m >= 0 as the m-fold formal sum x +_F ... +_F x."""
+    out = law.m_series(0)
+    for _ in range(m):
+        out = law.formal_sum(out, law.m_series(1))
+    return out
+
+
+M_SERIES_LAWS = [
+    lambda: build_multiplicative(2, 2, 9),
+    lambda: build_honda(2, 2, 12),
+    lambda: build_honda(3, 1, 10),
+]
+
+
+@pytest.mark.parametrize("build", M_SERIES_LAWS,
+                         ids=["mult-p2-K2", "honda-p2-n2", "honda-p3-n1"])
+def test_m_series_matches_upward_fill(build):
+    oracle_law = build()
+    expected = {m: upward_m_series(oracle_law, m) for m in range(65)}
+    # halvings from a fresh cache, ascending and descending scans, and a
+    # shuffled order that reaches indices from every kind of cached state
+    for order in (range(64, -1, -1), range(65),
+                  random.Random(5).sample(range(65), 65)):
+        law = build()
+        for m in order:
+            assert law.m_series(m) == expected[m], m
+
+
+def test_m_series_far_index_takes_log_many_sums(monkeypatch):
+    law = build_multiplicative(3, 3, 9)
+    m = 10**9 + 7
+    sums = []
+    original = law.formal_sum
+
+    def counted(a, b):
+        # fail at once rather than run an m-step fill
+        sums.append(1)
+        assert len(sums) <= 2 * m.bit_length()
+        return original(a, b)
+
+    monkeypatch.setattr(law, "formal_sum", counted)
+    expected = uni(law.domain, 9, {(k,): math.comb(m, k) for k in range(1, 10)})
+    assert law.m_series(m) == expected
+    # the next index up is one more sum
+    sums.clear()
+    law.m_series(m + 1)
+    assert len(sums) == 1
+
+
 def test_p_series_cache_matches_fold():
     law = build_multiplicative(3, 1, 6)
     folded = law.formal_sum(law.formal_sum(law.m_series(1), law.m_series(1)),
