@@ -28,7 +28,6 @@ from .fgl import (
     WeierstrassFactorization,
     build_honda,
     build_multiplicative,
-    formal_difference_with_unit,
     weierstrass_divide,
     weierstrass_prepare,
 )
@@ -38,10 +37,8 @@ from .ring_linalg import (
     VanishingVerdict,
     det_division_free,
     gaussian_nzd_solve,
-    interpolate,
     is_ntuple,
     roots_to_coeffs,
-    vandermonde_det,
     vanishing_condition,
     verify_localized_tuple,
     verify_tuple,
@@ -50,17 +47,13 @@ from .classifying import (
     AbelianPGroup,
     ClassifyingRing,
     SubgroupSpec,
-    V_count,
-    V_count_image,
     build_classifying_ring,
-    induced_map,
 )
 from .tate_blueshift import (
     BlueShiftReport,
     TateRingResult,
     blueshift_bounds,
     nonabelian_lower_bound,
-    periodicity_report,
     tate_ring,
     tate_ring_exact,
 )

@@ -14,16 +14,9 @@ from __future__ import annotations
 
 import itertools
 
-from .fgl import (
-    CapTooSmall,
-    FGLError,
-    FormalGroupLaw,
-    _sum_unit_series,
-    poly_compose_iterate,
-    weierstrass_prepare,
-)
+from .fgl import CapTooSmall, FGLError, FormalGroupLaw, _sum_unit_series
 from .ring_core import BaseModulus, FiniteAlgebra, RingElement
-from .series import _eval_tables, _power_table, eval_at, poly_eval
+from .series import _eval_tables, _power_table, eval_at
 from .zmod import is_prime
 
 
@@ -32,14 +25,6 @@ class ClassifyingError(Exception):
 
 
 class InvalidSubgroup(ClassifyingError):
-    pass
-
-
-class NotAHomomorphism(ClassifyingError):
-    pass
-
-
-class RelationNotKilled(ClassifyingError):
     pass
 
 
@@ -70,14 +55,6 @@ class AbelianPGroup:
 
     def elements(self):
         return itertools.product(*[range(o) for o in self.orders])
-
-    def torsion_elements(self, j: int):
-        """V(p^j | A) = { w : p^j w = 0 }, enumerated componentwise."""
-        ranges = []
-        for i_k, o in zip(self.exponents, self.orders):
-            step = self.p ** max(i_k - j, 0)
-            ranges.append(range(0, o, step))
-        return itertools.product(*ranges)
 
     def __repr__(self):
         parts = " + ".join(f"Z/{o}" for o in self.orders)
@@ -154,27 +131,6 @@ def orbit_representatives(group: AbelianPGroup, elements) -> list[int]:
     return sorted(firsts.values())
 
 
-def V_count(group: AbelianPGroup, j: int) -> int:
-    """|V(p^j|A)| = prod p^min(j, i_k)."""
-    if j < 0:
-        raise InvalidSubgroup("j must be >= 0")
-    out = 1
-    for i_k in group.exponents:
-        out *= group.p ** min(j, i_k)
-    return out
-
-
-def V_count_image(group: AbelianPGroup, sub: SubgroupSpec, j: int) -> int:
-    """|V(p^j | im phi(A/C))| = prod p^min(j, i_k - j_k)."""
-    sub.validate_in(group)
-    if j < 0:
-        raise InvalidSubgroup("j must be >= 0")
-    out = 1
-    for i_k, j_k in zip(group.exponents, sub.exponents):
-        out *= group.p ** min(j, i_k - j_k)
-    return out
-
-
 class EulerClass:
     """Group element w together with its Euler class in the classifying ring."""
 
@@ -201,7 +157,6 @@ class ClassifyingRing:
         self._single_tables: dict[tuple, list] = {}
         self._head = None  # (head element, its power table)
         self._in_batch = False  # whether the tables above outlive a class
-        self._g1 = None
 
     # -- Euler classes ------------------------------------------------------
 
@@ -288,43 +243,6 @@ class ClassifyingRing:
         self._single_tables.clear()
         self._head = None
 
-    # -- p^j-series data -------------------------------------------------------
-
-    def g1_poly(self):
-        if self._g1 is None:
-            self._g1 = weierstrass_prepare(self.law.p_series()).poly
-        return self._g1
-
-    def gj_poly(self, j: int):
-        """Weierstrass polynomial of the p^j-series as the j-fold composite of g_1."""
-        return poly_compose_iterate(self.g1_poly(), j, self.algebra.base.n)
-
-    def pj_root_set(self, j: int):
-        """Euler classes of the p^j-torsion of A; provably all the
-        algebra-homomorphism roots of the p^j-series.
-
-        Each value is checked to kill the p^j Weierstrass polynomial.  The
-        enumeration does not search for non-homomorphism roots (arbitrary
-        nilpotents can be roots too; they lie outside the torsion bijection).
-        """
-        if j < 0:
-            raise InvalidSubgroup("j must be >= 0")
-        gj = self.gj_poly(j)
-        out = []
-        for ec in self.euler_classes(self.group.torsion_elements(j)):
-            if not poly_eval(gj, ec.value).is_zero():
-                raise ClassifyingError(
-                    f"euler class of {ec.element} does not kill the p^{j} relation"
-                )
-            out.append(ec)
-        expected = V_count(self.group, j)
-        if len(out) != expected:
-            raise ClassifyingError(
-                f"torsion enumeration produced {len(out)} classes, "
-                f"expected {expected}"
-            )
-        return out
-
     def __repr__(self):
         return f"ClassifyingRing({self.group!r} over {self.law.kind}, rank={self.algebra.rank})"
 
@@ -354,10 +272,7 @@ def build_classifying_ring(law: FormalGroupLaw, group: AbelianPGroup) -> Classif
         raise CapTooSmall(
             f"cap {law.cap} < p^(n*max_i) = {law.p ** (n * j_max)}"
         )
-    relations = []
-    for i_k in group.exponents:
-        fac = weierstrass_prepare(law.pj_series(i_k))
-        relations.append(fac.poly)
+    relations = [law.weierstrass(i_k).poly for i_k in group.exponents]
     base = BaseModulus(law.domain.n)
     variables = [f"x{k + 1}" for k in range(len(group.exponents))]
     algebra = FiniteAlgebra.from_presentation(base, variables, relations)
@@ -398,71 +313,3 @@ def certify_root_difference(cr: ClassifyingRing, u, w):
     if not unit.coords[0] % p:
         raise ClassifyingError("G(e(w), e(u - w)) is not a unit")
     return {"difference_element": target, "unit": unit}
-
-
-class AlgebraHom:
-    """Algebra homomorphism determined by generator images."""
-
-    __slots__ = ("source", "target", "images")
-
-    def __init__(self, source: ClassifyingRing, target: ClassifyingRing, images):
-        self.source = source
-        self.target = target
-        self.images = list(images)
-
-    def apply(self, e: RingElement) -> RingElement:
-        """Evaluate by sending each source basis monomial to the image product."""
-        src = self.source.algebra
-        if e.parent is not src:
-            raise InvalidSubgroup("element does not live in the source ring")
-        tgt = self.target.algebra
-        exps = src.presentation["exponents"]
-        acc = tgt.zero()
-        for coord, exp in zip(e.coords, exps):
-            if not coord:
-                continue
-            term = tgt.one() * coord
-            for k, power in enumerate(exp):
-                for _ in range(power):
-                    term = term * self.images[k]
-            acc = acc + term
-        return acc
-
-
-def induced_map(cr_target: ClassifyingRing, cr_source: ClassifyingRing,
-                matrix) -> AlgebraHom:
-    """The algebra map E*(B A_2) -> E*(B A_1) of a group homomorphism A_1 -> A_2.
-
-    cr_target is the ring of A_1 (where the map lands), cr_source the ring of
-    A_2.  The m x k integer matrix H sends a in A_1 to (sum_s H[s][t] a_s)_t;
-    well-definedness needs p^(j_t) | H[s][t] * p^(i_s) for all s, t.  Source
-    generator y_t maps to the Euler class of the weight vector
-    w^(t)_s = H[s][t] * p^(i_s) / p^(j_t); every source relation must die.
-    """
-    a1 = cr_target.group
-    a2 = cr_source.group
-    m, k = len(a1.exponents), len(a2.exponents)
-    if len(matrix) != m or any(len(row) != k for row in matrix):
-        raise NotAHomomorphism(f"matrix must be {m} x {k}")
-    p = a1.p
-    weights = []
-    for t in range(k):
-        w = []
-        for s in range(m):
-            num = matrix[s][t] * p ** a1.exponents[s]
-            den = p ** a2.exponents[t]
-            if num % den:
-                raise NotAHomomorphism(
-                    f"entry ({s},{t}) violates the congruence "
-                    f"p^{a2.exponents[t]} | H*p^{a1.exponents[s]}"
-                )
-            w.append((num // den) % p ** a1.exponents[s])
-        weights.append(w)
-    images = [ec.value for ec in cr_target.euler_classes(weights)]
-    hom = AlgebraHom(cr_source, cr_target, images)
-    for t in range(k):
-        relation = cr_source.relations[t]
-        value = poly_eval(relation, images[t])
-        if not value.is_zero():
-            raise RelationNotKilled(f"relation {t} does not map to zero")
-    return hom

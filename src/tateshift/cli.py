@@ -27,7 +27,6 @@ from .classifying import (
     build_classifying_ring,
     required_cap,
 )
-from .fgl import weierstrass_prepare
 from .tate_blueshift import (
     GRADING_NOTE,
     blueshift_bounds,
@@ -192,7 +191,7 @@ def run_fgl(params: dict) -> dict:
     law = _law(params)
     j = params.get("j")
     report = {"law": law.describe(), "F": law.F.to_json_dict()}
-    prep = weierstrass_prepare(law.p_series())
+    prep = law.weierstrass(1)
     report["weierstrass"] = {
         "degree": prep.degree,
         "poly": [str(c) for c in prep.poly],
@@ -204,7 +203,7 @@ def run_fgl(params: dict) -> dict:
             "series": law.m_series(params["m"]).to_json_dict(),
         }
     if j is not None:
-        prep_j = weierstrass_prepare(law.pj_series(j))
+        prep_j = law.weierstrass(j)
         report["pj_series"] = {
             "j": j,
             "series": law.pj_series(j).to_json_dict(),
@@ -347,15 +346,16 @@ def run_tate(params: dict) -> dict:
                            max_cert_len=params.get("max_cert_len"))
         report = result.to_dict()
         report["law"] = law.describe()
-        if params.get("explain") and "saturation_chain" in result.witness:
+        if params.get("explain"):
             # step i is s^(2^i), printed as the Howell rows of its kernel; a
-            # ZERO chain ends in None, the whole module of rank |A|^n
+            # ZERO chain ends in None, the whole module of rank |A|^n; a
+            # trivial C inverts nothing, has no witness and prints no step
             rank = group.order ** law.height
             report["witness"]["saturation_chain"] = [
                 [[str(x) for x in row]
                  for row in (ring_core.identity_rows(rank) if step is None else
                              (e.coords for e in ring_core.annihilator(step)))]
-                for step in result.witness["saturation_chain"]
+                for step in result.witness.get("saturation_chain", [])
             ]
     return report
 

@@ -1,4 +1,4 @@
-"""Formal group laws: m-series, p^j-series, formal differences, Weierstrass data.
+"""Formal group laws: m-series, p^j-series, the difference unit, Weierstrass data.
 
 A formal group law is a two-variable truncated series F(x1, x2) over Z/p^K or
 F_p satisfying unitality, commutativity and associativity (checked exactly on
@@ -7,9 +7,8 @@ everything downstream: Weierstrass preparation turns them into the monic
 relations of classifying rings.
 
 Writing F(x1, x2) = x1 + x2 * G(x1, x2), G(0, 0) = 1, gives every difference
-its unit: F(b, a -_F b) = a makes a - b = (a -_F b) * G(b, a -_F b).  The
-same G serves formal differences of series and the root differences of
-classifying rings.
+its unit: F(b, a -_F b) = a makes a - b = (a -_F b) * G(b, a -_F b).  This
+G certifies the root differences of classifying rings.
 """
 
 from __future__ import annotations
@@ -71,6 +70,7 @@ class FormalGroupLaw:
         self.domain = F.domain
         self.cap = F.cap
         self._m_cache: dict[int, TruncatedSeries] = {}
+        self._weierstrass: dict[int, WeierstrassFactorization] = {}
         self._formal_inverse = None
         if check:
             self.check_axioms()
@@ -173,6 +173,13 @@ class FormalGroupLaw:
             out = substitute(out, {"x": self.p_series()})
         return out
 
+    def weierstrass(self, j: int) -> WeierstrassFactorization:
+        """Weierstrass preparation of [p^j](x), kept per j like the m-series;
+        its ``poly`` is the monic relation of Z/p^j in a classifying ring."""
+        if j not in self._weierstrass:
+            self._weierstrass[j] = weierstrass_prepare(self.pj_series(j))
+        return self._weierstrass[j]
+
     def describe(self):
         return {
             "kind": self.kind,
@@ -200,17 +207,6 @@ def build_multiplicative(p: int, K: int, D: int) -> FormalGroupLaw:
     terms = {(k,): comb(p, k) % n for k in range(1, min(p, D) + 1)}
     law._m_cache[p] = TruncatedSeries(dom, ("x",), D, terms)
     return law
-
-
-def build_additive(n: int, D: int, p: int | None = None) -> FormalGroupLaw:
-    """F = x1 + x2 over Z/n (no interesting height; used for comparisons)."""
-    dom = ZModDomain(n)
-    F = TruncatedSeries(dom, (X1, X2), D, {(1, 0): 1, (0, 1): 1})
-    return FormalGroupLaw(F, p if p is not None else 0, None, "additive")
-
-
-def build_custom(F: TruncatedSeries, p: int, height=None) -> FormalGroupLaw:
-    return FormalGroupLaw(F, p, height, "custom")
 
 
 def build_honda(p: int, n: int, D: int) -> FormalGroupLaw:
@@ -292,27 +288,7 @@ def build_honda(p: int, n: int, D: int) -> FormalGroupLaw:
     return law
 
 
-# -- formal difference with unit factor -----------------------------------------
-
-
-def formal_difference_with_unit(law: FormalGroupLaw, a: TruncatedSeries,
-                                b: TruncatedSeries):
-    """(a -_F b, eps) with a -_F b = (a - b) * eps and eps(0) = 1.
-
-    With d = a -_F b, F(b, d) = a and F(x1, x2) = x1 + x2 * G(x1, x2) give
-    a - b = d * G(b, d), so eps = G(b, d)^-1, from the same G that certifies
-    root differences; nothing is divided by a - b.
-
-    G is known to total degree cap - 1, so eps carries min(cap - 1, a.cap,
-    b.cap); the identity still holds at the cap of a - b because a - b has no
-    constant term.
-    """
-    dom = law.domain
-    if a.constant_term() != dom.zero or b.constant_term() != dom.zero:
-        raise ValueError("formal difference needs zero constant terms")
-    diff = law.formal_sum(a, substitute(law.formal_inverse(), {"x": b}))
-    return diff, series_inverse(substitute(_sum_unit_series(law),
-                                           {X1: b, X2: diff}))
+# -- the unit of differences ---------------------------------------------------
 
 
 def _sum_unit_series(law: FormalGroupLaw) -> TruncatedSeries:
@@ -450,45 +426,3 @@ def weierstrass_prepare(alpha: TruncatedSeries) -> WeierstrassFactorization:
     r_coeffs = r.univariate_coeffs()[:d]
     poly = [dom.neg(c) for c in r_coeffs] + [dom.one]
     return WeierstrassFactorization(q, poly, d)
-
-
-def poly_compose(outer: list[int], inner: list[int], n: int) -> list[int]:
-    """Coefficients of outer(inner(x)) over Z/n (plain polynomial composition)."""
-    acc = [0]
-    for c in reversed(outer):
-        acc = _poly_mul(acc, inner, n)
-        acc = _poly_add(acc, [c], n)
-    return _poly_trim(acc)
-
-
-def poly_compose_iterate(g: list[int], j: int, n: int) -> list[int]:
-    """g composed with itself j times; j = 0 gives the identity polynomial."""
-    out = [0, 1]
-    for _ in range(j):
-        out = poly_compose(out, g, n)
-    return out
-
-
-def _poly_mul(a, b, n):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % n
-    return out
-
-
-def _poly_add(a, b, n):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x % n
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % n
-    return out
-
-
-def _poly_trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a

@@ -635,25 +635,6 @@ def ideal_contains_one(gens) -> bool:
     return hf.contains([1] + [0] * (alg.rank - 1))
 
 
-def saturation_ideal(alg: FiniteAlgebra, s_gens) -> tuple[list[list[int]], list]:
-    """Saturation { r : s*r = 0 for some s in the multiplicative closure }.
-
-    Inverting s_1..s_m is inverting their product s, so the saturation is
-    ker(s^k) for k large.  These kernels only grow, and ker(s^k) = ker(s^2k)
-    means they have stopped, so s is squared until two consecutive kernels
-    agree or the power is 0 (kernel = the whole module).  Returns the Howell
-    row basis and the chain of distinct bases of ker(s^(2^i)), i = 0, 1, ...
-    (the witness; empty iff s is a non-zero-divisor).  Every step's rows are
-    built, on every ring; ``localize_by_saturation`` builds none on a local
-    tower.
-    """
-    _, kernels, nilpotent = _kernel_chain(alg, _product(alg, s_gens))
-    chain = [[list(r) for r in rows] for rows in kernels]
-    if nilpotent:
-        chain.append(identity_rows(alg.rank))
-    return (chain[-1] if chain else []), chain
-
-
 def _product(alg: FiniteAlgebra, s_gens):
     power = alg.one()
     for s in s_gens:
@@ -688,9 +669,9 @@ def localize_by_saturation(alg: FiniteAlgebra, s_gens):
 
     Returns (quotient FiniteAlgebra, projection matrix, chain), or
     (ZERO_RING, None, chain) when 1 lies in the saturation.  In the quotient
-    every image of s_gens is a unit.  The chain holds one power s^(2^i) per
-    step of ``saturation_ideal``'s chain, whose rows are the Howell basis of
-    its annihilator; a ZERO chain ends in None, the whole module.
+    every image of s_gens is a unit.  The chain holds the powers s^(2^i)
+    whose annihilators grow strictly (``tate --explain`` prints their Howell
+    rows); a ZERO chain ends in None, the whole module.
 
     A local tower over Z/p^K is a finite local ring, so s is a unit when its
     constant coordinate is prime to p (the chain is empty) and nilpotent
@@ -720,20 +701,6 @@ def localize_by_saturation(alg: FiniteAlgebra, s_gens):
     if not kernels:
         return alg, identity_rows(alg.rank), chain
     return _quotient_algebra(alg, kernels[-1]) + (chain,)
-
-
-def quotient_by_ideal(alg: FiniteAlgebra, gens):
-    """R/(gens) as a FiniteAlgebra plus projection, or ZERO_RING."""
-    rows = ideal_module_rows(list(gens)) if gens else []
-    n = alg.base.n
-    if rows:
-        hf = zmod.howell(rows, n)
-        if hf.contains([1] + [0] * (alg.rank - 1)):
-            return ZERO_RING, None
-        rows = hf.rows
-    if not rows:
-        return alg, identity_rows(alg.rank)
-    return _quotient_algebra(alg, rows)
 
 
 def _quotient_algebra(alg: FiniteAlgebra, ideal_rows):

@@ -15,8 +15,6 @@ from __future__ import annotations
 import itertools
 
 from .ring_core import (
-    ExactPolyRing,
-    FiniteAlgebra,
     NotDivisible,
     PolyElement,
     RingElement,
@@ -25,7 +23,6 @@ from .ring_core import (
     exact_div as ring_exact_div,
     ideal_contains_one,
     integer_solve,
-    is_unit as ring_is_unit,
     multiset_products,
     unit_cofactor,
 )
@@ -40,10 +37,6 @@ class PivotNotCancellable(LinalgError):
 
 
 class DivisibilityFailure(LinalgError):
-    pass
-
-
-class NotInvertibleTuple(LinalgError):
     pass
 
 
@@ -78,34 +71,6 @@ def elem_is_nzd(x):
         return not x.is_zero() and not annihilator(x)
     if isinstance(x, PolyElement):
         return x.parent.is_nzd(x)
-    raise TypeError(f"unsupported element {x!r}")
-
-
-def elem_is_unit(x):
-    if isinstance(x, int):
-        return x in (1, -1)
-    if isinstance(x, RingElement):
-        return ring_is_unit(x)[0]
-    if isinstance(x, PolyElement):
-        return x.parent.is_unit(x)
-    raise TypeError(f"unsupported element {x!r}")
-
-
-def elem_inv(x):
-    if isinstance(x, int):
-        if x in (1, -1):
-            return x
-        raise NotInvertibleTuple(f"{x} is not invertible in Z")
-    if isinstance(x, RingElement):
-        ok, inv = ring_is_unit(x)
-        if not ok:
-            raise NotInvertibleTuple(f"{x!r} is not invertible")
-        return inv
-    if isinstance(x, PolyElement):
-        try:
-            return x.parent.exact_div(x.parent.one(), x)
-        except (NotDivisible, ZeroDivisorDivisor):
-            raise NotInvertibleTuple(f"{x!r} is not invertible") from None
     raise TypeError(f"unsupported element {x!r}")
 
 
@@ -186,18 +151,6 @@ def verify_tuple(elements, f=None) -> NTuple:
 
 
 # -- determinants ------------------------------------------------------------------
-
-
-def vandermonde_det(ts):
-    """prod_{j<i} (t_i - t_j); the empty and singleton products are 1."""
-    ts = list(ts)
-    if not ts:
-        return 1
-    out = elem_one(ts[0])
-    for i in range(len(ts)):
-        for j in range(i):
-            out = out * (ts[i] - ts[j])
-    return out
 
 
 def vandermonde_matrix(ts, ncols=None):
@@ -436,61 +389,6 @@ def roots_to_coeffs(f_coeffs, ntuple: NTuple) -> RootCoeffResult:
         "Cramer", recovered,
         witnesses={"det_vandermonde": det_v, "column_dets": col_dets},
     )
-
-
-def interpolate(f_coeffs, ntuple: NTuple):
-    """Lagrange-style identity for an invertible tuple.
-
-    Builds L(x) = sum_j prod_{i != j} (x - r_i)/(r_j - r_i) * c_j with
-    c_j = f(r_j) - sum_{k>=n} a_k r_j^k and reports coefficientwise equality
-    of L with the degree < n part of f (for root tuples c_j is just the
-    negated high sum).
-    """
-    roots = ntuple.elements if isinstance(ntuple, NTuple) else list(ntuple)
-    f_coeffs = list(f_coeffs)
-    n = len(roots)
-    m = len(f_coeffs) - 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not elem_is_unit(roots[i] - roots[j]):
-                raise NotInvertibleTuple(
-                    f"difference of roots {i} and {j} is not a unit"
-                )
-    zero = elem_zero(roots[0])
-    one = elem_one(roots[0])
-    lagrange = [zero] * n
-    for j, rj in enumerate(roots):
-        cj = poly_eval_elems(f_coeffs, rj)
-        power = one
-        for _ in range(n):
-            power = power * rj
-        # subtract sum_{k=n..m} a_k rj^k
-        for k in range(n, m + 1):
-            cj = cj - f_coeffs[k] * power
-            power = power * rj
-        basis = [one]
-        denom = one
-        for i, ri in enumerate(roots):
-            if i == j:
-                continue
-            new = [zero] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                new[t + 1] = new[t + 1] + c
-                new[t] = new[t] - c * ri
-            basis = new
-            denom = denom * (rj - ri)
-        scale = elem_inv(denom) * cj
-        for t in range(len(basis)):
-            lagrange[t] = lagrange[t] + basis[t] * scale
-    expected = [f_coeffs[i] if i <= m else zero for i in range(n)]
-    matches = all(
-        elem_is_zero(a - b) for a, b in zip(lagrange, expected)
-    )
-    return {
-        "lagrange_coeffs": lagrange,
-        "matches_low_part": matches,
-        "high_part_degrees": list(range(n, m + 1)),
-    }
 
 
 # -- vanishing condition ---------------------------------------------------------------

@@ -563,12 +563,3 @@ def _raise_uncovered(alg, tables, cap: int):
         f"cap {cap} does not cover all nonvanishing monomials "
         f"(need {sum(i - 1 for i in indices)})"
     )
-
-
-def poly_eval(coeffs, x: RingElement) -> RingElement:
-    """Horner evaluation of a scalar-coefficient polynomial at a ring element."""
-    alg = x.parent
-    acc = alg.zero()
-    for c in reversed(list(coeffs)):
-        acc = acc * x + alg.from_int(c)
-    return acc

@@ -430,8 +430,7 @@ class BlueShiftReport:
     """Bounds t <= s <= rank_p(C), the witnessing j, and exactness when known."""
 
     def __init__(self, p, a_exponents, c_exponents, lower_t, upper_rank,
-                 argmax_j, exact=None, exact_reason=None, scan=None,
-                 certificate=None):
+                 argmax_j, exact=None, exact_reason=None, scan=None):
         if not 0 <= lower_t <= upper_rank:
             raise ValueError("bounds out of order")
         self.p = p
@@ -443,7 +442,6 @@ class BlueShiftReport:
         self.exact = exact
         self.exact_reason = exact_reason
         self.scan = scan or []
-        self.certificate = certificate  # optional vanishing certificate
 
     def to_dict(self, explain=False):
         out = {
@@ -459,11 +457,6 @@ class BlueShiftReport:
             out["exact_reason"] = self.exact_reason
         else:
             out["interval"] = [self.lower_t, self.upper_rank]
-        if self.certificate is not None:
-            out["vanishing_certificate"] = {
-                "length": len(self.certificate["word"]),
-                "generators": [list(w) for w in self.certificate["elements"]],
-            }
         if explain:
             out["j_scan"] = [
                 {"j": j, "log_V_A": va, "log_V_image": vi, "term": term}
@@ -540,48 +533,6 @@ GRADING_NOTE = (
     "periodicity generator specialized to 1; the even grading of Euler "
     "classes is dropped"
 )
-
-
-def periodicity_report(law: FormalGroupLaw, group: AbelianPGroup,
-                       sub: SubgroupSpec, max_cert_len: int | None = None) -> dict:
-    """Combined Tate status and blue-shift bounds with consistency notes."""
-    result = tate_ring(law, group, sub, max_cert_len=max_cert_len)
-    bounds = blueshift_bounds(group.p, group.exponents, sub.exponents)
-    if result.status == TateRingResult.ZERO and "certificate" in result.witness:
-        bounds.certificate = result.witness["certificate"]
-    out = {
-        "tate": result.to_dict(),
-        "bounds": bounds.to_dict(),
-        "grading_note": GRADING_NOTE,
-        "caveats": [],
-    }
-    base_k = law.domain.n
-    # F_p coefficients for a height-n law are exactly finite (the periodicity
-    # generator is 1); Z/p^K coefficients stand in for p-complete ones and
-    # genuinely truncate.
-    truncated_base = law.kind != "honda"
-    if result.status == TateRingResult.ZERO:
-        if bounds.lower_t >= 1:
-            out["consistency"] = (
-                "zero at the truncation level: consistent with the quotient "
-                "chain vanishing below the blue-shift lower bound"
-            )
-        else:
-            out["consistency"] = "zero at the truncation level"
-        if truncated_base:
-            out["caveats"].append(
-                f"base Z/{base_k} truncates the p-complete coefficients: "
-                "classes invisible at this level (e.g. height-0 survival) "
-                "are not ruled out"
-            )
-    elif result.status == TateRingResult.NONZERO:
-        out["consistency"] = (
-            f"nonzero at truncation level {base_k}; INCONCLUSIVE for the "
-            "completed ring"
-        )
-    else:
-        out["consistency"] = "certificate search exhausted; INCONCLUSIVE"
-    return out
 
 
 def build_law(kind: str, p: int, n: int = 1, modulus_power: int = 1,

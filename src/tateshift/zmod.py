@@ -206,10 +206,6 @@ def solve(mat: list[list[int]], rhs: list[int], n: int):
     return solve_coset(mat, rhs, n)[0]
 
 
-def matmul_vec(mat: list[list[int]], x: list[int], n: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, x)) % n for row in mat]
-
-
 def is_prime(n: int) -> bool:
     """Exact for every n below 3.3e24 (see ``prime_power``)."""
     return prime_power(n) == (n, 1)

@@ -1,0 +1,160 @@
+"""Test oracles and fixtures that no command runs.
+
+Each routine here is an independent reference for a routine of
+``tateshift`` (or a constructor only the tests need).  The module has no
+``test_`` prefix, so pytest imports it only through the test modules.
+"""
+
+import itertools
+
+from tateshift import zmod
+from tateshift.classifying import ClassifyingError
+from tateshift.fgl import X1, X2, FormalGroupLaw, _sum_unit_series
+from tateshift.ring_core import (
+    ZERO_RING,
+    _kernel_chain,
+    _product,
+    _quotient_algebra,
+    ideal_module_rows,
+    identity_rows,
+)
+from tateshift.ring_linalg import elem_one, poly_eval_elems
+from tateshift.series import TruncatedSeries, ZModDomain, inverse, substitute
+
+
+# -- groups and torsion roots --------------------------------------------------
+
+
+def torsion_elements(group, j: int):
+    """V(p^j | A) = { w : p^j w = 0 }, enumerated componentwise."""
+    return itertools.product(*[range(0, o, group.p ** max(i_k - j, 0))
+                               for i_k, o in zip(group.exponents, group.orders)])
+
+
+def V_count(group, j: int) -> int:
+    """|V(p^j|A)| = prod p^min(j, i_k), the log-count ``blueshift_bounds``
+    sums inline."""
+    out = 1
+    for i_k in group.exponents:
+        out *= group.p ** min(j, i_k)
+    return out
+
+
+def V_count_image(group, sub, j: int) -> int:
+    """|V(p^j | im phi(A/C))| = prod p^min(j, i_k - j_k)."""
+    sub.validate_in(group)
+    out = 1
+    for i_k, j_k in zip(group.exponents, sub.exponents):
+        out *= group.p ** min(j, i_k - j_k)
+    return out
+
+
+def pj_root_set(cr, j: int):
+    """Euler classes of the p^j-torsion of A, each checked to kill the
+    Weierstrass polynomial of [p^j], and as many as V(p^j|A) has elements.
+
+    That polynomial is taken as the j-fold composite of g_1, which needs no
+    series past the ring's cap for j above the exponents of A.
+    """
+    alg = cr.algebra
+    gj = poly_compose_iterate(cr.law.weierstrass(1).poly, j, alg.base.n)
+    g = [alg.from_int(c) for c in gj]
+    out = cr.euler_classes(torsion_elements(cr.group, j))
+    for ec in out:
+        if not poly_eval_elems(g, ec.value).is_zero():
+            raise ClassifyingError(
+                f"euler class of {ec.element} does not kill the p^{j} relation")
+    if len(out) != V_count(cr.group, j):
+        raise ClassifyingError(f"torsion enumeration produced {len(out)} classes")
+    return out
+
+
+def poly_compose_iterate(g, j: int, n: int):
+    """g composed with itself j times over Z/n, by Horner; j = 0 gives x."""
+    out = [0, 1]
+    for _ in range(j):
+        acc = [0]
+        for c in reversed(out):  # acc <- acc * g + c
+            prod = [0] * (len(acc) + len(g) - 1)
+            for a, x in enumerate(acc):
+                for b, y in enumerate(g):
+                    prod[a + b] = (prod[a + b] + x * y) % n
+            prod[0] = (prod[0] + c) % n
+            acc = prod
+        while len(acc) > 1 and not acc[-1]:
+            acc.pop()
+        out = acc
+    return out
+
+
+# -- formal group laws ---------------------------------------------------------
+
+
+def build_additive(n: int, D: int, p: int | None = None) -> FormalGroupLaw:
+    """F = x1 + x2 over Z/n (no interesting height; used for comparisons)."""
+    F = TruncatedSeries(ZModDomain(n), (X1, X2), D, {(1, 0): 1, (0, 1): 1})
+    return FormalGroupLaw(F, p if p is not None else 0, None, "additive")
+
+
+def build_custom(F: TruncatedSeries, p: int, height=None) -> FormalGroupLaw:
+    return FormalGroupLaw(F, p, height, "custom")
+
+
+def formal_difference_with_unit(law, a: TruncatedSeries, b: TruncatedSeries):
+    """(a -_F b, eps) with a -_F b = (a - b) * eps and eps(0) = 1: the
+    series-level form of the unit ``certify_root_difference`` reads.
+
+    With d = a -_F b, F(b, d) = a and F(x1, x2) = x1 + x2 * G(x1, x2) give
+    a - b = d * G(b, d), so eps = G(b, d)^-1; nothing is divided by a - b.
+    G is known to total degree cap - 1, so eps carries min(cap - 1, a.cap,
+    b.cap).
+    """
+    dom = law.domain
+    if a.constant_term() != dom.zero or b.constant_term() != dom.zero:
+        raise ValueError("formal difference needs zero constant terms")
+    diff = law.formal_sum(a, substitute(law.formal_inverse(), {"x": b}))
+    return diff, inverse(substitute(_sum_unit_series(law), {X1: b, X2: diff}))
+
+
+# -- rings and linear algebra --------------------------------------------------
+
+
+def saturation_ideal(alg, s_gens):
+    """The Howell rows of the saturation { r : s*r = 0 for some s in the
+    multiplicative closure }, and the chain of distinct bases of
+    ker(s^(2^i)), i = 0, 1, ..., that leads to it (empty iff s is a
+    non-zero-divisor; a nilpotent s ends it in the whole module).  Every
+    step's rows are built, on every ring, unlike ``localize_by_saturation``
+    on a local tower.
+    """
+    _, kernels, nilpotent = _kernel_chain(alg, _product(alg, s_gens))
+    chain = [[list(r) for r in rows] for rows in kernels]
+    if nilpotent:
+        chain.append(identity_rows(alg.rank))
+    return (chain[-1] if chain else []), chain
+
+
+def quotient_by_ideal(alg, gens):
+    """R/(gens) as a FiniteAlgebra plus projection, or (ZERO_RING, None)."""
+    rows = ideal_module_rows(list(gens)) if gens else []
+    if rows:
+        hf = zmod.howell(rows, alg.base.n)
+        if hf.contains([1] + [0] * (alg.rank - 1)):
+            return ZERO_RING, None
+        rows = hf.rows
+    if not rows:
+        return alg, identity_rows(alg.rank)
+    return _quotient_algebra(alg, rows)
+
+
+def vandermonde_det(ts):
+    """prod_{j<i} (t_i - t_j); the empty and singleton products are 1."""
+    ts = list(ts)
+    out = elem_one(ts[0]) if ts else 1
+    for i, j in itertools.combinations(range(len(ts)), 2):
+        out = out * (ts[j] - ts[i])
+    return out
+
+
+def matmul_vec(mat, x, n: int):
+    return [sum(a * b for a, b in zip(row, x)) % n for row in mat]

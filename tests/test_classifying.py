@@ -1,4 +1,4 @@
-"""Classifying rings, Euler classes, torsion root sets, induced maps.
+"""Classifying rings, Euler classes, torsion root sets, root differences.
 
 The per-element left fold that ``euler_class`` replaced is kept here as the
 reference for the one-step recursion over shared power tables, and
@@ -17,14 +17,10 @@ from tateshift.classifying import (
     ClassifyingError,
     ClassifyingRing,
     InvalidSubgroup,
-    NotAHomomorphism,
     SubgroupSpec,
-    V_count,
-    V_count_image,
     build_classifying_ring,
     certify_root_difference,
     height_sequence,
-    induced_map,
     orbit_representatives,
     quotient_image_elements,
     required_cap,
@@ -32,8 +28,10 @@ from tateshift.classifying import (
 from tateshift.fgl import build_honda, build_multiplicative
 from tateshift.ring_core import BaseModulus, FiniteAlgebra, is_unit, unit_cofactor
 from tateshift.ring_linalg import verify_localized_tuple
-from tateshift.series import NonNilpotentArgument, TruncatedSeries, eval_at, poly_eval
+from tateshift.series import NonNilpotentArgument, TruncatedSeries, eval_at
 from tateshift.tate_blueshift import inverted_element_set
+
+from oracles import V_count, V_count_image, pj_root_set, torsion_elements
 
 
 def honda_ring(p, n, exponents):
@@ -200,7 +198,7 @@ def test_no_power_table_outlives_a_call():
     for u, w in (((1, 2), (3, 1)), ((2, 3), (0, 1))):
         certify_root_difference(cr, u, w)
         assert not cr._single_tables and cr._head is None
-    for call in (lambda: cr.euler_class((3, 3)), lambda: cr.pj_root_set(1)):
+    for call in (lambda: cr.euler_class((3, 3)), lambda: pj_root_set(cr, 1)):
         call()
         assert not cr._single_tables and cr._head is None
 
@@ -210,14 +208,14 @@ def test_no_power_table_outlives_a_call():
 
 def test_pj_root_set_j0():
     cr = honda_ring(2, 1, [2])
-    roots = cr.pj_root_set(0)
+    roots = pj_root_set(cr, 0)
     assert len(roots) == 1 and roots[0].value.is_zero()
 
 
 def test_pj_root_set_honda_z4_j1():
     # [2](x) = x^2: the 2-torsion of Z/4 gives Euler classes {0, x^2}
     cr = honda_ring(2, 1, [2])
-    roots = cr.pj_root_set(1)
+    roots = pj_root_set(cr, 1)
     values = {r.value for r in roots}
     x = cr.algebra.gen(0)
     assert values == {cr.algebra.zero(), x * x}
@@ -225,13 +223,13 @@ def test_pj_root_set_honda_z4_j1():
 
 def test_pj_root_set_rank2_j1_has_four_classes():
     for cr in (honda_ring(2, 1, [1, 1]), mult_ring(2, 2, [1, 1])):
-        assert len(cr.pj_root_set(1)) == 4
+        assert len(pj_root_set(cr, 1)) == 4
 
 
 def test_pj_root_counts_match_v_count():
     cr = honda_ring(2, 1, [1, 2])
     for j in range(4):
-        assert len(cr.pj_root_set(j)) == V_count(cr.group, j)
+        assert len(pj_root_set(cr, j)) == V_count(cr.group, j)
 
 
 def test_root_differences_certified_in_full_localization():
@@ -240,7 +238,7 @@ def test_root_differences_certified_in_full_localization():
     cr = honda_ring(2, 1, [1, 1])
     nonzero = [w for w in cr.group.elements() if any(w)]
     s_gens = [cr.euler_class(w).value for w in nonzero]
-    roots = [r.value for r in cr.pj_root_set(1)]
+    roots = [r.value for r in pj_root_set(cr, 1)]
     tup = verify_localized_tuple(s_gens, roots, max_len=4)
     assert len(tup.witnesses["pairs"]) == 6
 
@@ -283,7 +281,7 @@ def test_torsion_enumeration_against_brute_force():
             w for w in a.elements()
             if all((2**j * x) % o == 0 for x, o in zip(w, a.orders))
         }
-        assert set(a.torsion_elements(j)) == brute
+        assert set(torsion_elements(a, j)) == brute
         assert len(brute) == V_count(a, j)
 
 
@@ -299,45 +297,7 @@ def test_subgroup_validation():
     assert SubgroupSpec([2, 0]).rank_p == 1
 
 
-# -- induced maps ---------------------------------------------------------------------
-
-
-def test_induced_identity_map():
-    cr = honda_ring(2, 1, [2])
-    hom = induced_map(cr, cr, [[1]])
-    assert hom.images[0] == cr.algebra.gen(0)
-    x = cr.algebra.gen(0)
-    assert hom.apply(x * x + x) == x * x + x
-
-
-def test_induced_quotient_z4_to_z2():
-    # h: Z/4 -> Z/2 quotient; the algebra map goes the other way and sends
-    # the Z/2-ring generator to the Euler class of 2 = [2](x) = x^2
-    target = honda_ring(2, 1, [2])  # ring of Z/4
-    source = honda_ring(2, 1, [1])  # ring of Z/2
-    hom = induced_map(target, source, [[1]])
-    x = target.algebra.gen(0)
-    assert hom.images[0] == x * x
-    # the source relation x^2 maps to x^4 = 0 in F2[x]/(x^4)
-    assert poly_eval(source.relations[0], hom.images[0]).is_zero()
-
-
-def test_induced_multiplication_by_p_self_map():
-    cr = honda_ring(2, 1, [2])
-    hom = induced_map(cr, cr, [[2]])
-    x = cr.algebra.gen(0)
-    expected = eval_at(cr.law.p_series(), [x])
-    assert hom.images[0] == expected
-
-
-def test_induced_map_congruence_guard():
-    # Z/2 -> Z/4 needs H with 4 | H * 2: H = 1 fails, H = 2 works
-    target = honda_ring(2, 1, [1])
-    source = honda_ring(2, 1, [2])
-    with pytest.raises(NotAHomomorphism):
-        induced_map(target, source, [[1]])
-    hom = induced_map(target, source, [[2]])
-    assert hom.images[0] == target.algebra.gen(0)
+# -- root differences --------------------------------------------------------------
 
 
 def check_root_difference(cr, u, w):

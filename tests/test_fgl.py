@@ -11,18 +11,20 @@ from tateshift.fgl import (
     AxiomFailure,
     CapTooSmall,
     NotWeierstrassReady,
-    build_additive,
-    build_custom,
     build_honda,
     build_multiplicative,
-    formal_difference_with_unit,
-    poly_compose,
-    poly_compose_iterate,
     weierstrass_degree,
     weierstrass_divide,
     weierstrass_prepare,
 )
 from tateshift.series import TruncatedSeries, ZModDomain, inverse, substitute
+
+from oracles import (
+    build_additive,
+    build_custom,
+    formal_difference_with_unit,
+    poly_compose_iterate,
+)
 
 
 def uni(dom, cap, terms):
@@ -394,17 +396,25 @@ def test_weierstrass_prepare_four_series_mod4():
     fac2 = weierstrass_prepare(law.pj_series(2))
     assert fac2.poly == [0, 0, 2, 0, 1]  # x^4 + 2x^2
     # g_2 = g_1 o g_1: (x^2+2x)^2 + 2(x^2+2x) = x^4 + 2x^2 mod 4
-    assert poly_compose(g1, g1, 4) == [0, 0, 2, 0, 1]
+    assert poly_compose_iterate(g1, 2, 4) == [0, 0, 2, 0, 1]
 
 
 def test_weierstrass_poly_composition_law():
     # the Weierstrass polynomial of [p^j] is the j-fold composite of g_1
     for law in (build_multiplicative(2, 2, 9), build_honda(2, 1, 9)):
         n = law.domain.n
-        g1 = weierstrass_prepare(law.p_series()).poly
+        g1 = law.weierstrass(1).poly
         for j in (2, 3):
-            gj = weierstrass_prepare(law.pj_series(j)).poly
-            assert gj == poly_compose_iterate(g1, j, n)
+            assert law.weierstrass(j).poly == poly_compose_iterate(g1, j, n)
+
+
+def test_law_weierstrass_is_prepared_once_per_j():
+    law = build_multiplicative(2, 2, 9)
+    for j in (0, 1, 2, 3):
+        fac = law.weierstrass(j)
+        assert law.weierstrass(j) is fac
+        want = weierstrass_prepare(law.pj_series(j))
+        assert (fac.poly, fac.degree, fac.unit) == (want.poly, want.degree, want.unit)
 
 
 def test_weierstrass_prepare_xd_over_field():
@@ -500,9 +510,6 @@ def test_zero_series():
 
 
 def test_custom_law_from_series():
-    from tateshift.fgl import build_custom
-    from tateshift.series import TruncatedSeries, ZModDomain
-
     dom = ZModDomain(4)
     F = TruncatedSeries(dom, ("x1", "x2"), 4,
                         {(1, 0): 1, (0, 1): 1, (1, 1): 1})

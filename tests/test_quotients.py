@@ -15,8 +15,9 @@ from tateshift.ring_core import (
     integer_solve,
     is_unit,
     project_element,
-    quotient_by_ideal,
 )
+
+from oracles import matmul_vec, quotient_by_ideal
 
 
 def random_presented_algebra(rng, n):
@@ -111,10 +112,10 @@ def test_howell_solve_larger_random():
             size = rng.randrange(4, 9)
             mat = [[rng.randrange(n) for _ in range(size)] for _ in range(size)]
             x0 = [rng.randrange(n) for _ in range(size)]
-            rhs = zmod.matmul_vec(mat, x0, n)
+            rhs = matmul_vec(mat, x0, n)
             x = zmod.solve(mat, rhs, n)
             assert x is not None
-            assert zmod.matmul_vec(mat, x, n) == rhs
+            assert matmul_vec(mat, x, n) == rhs
 
 
 def test_right_kernel_larger_spans_solutions():

@@ -26,12 +26,13 @@ from tateshift.ring_core import (
     RingMismatch,
     ideal_module_rows,
     multiset_products,
-    quotient_by_ideal,
 )
 from tateshift.tate_blueshift import (
     multiplicative_euler_class_exact,
     multiplicative_exact_ring,
 )
+
+from oracles import quotient_by_ideal
 
 
 def stack_reduce(relations, terms, modulus=None):

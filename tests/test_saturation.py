@@ -3,7 +3,7 @@ and localization by squaring on local towers against the Howell chain.
 
 The colon iteration I_{t+1} = sum_i (I_t : s_i), run to a fixed point, is
 kept here only as the reference: it computes the same saturation ideal by an
-independent route.  ``saturation_ideal`` builds the Howell rows of every
+independent route.  ``oracles.saturation_ideal`` builds the Howell rows of every
 step on every ring and is the reference for ``localize_by_saturation``,
 which builds none on a local tower.
 """
@@ -19,8 +19,9 @@ from tateshift.ring_core import (
     annihilator,
     identity_rows,
     localize_by_saturation,
-    saturation_ideal,
 )
+
+from oracles import saturation_ideal
 
 MODULI = (4, 6, 8, 9, 12, 18, 27, 30)
 

@@ -19,8 +19,6 @@ from tateshift.classifying import (
     AbelianPGroup,
     InvalidSubgroup,
     SubgroupSpec,
-    V_count,
-    V_count_image,
     build_classifying_ring,
 )
 from tateshift.cli import run_job
@@ -43,11 +41,12 @@ from tateshift.tate_blueshift import (
     multiplicative_euler_class_exact,
     multiplicative_exact_ring,
     nonabelian_lower_bound,
-    periodicity_report,
     tate_ring,
     tate_ring_exact,
     valuation_witness,
 )
+
+from oracles import V_count, V_count_image
 
 
 # -- blue-shift bounds ------------------------------------------------------------
@@ -605,33 +604,6 @@ def test_exact_euler_class_closed_form():
     x1, x2 = ring.gen(0), ring.gen(1)
     assert multiplicative_euler_class_exact(ring, (1, 0)) == x1
     assert multiplicative_euler_class_exact(ring, (1, 1)) == x1 + x2 + x1 * x2
-
-
-# -- periodicity reports ---------------------------------------------------------------
-
-
-def test_periodicity_report_honda_zero():
-    law = build_law("honda", 2, n=2, exponents=[1])
-    report = periodicity_report(law, AbelianPGroup(2, [1]), SubgroupSpec([1]))
-    assert report["tate"]["status"] == "ZERO"
-    assert "vanishing below the blue-shift lower bound" in report["consistency"]
-    assert report["caveats"] == []
-
-
-def test_periodicity_report_trivial_subgroup_nonzero():
-    law = build_law("honda", 2, n=1, exponents=[1])
-    report = periodicity_report(law, AbelianPGroup(2, [1]), SubgroupSpec([0]))
-    assert report["tate"]["status"] == "NONZERO"
-    assert report["bounds"]["lower_t"] == 0
-    assert report["bounds"]["upper_rank"] == 0
-    assert "INCONCLUSIVE" in report["consistency"]
-
-
-def test_periodicity_report_multiplicative_truncation_caveat():
-    law = build_law("multiplicative", 2, modulus_power=2, exponents=[1])
-    report = periodicity_report(law, AbelianPGroup(2, [1]), SubgroupSpec([1]))
-    assert report["tate"]["status"] == "ZERO"
-    assert any("truncates" in c for c in report["caveats"])
 
 
 def test_morava_certificate_replays_in_fresh_ring():
