@@ -148,11 +148,10 @@ class ClassifyingRing:
     """The finite algebra presentation of E*(BA) plus the source data."""
 
     def __init__(self, law: FormalGroupLaw, group: AbelianPGroup,
-                 algebra: FiniteAlgebra, relations):
+                 algebra: FiniteAlgebra):
         self.law = law
         self.group = group
         self.algebra = algebra
-        self.relations = relations  # monic coefficient lists, one per factor
         self._euler_cache: dict[tuple, RingElement] = {}
         self._single_tables: dict[tuple, list] = {}
         self._head = None  # (head element, its power table)
@@ -283,7 +282,7 @@ def build_classifying_ring(law: FormalGroupLaw, group: AbelianPGroup) -> Classif
         raise ClassifyingError(
             f"rank {algebra.rank} differs from p^(n*sum i_k) = {expected_rank}"
         )
-    return ClassifyingRing(law, group, algebra, relations)
+    return ClassifyingRing(law, group, algebra)
 
 
 def certify_root_difference(cr: ClassifyingRing, u, w):

@@ -9,8 +9,10 @@ jobs independently and exits with the maximum of the individual codes.
 A law's series truncation degree follows from the job: only ``fgl``, whose
 report prints the series, takes a ``cap``.  Consecutive ``fgl``, ``bgroup``
 and ``tate`` jobs with the same law parameters (law, p, n, modulus_power and
-the resolved cap) share one law; one law is held at a time, and reports are
-the same bytes as when each job runs alone.
+the resolved cap) share one law, and consecutive ``bgroup`` and ``tate`` jobs
+on one group A under it share one classifying ring with its Euler classes;
+one law and one ring are held at a time, and reports are the same bytes as
+when each job runs alone.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def _decode(decode, *args):
 
 def run_fgl(params: dict) -> dict:
     """build a law; emit series and Weierstrass data"""
-    law = _law(params)
+    law = _memo(params).law
     j = params.get("j")
     report = {"law": law.describe(), "F": law.F.to_json_dict()}
     prep = law.weierstrass(1)
@@ -215,17 +217,29 @@ def run_fgl(params: dict) -> dict:
     return report
 
 
-# The last law built, keyed by what determines it: at most one entry, so
-# consecutive jobs under one law share it (with its m-series) and a job
-# under another law releases it.  A law is immutable and its caches hold
-# pure functions of the key, so sharing changes no report.
+# The last law built, keyed by what determines it, with the last classifying
+# ring built from it: at most one entry, so consecutive jobs under one law
+# share it (with its m-series), consecutive bgroup and tate jobs on one group
+# share its ring (with its Euler classes), and a job under another law
+# releases both before building its own.  A law and a ring are immutable and
+# their caches hold pure functions of the key, so sharing changes no report.
 _last_law: dict = {}
 
 
-def _law(params: dict, exponents=None):
-    """The job's law, truncated for ``fgl`` at its ``cap`` (by default just
-    past the degree its report prints) and for a group A where the
-    classifying ring of A needs it; the last law built if its key agrees."""
+class _Memo:
+    """A law, and the last classifying ring built from it (None before one)."""
+
+    __slots__ = ("law", "ring", "__weakref__")
+
+    def __init__(self, law):
+        self.law = law
+        self.ring = None
+
+
+def _memo(params: dict, exponents=None) -> _Memo:
+    """The entry of the job's law, truncated for ``fgl`` at its ``cap`` (by
+    default just past the degree its report prints) and for a group A where
+    the classifying ring of A needs it; the last entry if its key agrees."""
     p = params["p"]
     # by validate_params, n is 1 off the honda law and K off the multiplicative
     n, K = params.get("n", 1), params.get("modulus_power", 1)
@@ -240,20 +254,30 @@ def _law(params: dict, exponents=None):
         cap = required_cap(p, n, K, exponents)
     kind = _law_kind(params)
     key = (kind, p, n, K, cap)
-    law = _last_law.get(key)
-    if law is None:
-        _last_law.clear()  # release the old law before building the new one
-        law = _last_law[key] = build_law(kind, p, n=n, modulus_power=K, cap=cap)
-    return law
+    memo = _last_law.get(key)
+    if memo is None:
+        _last_law.clear()  # release the old law and ring before building
+        memo = _last_law[key] = _Memo(
+            build_law(kind, p, n=n, modulus_power=K, cap=cap))
+    return memo
+
+
+def _ring(params: dict, group: AbelianPGroup):
+    """The classifying ring of group under the job's law; the last ring
+    built from that law if it is the ring of the same group."""
+    memo = _memo(params, group.exponents)
+    if memo.ring is None or memo.ring.group.exponents != group.exponents:
+        memo.ring = None  # release the old ring before building the new one
+        memo.ring = build_classifying_ring(memo.law, group)
+    return memo.ring
 
 
 def run_bgroup(params: dict) -> dict:
     """classifying ring of an abelian p-group"""
     group = AbelianPGroup(params["p"], params["exponents"])
-    law = _law(params, params["exponents"])
-    cr = build_classifying_ring(law, group)
+    cr = _ring(params, group)
     report = {
-        "law": law.describe(),
+        "law": cr.law.describe(),
         "group": {"p": group.p, "exponents": list(group.exponents)},
         "presentation": ring_core.algebra_to_json(cr.algebra),
         "rank": cr.algebra.rank,
@@ -341,16 +365,15 @@ def run_tate(params: dict) -> dict:
         )
         report = result.to_dict()
     else:
-        law = _law(params, params["A"])
-        result = tate_ring(law, group, sub,
-                           max_cert_len=params.get("max_cert_len"))
+        cr = _ring(params, group)
+        result = tate_ring(cr, sub, max_cert_len=params.get("max_cert_len"))
         report = result.to_dict()
-        report["law"] = law.describe()
+        report["law"] = cr.law.describe()
         if params.get("explain"):
             # step i is s^(2^i), printed as the Howell rows of its kernel; a
             # ZERO chain ends in None, the whole module of rank |A|^n; a
             # trivial C inverts nothing, has no witness and prints no step
-            rank = group.order ** law.height
+            rank = cr.algebra.rank
             report["witness"]["saturation_chain"] = [
                 [[str(x) for x in row]
                  for row in (ring_core.identity_rows(rank) if step is None else

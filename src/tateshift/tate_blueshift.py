@@ -23,9 +23,9 @@ from math import comb, lcm
 
 from .classifying import (
     AbelianPGroup,
+    ClassifyingRing,
     InvalidSubgroup,
     SubgroupSpec,
-    build_classifying_ring,
     orbit_representatives,
     quotient_image_elements,
     required_cap,
@@ -116,22 +116,25 @@ def inverted_element_set(group: AbelianPGroup, sub: SubgroupSpec):
 CERT_SEARCH_BUDGET = 8192
 
 
-def tate_ring(law: FormalGroupLaw, group: AbelianPGroup, sub: SubgroupSpec,
+def tate_ring(cr: ClassifyingRing, sub: SubgroupSpec,
               max_cert_len: int | None = None) -> TateRingResult:
-    """Finite-base generalized Tate ring via saturation localization.
+    """Finite-base generalized Tate ring of cr's group via saturation
+    localization.
 
-    A trivial C inverts nothing and returns the classifying ring unchanged
-    (NONZERO at the truncation level).  A ZERO outcome attaches the
-    saturation chain and, when found, a zero-product certificate (see
-    ``finite_certificate``).  An automorphism of A induces a ring
-    automorphism sending e(w) to e(sigma w), so the nilpotency index is
-    constant on Aut(A)-orbits and only one class per orbit is stepped.  A
-    certificate whose length meets the bound of ``valuation_witness``
-    carries that witness as its proof of minimality.
+    The Euler classes come from cr, which keeps them, so calls that share
+    a ring compute each class once.  A trivial C inverts nothing and
+    returns the classifying ring unchanged (NONZERO at the truncation
+    level).  A ZERO outcome attaches the saturation chain and, when found,
+    a zero-product certificate (see ``finite_certificate``).  An
+    automorphism of A induces a ring automorphism sending e(w) to
+    e(sigma w), so the nilpotency index is constant on Aut(A)-orbits and
+    only one class per orbit is stepped.  A certificate whose length meets
+    the bound of ``valuation_witness`` carries that witness as its proof of
+    minimality.
     """
-    cr = build_classifying_ring(law, group)
+    group = cr.group
     inverted = inverted_element_set(group, sub)
-    level = law.domain.n
+    level = cr.law.domain.n
     if not inverted:
         return TateRingResult(
             TateRingResult.NONZERO, quotient=cr.algebra, inverted=[],
@@ -215,24 +218,13 @@ def valuation_witness(alg: FiniteAlgebra, gens) -> dict | None:
     product of fewer than ceil(M/d) generators maps to a unit times a power
     of t below M, which is not 0: no certificate is shorter than ceil(M/d).
     Valuations are read off the generators' coordinates mod p.  Returns
-    {"M", "d", "field_modulus": f from z^0 up, "weights": the M/d_k}.
+    {"M", "d", "field_modulus": f from z^0 up, "weights": the M/d_k}; all
+    but d depend on alg alone and are computed once per algebra.
     """
     p = alg.local_tower_prime()
     if p is None:
         return None
-    degrees = [len(rel) - 1 for rel in alg.presentation["relations"]]
-    M = lcm(*degrees)
-    weights = [M // d_k for d_k in degrees]
-    f = _first_irreducible(p, len(degrees))
-    field = MonomialReducer([f], modulus=p)
-    # basis monomial x^mu maps to z^s t^e, s = sum k mu_k and e = sum a_k mu_k
-    by_degree = {}
-    for i, mu in enumerate(alg.presentation["exponents"]):
-        e = sum(a * u for a, u in zip(weights, mu))
-        if e < M:
-            s = sum(k * u for k, u in enumerate(mu))
-            by_degree.setdefault(e, []).append((i, field.power_row(0, s)))
-    terms = sorted(by_degree.items())
+    M, weights, f, terms = _valuation_data(alg, p)
 
     def valuation(g):
         for e, monomials in terms:
@@ -245,8 +237,32 @@ def valuation_witness(alg: FiniteAlgebra, gens) -> dict | None:
                 return e
         return M
 
-    return {"M": M, "d": max(map(valuation, gens)), "field_modulus": f,
-            "weights": weights}
+    return {"M": M, "d": max(map(valuation, gens)), "field_modulus": list(f),
+            "weights": list(weights)}
+
+
+def _valuation_data(alg: FiniteAlgebra, p: int) -> tuple:
+    """(M, weights, f, terms) of ``valuation_witness`` for the local tower
+    alg over Z/p^K, kept on alg: terms lists, by ascending t-exponent e < M,
+    the basis positions i whose monomial x^mu maps to z^s t^e with the row
+    of z^s in F_q."""
+    data = getattr(alg, "_valuation_data", None)
+    if data is not None:
+        return data
+    degrees = [len(rel) - 1 for rel in alg.presentation["relations"]]
+    M = lcm(*degrees)
+    weights = [M // d_k for d_k in degrees]
+    f = _first_irreducible(p, len(degrees))
+    field = MonomialReducer([f], modulus=p)
+    # basis monomial x^mu maps to z^s t^e, s = sum k mu_k and e = sum a_k mu_k
+    by_degree = {}
+    for i, mu in enumerate(alg.presentation["exponents"]):
+        e = sum(a * u for a, u in zip(weights, mu))
+        if e < M:
+            s = sum(k * u for k, u in enumerate(mu))
+            by_degree.setdefault(e, []).append((i, field.power_row(0, s)))
+    alg._valuation_data = (M, weights, f, sorted(by_degree.items()))
+    return alg._valuation_data
 
 
 def _first_irreducible(p: int, r: int) -> list:

@@ -98,7 +98,8 @@ def test_criterion_2_morava_vanishing():
         for n in (1, 2):
             law = build_law("honda", p, n=n, exponents=[1])
             start = time.monotonic()
-            result = tate_ring(law, AbelianPGroup(p, [1]), SubgroupSpec([1]))
+            result = tate_ring(build_classifying_ring(law, AbelianPGroup(p, [1])),
+                               SubgroupSpec([1]))
             elapsed = time.monotonic() - start
             assert result.status == TateRingResult.ZERO
             assert len(result.witness["certificate"]["word"]) <= p**n
@@ -262,11 +263,11 @@ def test_criterion_9_cross_module_consistency():
     for p, n in ((2, 1), (2, 2), (3, 1), (3, 2)):
         law = build_law("honda", p, n=n, exponents=[1])
         group = AbelianPGroup(p, [1])
-        result = tate_ring(law, group, SubgroupSpec([1]))
+        cr = build_classifying_ring(law, group)
+        result = tate_ring(cr, SubgroupSpec([1]))
         assert result.status == TateRingResult.ZERO
         assert result.witness["saturation_chain"]          # (a) saturation
         assert result.witness["certificate"]               # (b) certificate
-        cr = build_classifying_ring(law, group)
         alg = cr.algebra
         gens = [cr.euler_class((w,)).value for w in range(1, p)]
         roots = [cr.euler_class((w,)).value for w in range(p)]
@@ -295,6 +296,7 @@ def test_criterion_9_cross_module_consistency():
         assert verdict.verdict == VanishingVerdict.MUST_BE_ZERO
         # (a) saturation on the finite Z/p^2 model of the same presentation
         law = build_law("multiplicative", p, modulus_power=2, exponents=[1, 1])
-        finite = tate_ring(law, AbelianPGroup(p, [1, 1]), SubgroupSpec([1, 1]))
+        finite = tate_ring(build_classifying_ring(law, AbelianPGroup(p, [1, 1])),
+                           SubgroupSpec([1, 1]))
         assert finite.status == TateRingResult.ZERO
         assert finite.witness["saturation_chain"]

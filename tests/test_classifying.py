@@ -54,19 +54,19 @@ def mult_ring(p, K, exponents):
 def test_build_honda_z2():
     cr = honda_ring(2, 1, [1])
     assert cr.algebra.rank == 2
-    assert cr.relations == [[0, 0, 1]]  # x^2
+    assert cr.algebra.presentation["relations"] == [[0, 0, 1]]  # x^2
 
 
 def test_build_multiplicative_z2_mod4():
     cr = mult_ring(2, 2, [1])
     assert cr.algebra.rank == 2
-    assert cr.relations == [[0, 2, 1]]  # x^2 + 2x
+    assert cr.algebra.presentation["relations"] == [[0, 2, 1]]  # x^2 + 2x
 
 
 def test_build_honda_z4():
     cr = honda_ring(2, 1, [2])
     assert cr.algebra.rank == 4
-    assert cr.relations == [[0, 0, 0, 0, 1]]  # x^4
+    assert cr.algebra.presentation["relations"] == [[0, 0, 0, 0, 1]]  # x^4
 
 
 def test_rank_formula_heights():
@@ -159,7 +159,7 @@ def test_euler_recursion_matches_fold(query):
     spec, order, batch = query
     built, expected = fold_ring(spec)
     # a fresh ring object: empty class cache and power tables
-    cr = ClassifyingRing(built.law, built.group, built.algebra, built.relations)
+    cr = ClassifyingRing(built.law, built.group, built.algebra)
     got = cr.euler_classes(order[:batch])
     got += [cr.euler_class(w) for w in order[batch:]]
     assert [ec.element for ec in got] == order
@@ -358,7 +358,7 @@ def test_root_difference_unit_matches_solve(query):
 def test_root_difference_needs_local_tower():
     cr = honda_ring(2, 1, [1])
     non_local = FiniteAlgebra.from_presentation(BaseModulus(4), ["x1"], [[1, 0, 1]])
-    bad = ClassifyingRing(cr.law, cr.group, non_local, [[1, 0, 1]])
+    bad = ClassifyingRing(cr.law, cr.group, non_local)
     with pytest.raises(ClassifyingError, match="local tower"):
         certify_root_difference(bad, (1,), (0,))
 

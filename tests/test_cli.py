@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -676,6 +677,75 @@ def test_consecutive_jobs_share_one_law(monkeypatch):
     for (command, params, raises), result in zip(MEMO_JOBS, shared):
         tateshift.cli._last_law.clear()
         assert run(command, params, raises) == result
+    tateshift.cli._last_law.clear()
+
+
+def _held_rings():
+    return [memo.ring for memo in tateshift.cli._last_law.values()
+            if memo.ring is not None]
+
+
+def test_consecutive_jobs_on_one_group_share_one_ring(monkeypatch):
+    # MEMO_JOBS again, with the failing job's ring build failing instead of
+    # its law build: the ring is built once per run of bgroup and tate jobs
+    # on one (law, A), leaves with its law, and a failed build keeps none
+    builds = []
+
+    def counted(law, group):
+        builds.append(group.exponents)
+        return build_classifying_ring(law, group)
+
+    def broken(law, group):
+        raise CapTooSmall("injected")
+
+    tateshift.cli._last_law.clear()
+    released = 0
+    for command, params, raises in MEMO_JOBS:
+        refs = [(weakref.ref(cr), weakref.ref(cr.law)) for cr in _held_rings()]
+        with monkeypatch.context() as m:
+            m.setattr(tateshift.cli, "build_classifying_ring",
+                      broken if raises else counted)
+            code, _ = run_job(command, params)
+        assert (code == EXIT_COMPUTE) == raises
+        held = _held_rings()
+        assert len(held) == (0 if raises or command == "fgl" else 1)
+        for ring_ref, law_ref in refs:
+            if ring_ref() not in held:
+                gc.collect()
+                # in MEMO_JOBS a ring only leaves when its law does
+                assert ring_ref() is None and law_ref() is None
+                released += 1
+    # runs: honda A=[2,1] (six tate jobs and a bgroup), honda n=2 A=[1,1]
+    # (four tate jobs), multiplicative K=2 A=[2,1] after the failed build;
+    # the first two rings leave with their laws
+    assert builds == [(2, 1), (1, 1), (2, 1)] and released == 2
+    tateshift.cli._last_law.clear()
+
+
+def test_jobs_sharing_a_ring_report_as_alone():
+    # every C of Honda n=2 A=(Z/4)+(Z/2) and of multiplicative K=2
+    # A=(Z/4)^2, with and without explain, shuffled within each group's run,
+    # with a bgroup of the group and a job on another group (A=Z/4, under
+    # the same law as (Z/4)+(Z/2)) in the run: each report is the job's
+    # report when it runs with nothing held
+    honda = {"fgl": "honda", "n": 2}
+    mult = {"fgl": "multiplicative", "modulus_power": 2}
+    rng = random.Random(22)
+    jobs = []
+    for law, A in ((honda, [2, 1]), (mult, [2, 2])):
+        run = [("tate", {"p": 2, "A": A, "C": c, **law, **extra})
+               for c in _every_c(A) for extra in ({}, {"explain": True})]
+        rng.shuffle(run)
+        run.insert(rng.randrange(len(run)), (
+            "bgroup", {"p": 2, "exponents": A, "euler_classes": True, **law}))
+        jobs += run
+    jobs.insert(rng.randrange(1, 12), ("tate", {"p": 2, "A": [2], "C": [1],
+                                                **honda}))
+    tateshift.cli._last_law.clear()
+    shared = [dumps(run_job(command, params)[1]) for command, params in jobs]
+    for (command, params), report in zip(jobs, shared):
+        tateshift.cli._last_law.clear()
+        assert dumps(run_job(command, params)[1]) == report, (command, params)
     tateshift.cli._last_law.clear()
 
 

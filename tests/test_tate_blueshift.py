@@ -160,7 +160,7 @@ def test_nonabelian_quaternion_like():
 def test_tate_trivial_subgroup_unchanged():
     law = build_law("honda", 2, n=1, exponents=[1])
     group = AbelianPGroup(2, [1])
-    result = tate_ring(law, group, SubgroupSpec([0]))
+    result = tate_ring(build_classifying_ring(law, group), SubgroupSpec([0]))
     assert result.status == TateRingResult.NONZERO
     assert result.inverted == []
     assert result.quotient.rank == 2
@@ -170,7 +170,8 @@ def test_tate_morava_mode_zero_with_certificate():
     # A = C = Z/p over the height-n law: F_p[x]/(x^(p^n)) with x inverted
     for p, n in ((2, 1), (2, 2), (3, 1)):
         law = build_law("honda", p, n=n, exponents=[1])
-        result = tate_ring(law, AbelianPGroup(p, [1]), SubgroupSpec([1]))
+        result = tate_ring(build_classifying_ring(law, AbelianPGroup(p, [1])),
+                           SubgroupSpec([1]))
         assert result.status == TateRingResult.ZERO
         cert = result.witness["certificate"]
         assert len(cert["word"]) == p**n
@@ -182,7 +183,8 @@ def test_tate_multiplicative_z4_zero():
     # [a]-series of a single class, not only Weierstrass preparation
     for p, K, A in ((2, 2, [1]), (2, 3, [2]), (3, 2, [2]), (2, 2, [3])):
         law = build_law("multiplicative", p, modulus_power=K, exponents=A)
-        result = tate_ring(law, AbelianPGroup(p, A), SubgroupSpec([1]))
+        result = tate_ring(build_classifying_ring(law, AbelianPGroup(p, A)),
+                           SubgroupSpec([1]))
         assert result.status == TateRingResult.ZERO
 
 
@@ -191,7 +193,8 @@ def test_tate_zero_without_certificate_records_the_limit():
     # rank + 1, so the search up to the limit finds none
     for p, K, A, limit in ((3, 2, [2], 10), (2, 2, [3], 9)):
         law = build_law("multiplicative", p, modulus_power=K, exponents=A)
-        result = tate_ring(law, AbelianPGroup(p, A), SubgroupSpec([1]))
+        result = tate_ring(build_classifying_ring(law, AbelianPGroup(p, A)),
+                           SubgroupSpec([1]))
         assert result.status == TateRingResult.ZERO
         assert result.to_dict()["witness"] == {
             "not_found_max_len": limit, "saturation_chain_length": 3}
@@ -200,7 +203,8 @@ def test_tate_zero_without_certificate_records_the_limit():
 def test_tate_intermediate_subgroup():
     # A = Z/4, C = Z/2: inverted classes are the odd weights
     law = build_law("honda", 2, n=1, exponents=[2])
-    result = tate_ring(law, AbelianPGroup(2, [2]), SubgroupSpec([1]))
+    result = tate_ring(build_classifying_ring(law, AbelianPGroup(2, [2])),
+                       SubgroupSpec([1]))
     assert sorted(result.inverted) == [(1,), (3,)]
     assert result.status == TateRingResult.ZERO  # x is nilpotent at this level
 
@@ -216,12 +220,13 @@ def test_finite_certificates_replay_and_are_shortest(kind, p, n, K, A):
     # minimal one is as short as the unbudgeted breadth-first search finds
     law = build_law(kind, p, n=n, modulus_power=K, exponents=list(A))
     group = AbelianPGroup(p, A)
+    cr = build_classifying_ring(law, group)  # one ring for every C, as in a batch
     fresh = build_classifying_ring(
         build_law(kind, p, n=n, modulus_power=K, exponents=list(A)), group)
     for C in itertools.product(*(range(i + 1) for i in A)):
         if not any(C):
             continue
-        result = tate_ring(law, group, SubgroupSpec(C))
+        result = tate_ring(cr, SubgroupSpec(C))
         assert result.status == TateRingResult.ZERO
         cert = result.witness["certificate"]
         gens = [fresh.euler_class(w).value for w in result.inverted]
@@ -242,8 +247,8 @@ def test_finite_tiny_budget_keeps_the_nilpotent_power(monkeypatch, budget):
     # runs; it examines 12 products, and a budget of 12 proves x^6 minimal
     monkeypatch.setattr(tate_blueshift, "CERT_SEARCH_BUDGET", budget)
     law = build_law("multiplicative", 2, modulus_power=2, exponents=[2])
-    result = tate_ring(law, AbelianPGroup(2, [2]), SubgroupSpec([1]),
-                       max_cert_len=6)
+    result = tate_ring(build_classifying_ring(law, AbelianPGroup(2, [2])),
+                       SubgroupSpec([1]), max_cert_len=6)
     assert result.status == TateRingResult.ZERO
     witness = result.to_dict()["witness"]
     assert witness["certificate"]["generator_indices"] == [0] * 6
@@ -339,7 +344,8 @@ def test_orbit_representative_word_is_the_all_class_lockstep_word(case):
     # so the search, where it runs, keeps the lockstep's word
     tower, C = case
     law, cr, gens, limit = tower_case(tower, C)
-    result = tate_ring(law, cr.group, SubgroupSpec(C), max_cert_len=limit)
+    result = tate_ring(build_classifying_ring(law, cr.group),
+                       SubgroupSpec(C), max_cert_len=limit)
     assert result.witness["certificate"]["word"] == lockstep_word(gens, limit)
     assert result.witness["certificate"]["minimal"] is True
 
@@ -416,7 +422,7 @@ def test_valuation_witness_replays_in_a_fresh_ring(params):
     cr = build_classifying_ring(law, AbelianPGroup(p, params["A"]))
     add, mul, const, xs = psi_from_witness(witness, p, r)
     # psi(G_k) = 0 mod t^M, by Horner's rule on every coefficient mod p
-    for relation, x_k in zip(cr.relations, xs):
+    for relation, x_k in zip(cr.algebra.presentation["relations"], xs):
         value = const(0)
         for c in reversed(relation):
             value = add(mul(value, x_k), const(c))
@@ -612,7 +618,7 @@ def test_morava_certificate_replays_in_fresh_ring():
 
     law = build_law("honda", 3, n=1, exponents=[1])
     group = AbelianPGroup(3, [1])
-    result = tate_ring(law, group, SubgroupSpec([1]))
+    result = tate_ring(build_classifying_ring(law, group), SubgroupSpec([1]))
     cert = result.witness["certificate"]["elements"]
     fresh_law = build_law("honda", 3, n=1, exponents=[1])
     fresh = build_classifying_ring(fresh_law, group)
