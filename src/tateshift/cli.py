@@ -11,8 +11,8 @@ report prints the series, takes a ``cap``.  Consecutive ``fgl``, ``bgroup``
 and ``tate`` jobs with the same law parameters (law, p, n, modulus_power and
 the resolved cap) share one law, and consecutive ``bgroup`` and ``tate`` jobs
 on one group A under it share one classifying ring with its Euler classes;
-one law and one ring are held at a time, and reports are the same bytes as
-when each job runs alone.
+one law and one ring are held at a time, a job that builds no law releases
+both, and reports are the same bytes as when each job runs alone.
 """
 
 from __future__ import annotations
@@ -221,8 +221,11 @@ def run_fgl(params: dict) -> dict:
 # ring built from it: at most one entry, so consecutive jobs under one law
 # share it (with its m-series), consecutive bgroup and tate jobs on one group
 # share its ring (with its Euler classes), and a job under another law
-# releases both before building its own.  A law and a ring are immutable and
-# their caches hold pure functions of the key, so sharing changes no report.
+# releases both before building its own.  A job that builds no law (roots,
+# blueshift, vanish-cert and tate --exact) releases them too, so a batch
+# does not carry a large ring through its later jobs.  A law and a ring are
+# immutable and their caches hold pure functions of the key, so sharing
+# changes no report.
 _last_law: dict = {}
 
 
@@ -294,6 +297,7 @@ def run_bgroup(params: dict) -> dict:
 
 def run_roots(params: dict) -> dict:
     """root-coefficient relations for a tuple"""
+    _last_law.clear()
     if ("modulus" in params) == ("ring" in params):
         raise ValidationError("roots needs exactly one of 'modulus' or 'ring'")
     if "modulus" in params:
@@ -359,6 +363,7 @@ def run_tate(params: dict) -> dict:
     if params.get("exact"):
         if _law_kind(params) != "multiplicative":
             raise ValidationError("exact mode supports the multiplicative law")
+        _last_law.clear()
         result = tate_ring_exact(
             p, params["A"], params["C"],
             max_cert_len=params.get("max_cert_len", 8),
@@ -385,6 +390,7 @@ def run_tate(params: dict) -> dict:
 
 def run_blueshift(params: dict) -> dict:
     """blue-shift number bounds"""
+    _last_law.clear()
     if params.get("nonabelian"):
         return nonabelian_lower_bound(params["p"], params["A"], params["C"])
     report = blueshift_bounds(params["p"], params["A"], params["C"])
@@ -393,6 +399,7 @@ def run_blueshift(params: dict) -> dict:
 
 def run_vanish_cert(params: dict) -> dict:
     """zero-product certificate search"""
+    _last_law.clear()
     ring_data = params["ring"]
     if ring_data.get("type") == "exact":
         ring = _decode(ring_core.exact_ring_from_json, ring_data)

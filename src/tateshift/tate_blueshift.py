@@ -18,7 +18,9 @@ computed by scanning j up to log_p|A| (the maximum occurs by then).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from math import comb, lcm
 
 from .classifying import (
@@ -112,7 +114,11 @@ def inverted_element_set(group: AbelianPGroup, sub: SubgroupSpec):
 # the valuation bound falls short of the nilpotent power: on the regular
 # tate-scan benchmark that is the eight multiplicative jobs over Z/4, which
 # examine at most 2,524 products.  The README headline and Honda n=2
-# A=(Z/4)^2 are decided by the bound and search nothing.
+# A=(Z/4)^2 are decided by the bound and search nothing.  The
+# multiplicative law searches in the group basis of (Z/p^K)[A], with the
+# classes ``_group_ring_euler_classes`` builds for exact mode too; the
+# products examined, and so the budget's reach, are the same as in the
+# ring's basis.
 CERT_SEARCH_BUDGET = 8192
 
 
@@ -130,7 +136,9 @@ def tate_ring(cr: ClassifyingRing, sub: SubgroupSpec,
     e(sigma w), so the nilpotency index is constant on Aut(A)-orbits and
     only one class per orbit is stepped.  A certificate whose length meets
     the bound of ``valuation_witness`` carries that witness as its proof of
-    minimality.
+    minimality.  For the multiplicative law the search runs in the group
+    basis of (Z/p^K)[A] (see ``finite_certificate``), with the classes
+    exact mode searches, reduced mod p^K.
     """
     group = cr.group
     inverted = inverted_element_set(group, sub)
@@ -146,8 +154,10 @@ def tate_ring(cr: ClassifyingRing, sub: SubgroupSpec,
         limit = max_cert_len if max_cert_len is not None else cr.algebra.rank + 1
         psi = valuation_witness(cr.algebra, gens)
         lower = 1 if psi is None else -(-psi["M"] // psi["d"])
+        search = (functools.partial(_group_ring_euler_classes, group, inverted, level)
+                  if cr.law.kind == "multiplicative" else None)
         witness = {"saturation_chain": chain, **finite_certificate(
-            gens, limit, orbit_representatives(group, inverted), lower)}
+            gens, limit, orbit_representatives(group, inverted), lower, search)}
         if "certificate" in witness:
             cert = witness["certificate"]
             cert["elements"] = [inverted[i] for i in cert["word"]]
@@ -162,7 +172,8 @@ def tate_ring(cr: ClassifyingRing, sub: SubgroupSpec,
     )
 
 
-def finite_certificate(gens, limit: int, step=None, lower: int = 1) -> dict:
+def finite_certificate(gens, limit: int, step=None, lower: int = 1,
+                       search=None) -> dict:
     """Zero-product certificate of length <= limit over a finite ring.
 
     The powers of the generators at the ascending positions ``step`` (all of
@@ -174,9 +185,13 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1) -> dict:
     when it reaches m, the word is minimal and nothing is searched.
     Otherwise a breadth-first search of the lengths below m (all of
     1..limit when no power vanished) looks for a shorter word, examining at
-    most ``CERT_SEARCH_BUDGET`` products.  Returns {"certificate": {"word",
-    "minimal"}} when a word is known, plus "search_budget" when the budget
-    ran out.  A search of all of 1..limit that finds nothing returns
+    most ``CERT_SEARCH_BUDGET`` products.  ``search``, when given, returns
+    the images of gens under a ring isomorphism, built only when the search
+    runs; zero tests and equalities agree across it, so the search examines
+    the same products and finds the same word.  A word the search finds is
+    replayed in gens before it is returned.  Returns {"certificate":
+    {"word", "minimal"}} when a word is known, plus "search_budget" when the
+    budget ran out.  A search of all of 1..limit that finds nothing returns
     {"not_found_max_len": limit}, the limit that left the ZERO without a
     certificate.
     """
@@ -195,8 +210,11 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1) -> dict:
     if word and len(word) <= lower:
         return {"certificate": {"word": word, "minimal": True}}
     found = zero_product_certificate(
-        gens, len(word) - 1 if word else limit, budget=CERT_SEARCH_BUDGET)
+        gens if search is None else search(), len(word) - 1 if word else limit,
+        budget=CERT_SEARCH_BUDGET)
     if isinstance(found, list):
+        if not functools.reduce(operator.mul, (gens[i] for i in found)).is_zero():
+            raise RuntimeError("certificate replay failed")  # isomorphism invariant
         return {"certificate": {"word": found, "minimal": True}}
     out = {} if found.budget is None else {"search_budget": found.budget}
     if word:
@@ -300,26 +318,37 @@ def multiplicative_euler_class_exact(ring: ExactPolyRing, w):
 
 
 class _GroupRingElement:
-    """An element of Z[A] by its coefficients on t^v, v in group.elements() order.
+    """An element of Z[A] or (Z/N)[A] by its coefficients on t^v, v in
+    group.elements() order.
 
     Generators t^w - 1 also carry ``perm``, the index of v - w at the index of
-    v, so that multiplying by one is a single shifted difference.
+    v, so that multiplying by one is a single shifted difference, and the
+    modulus N of the coefficients (None over Z).
     """
 
-    __slots__ = ("coeffs", "perm", "_hash")
+    __slots__ = ("coeffs", "perm", "modulus", "_hash")
 
-    def __init__(self, coeffs: tuple, perm: tuple | None = None):
+    def __init__(self, coeffs: tuple, perm: tuple | None = None,
+                 modulus: int | None = None):
         self.coeffs = coeffs
         self.perm = perm
+        self.modulus = modulus
         self._hash = hash(coeffs)
 
     def multiplier(self):
-        """v -> v * (t^w - 1) for a generator: coefficient c_(v-w) - c_v at t^v."""
-        perm = self.perm
+        """v -> v * (t^w - 1) for a generator: coefficient c_(v-w) - c_v at
+        t^v, reduced mod N when there is one."""
+        perm, n = self.perm, self.modulus
 
-        def times(v):
-            c = v.coeffs
-            return _GroupRingElement(tuple([c[j] - x for j, x in zip(perm, c)]))
+        if n is None:
+            def times(v):
+                c = v.coeffs
+                return _GroupRingElement(tuple([c[j] - x for j, x in zip(perm, c)]))
+        else:
+            def times(v):
+                c = v.coeffs
+                return _GroupRingElement(
+                    tuple([(c[j] - x) % n for j, x in zip(perm, c)]))
 
         return times
 
@@ -333,8 +362,10 @@ class _GroupRingElement:
         return not any(self.coeffs)
 
 
-def _group_ring_euler_classes(group: AbelianPGroup, inverted):
-    """t^w - 1 for each w in inverted, in the group-element basis of Z[A]."""
+def _group_ring_euler_classes(group: AbelianPGroup, inverted,
+                              modulus: int | None = None):
+    """t^w - 1 for each w in inverted, in the group-element basis of Z[A],
+    or of (Z/modulus)[A] when a modulus is given."""
     elements = list(group.elements())
     index = {v: i for i, v in enumerate(elements)}
     orders = group.orders
@@ -343,9 +374,11 @@ def _group_ring_euler_classes(group: AbelianPGroup, inverted):
         coeffs = [0] * len(elements)
         coeffs[0] -= 1
         coeffs[index[w]] += 1
+        if modulus is not None:
+            coeffs = [c % modulus for c in coeffs]
         perm = tuple(index[tuple((a - b) % o for a, b, o in zip(v, w, orders))]
                      for v in elements)
-        gens.append(_GroupRingElement(tuple(coeffs), perm))
+        gens.append(_GroupRingElement(tuple(coeffs), perm, modulus))
     return gens
 
 
@@ -379,7 +412,9 @@ def tate_ring_exact(p: int, exponents, sub_exponents,
     search runs in the group-element basis, where every product is one
     shifted difference.  The change of basis is unimodular over Z, so zero
     tests and dedup equalities, hence the word found, are the same as in the
-    monomial basis; the certificate is replayed there.
+    monomial basis; the certificate is replayed there.  The same builder,
+    ``_group_ring_euler_classes``, given the modulus p^K, serves the finite
+    search of ``tate_ring`` over the multiplicative law.
     """
     if max_cert_len < 1:
         raise ValueError("max_cert_len must be >= 1")

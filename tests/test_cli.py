@@ -680,6 +680,29 @@ def test_consecutive_jobs_share_one_law(monkeypatch):
     tateshift.cli._last_law.clear()
 
 
+@pytest.mark.parametrize("command, params", [
+    ("blueshift", {"p": 2, "A": [2, 2], "C": [1, 1]}),
+    ("roots", {"modulus": 7, "f": [6, 0, 1], "tuple": [1, 6]}),
+    ("vanish-cert", {"ring": {"base": "4", "vars": ["x"], "relations": [["0", "0", "1"]]},
+                     "gens": [["0", "1"]], "max_len": 2}),
+    ("tate", {"p": 2, "A": [1, 1], "C": [1, 1], "exact": True}),
+])
+def test_jobs_that_build_no_law_release_the_held_one(command, params):
+    # after a Honda n=2 tate job, a job that builds no law leaves neither
+    # the law nor its ring held
+    tateshift.cli._last_law.clear()
+    code, _ = run_job("tate", {"p": 2, "A": [2, 1], "C": [1, 1], "fgl": "honda",
+                               "n": 2})
+    assert code == EXIT_OK
+    refs = [weakref.ref(obj) for memo in _held_laws() for obj in (memo, memo.ring)]
+    assert len(refs) == 2
+    code, _ = run_job(command, params)
+    assert code == EXIT_OK
+    assert not _held_laws()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
 def _held_rings():
     return [memo.ring for memo in tateshift.cli._last_law.values()
             if memo.ring is not None]

@@ -214,10 +214,14 @@ def test_tate_intermediate_subgroup():
     ("honda", 3, 1, 1, (1, 1)),
     ("multiplicative", 2, 1, 2, (1, 1)),
     ("multiplicative", 2, 1, 2, (2, 1)),
+    ("multiplicative", 2, 1, 3, (2, 1)),
 ])
 def test_finite_certificates_replay_and_are_shortest(kind, p, n, K, A):
     # every nontrivial C: the certificate replays to 0 in a fresh ring, and a
-    # minimal one is as short as the unbudgeted breadth-first search finds
+    # minimal one is as short as the unbudgeted breadth-first search finds;
+    # over Z/8 with A=(Z/4)+(Z/2) the search finds C=(2,1)'s word of length 3
+    # in the group basis, and for every other C it exhausts the lengths below
+    # the nilpotent power
     law = build_law(kind, p, n=n, modulus_power=K, exponents=list(A))
     group = AbelianPGroup(p, A)
     cr = build_classifying_ring(law, group)  # one ring for every C, as in a batch
@@ -271,6 +275,18 @@ def test_finite_frontier_certificates_pinned(params, length):
     assert witness["certificate"]["minimal"] is True
     assert "search_budget" not in witness
     assert witness["certificate"]["valuation_witness"]["M"] == length
+
+
+def test_finite_search_budget_pinned():
+    # multiplicative Z/4, A=(Z/8)^2, C=(Z/2)^2: the search below the
+    # nilpotent power x^12 runs out of its budget in the group basis
+    code, report = run_job("tate", {"p": 2, "A": [3, 3], "C": [1, 1],
+                                    "fgl": "multiplicative", "modulus_power": 2})
+    assert code == 0
+    witness = report["witness"]
+    assert witness["certificate"]["length"] == 12
+    assert witness["certificate"]["minimal"] is False
+    assert witness["search_budget"] == 8192
 
 
 def test_finite_non_local_exhausted_budget_is_zero_without_certificate(monkeypatch):
@@ -542,31 +558,55 @@ def subgroups(draw):
 
 @st.composite
 def exact_searches(draw):
-    return *draw(subgroups()), draw(st.integers(1, 4))
+    # the modulus power K of the multiplicative law, None over Z
+    return (*draw(subgroups()), draw(st.integers(1, 4)),
+            draw(st.sampled_from([None, 2, 3])))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(exact_searches())
 def test_group_basis_search_matches_exact_poly_search(case):
-    # the group-basis search yields the words of the ExactPolyRing search,
-    # and each value maps under t^v -> prod (1 + x_k)^(v_k) to the oracle's
-    p, A, C, max_len = case
+    # the group-basis search, over Z or mod p^K, yields the words of the
+    # search in the ring's basis (ExactPolyRing over Z, the classifying ring
+    # of the multiplicative law mod p^K), and each value maps under
+    # t^v -> prod (1 + x_k)^(v_k) to the oracle's
+    p, A, C, max_len, K = case
     group = AbelianPGroup(p, A)
     inverted = inverted_element_set(group, SubgroupSpec(C))
-    ring = multiplicative_exact_ring(p, A)
-    oracle = [multiplicative_euler_class_exact(ring, w) for w in inverted]
-    # row m: the x^m coefficients of t^v, v in group.elements() order
-    t_powers = [(multiplicative_euler_class_exact(ring, v) + ring.one()).terms
-                for v in group.elements()]
-    to_monomials = [[t_v.get(m, 0) for t_v in t_powers] for m in ring.monomials]
+    if K is None:
+        modulus = None
+        ring = multiplicative_exact_ring(p, A)
+        oracle = [multiplicative_euler_class_exact(ring, w) for w in inverted]
+        t_powers = [multiplicative_euler_class_exact(ring, v) + ring.one()
+                    for v in group.elements()]
+
+        def coords(e):
+            return [e.terms.get(m, 0) for m in ring.monomials]
+    else:
+        modulus = p**K
+        cr = build_classifying_ring(
+            build_law("multiplicative", p, modulus_power=K, exponents=list(A)), group)
+        oracle = [ec.value for ec in cr.euler_classes(inverted)]
+        alg = cr.algebra
+        t = [alg.one() + alg.gen(k) for k in range(len(A))]
+        t_powers = [math.prod(map(pow, t, v), start=alg.one())
+                    for v in group.elements()]
+
+        def coords(e):
+            return list(e.coords)
+    # row m: the m-th ring coordinates of t^v, v in group.elements() order
+    to_ring = list(zip(*map(coords, t_powers)))
     # the first 600 yields of each search keep every example under 40 ms
     fast = list(itertools.islice(multiset_products(
-        tate_blueshift._group_ring_euler_classes(group, inverted), max_len), 600))
+        tate_blueshift._group_ring_euler_classes(group, inverted, modulus),
+        max_len), 600))
     slow = list(itertools.islice(multiset_products(oracle, max_len), 600))
     assert [word for _, word in fast] == [word for _, word in slow]
     for (value, _), (expected, _) in zip(fast, slow):
-        image = [sum(map(operator.mul, row, value.coeffs)) for row in to_monomials]
-        assert image == [expected.terms.get(m, 0) for m in ring.monomials]
+        image = [sum(map(operator.mul, row, value.coeffs)) for row in to_ring]
+        if modulus is not None:
+            image = [c % modulus for c in image]
+        assert image == coords(expected)
         assert value.is_zero() == expected.is_zero()
 
 
