@@ -4,7 +4,10 @@ For A = Z/p^i_1 + ... + Z/p^i_m the ring is the finite free algebra
 base[x_1..x_m]/(G_1(x_1),...,G_m(x_m)) where G_k is the monic Weierstrass
 polynomial of the p^(i_k)-series.  Euler classes are the iterated formal sums
 [w_1](X_1) +_F ... +_F [w_m](X_m); the p^j-torsion of A enumerates exactly
-the algebra-homomorphism roots of the p^j-series.
+the algebra-homomorphism roots of the p^j-series.  Each class is one formal
+sum of a cached class and a single class b = e(w_k e_k), taken from the
+columns of F(x, y) = sum_i x^i F_i(y) as sum_i h^i F_i(b), with every
+F_i(b) computed once per batch of classes.
 
 Grading convention: the periodicity generator is specialized to 1, so the
 usual even grading of Euler classes is dropped; reports state this.
@@ -16,7 +19,7 @@ import itertools
 
 from .fgl import CapTooSmall, FGLError, FormalGroupLaw, _sum_unit_series
 from .ring_core import BaseModulus, FiniteAlgebra, RingElement
-from .series import _eval_tables, _power_table, eval_at
+from .series import _check_covered, _power_table, eval_at
 from .zmod import is_prime
 
 
@@ -154,6 +157,7 @@ class ClassifyingRing:
         self.algebra = algebra
         self._euler_cache: dict[tuple, RingElement] = {}
         self._single_tables: dict[tuple, list] = {}
+        self._columns: dict[tuple, dict] = {}  # single class -> {i: F_i(b)}
         self._head = None  # (head element, its power table)
         self._in_batch = False  # whether the tables above outlive a class
 
@@ -182,23 +186,46 @@ class ClassifyingRing:
         coordinate, e(w) = e(head) +_F e(w_k e_k), head being w with w_k = 0.
 
         F(x, 0) = x exactly, so skipping zero coordinates leaves the fold's
-        value unchanged.
+        value unchanged.  With h = e(head), b = e(w_k e_k) and F's columns
+        F(x, y) = sum_i x^i F_i(y), the sum is e(w) = sum_i h^i F_i(b),
+        taken in one ``dot_sparse`` over the i with h^i nonzero.  Each
+        F_i(b) is a combination of the powers of b, computed the first time
+        a head's table reaches i and kept with b's table, so the classes
+        that share b share it.  A single class is [w_k](x_k), a
+        combination of the powers of x_k.  Either sum drops only terms whose
+        powers vanish, once the cap covers the powers that do not.
         """
         value = self._euler_cache.get(w)
         if value is not None:
             return value
+        alg = self.algebra
+        n = alg.base.n
         support = [k for k, a in enumerate(w) if a]
         if not support:
-            value = self.algebra.zero()
+            value = alg.zero()
         elif len(support) == 1:
             k = support[0]
             x_k = self._table(self._single(k, 1))
-            value = _eval_tables(self.law.m_series(w[k]), [x_k])
+            series = self.law.m_series(w[k])
+            _check_covered(series.cap, [x_k], [alg.gen(k)])
+            value = alg.from_sparse(_combine(
+                [(e[0], c) for e, c in series.terms.items()], x_k, n))
         else:
             k = support[-1]
             head = w[:k] + (0,) * (len(w) - k)
-            tables = [self._table(head), self._table(self._single(k, w[k]))]
-            value = _eval_tables(self.law.F, tables)
+            single = self._single(k, w[k])
+            h, b = self._table(head), self._table(single)
+            _check_covered(self.law.cap, [h, b],
+                           [self._euler(head), self._euler(single)])
+            columns = self._columns.setdefault(single, {})
+            pairs = []
+            for i, h_i in enumerate(h):
+                column = columns.get(i)
+                if column is None:
+                    column = columns[i] = _combine(self.law.columns.get(i, ()), b, n)
+                if column:
+                    pairs.append((h_i, column))
+            value = alg.from_sparse(alg.dot_sparse(pairs))
         self._euler_cache[w] = value
         return value
 
@@ -209,10 +236,13 @@ class ClassifyingRing:
     def _table(self, v: tuple) -> list:
         """Power table of e(v), built once per element.
 
-        Tables of single classes e(a e_k) (for a = 1 the generator x_k) are
-        kept until the batch ends (a call of ``euler_class`` outside one is
-        a batch of its own); a head's table is kept only while it is
-        the latest head, since consecutive queries usually share it.
+        The table is ``series._power_table`` with top cap + 1, each power
+        taken at full rank and kept sparse (``FiniteAlgebra.sparse``).
+        Tables of single classes e(a e_k) (for a = 1 the generator x_k),
+        and the columns F_i(b) taken from them, are kept until the batch
+        ends (a call of ``euler_class`` outside one is a batch of its own);
+        a head's table is kept only while it is the latest head, since
+        consecutive queries usually share it.
         """
         support = [k for k, a in enumerate(v) if a]
         if len(support) == 1:
@@ -220,17 +250,20 @@ class ClassifyingRing:
             if table is None:
                 k = support[0]
                 value = self.algebra.gen(k) if v[k] == 1 else self._euler(v)
-                table = _power_table(self.algebra, value, self.law.cap + 1)
-                self._single_tables[v] = table
+                table = self._single_tables[v] = self._powers(value)
             return table
         if self._head is None or self._head[0] != v:
-            table = _power_table(self.algebra, self._euler(v), self.law.cap + 1)
-            self._head = (v, table)
+            self._head = (v, self._powers(self._euler(v)))
         return self._head[1]
 
+    def _powers(self, value: RingElement) -> list:
+        alg = self.algebra
+        return [alg.sparse(a) for a in _power_table(alg, value, self.law.cap + 1)]
+
     def euler_classes(self, elements):
-        """Euler classes of elements, in order; the power tables they shared
-        are dropped at the end, so they do not outlive the batch."""
+        """Euler classes of elements, in order; the power tables and columns
+        they shared are dropped at the end, so they do not outlive the
+        batch."""
         self._in_batch = True
         try:
             return [self.euler_class(w) for w in elements]
@@ -240,10 +273,24 @@ class ClassifyingRing:
 
     def _drop_tables(self):
         self._single_tables.clear()
+        self._columns.clear()
         self._head = None
 
     def __repr__(self):
         return f"ClassifyingRing({self.group!r} over {self.law.kind}, rank={self.algebra.rank})"
+
+
+def _combine(terms, table: list, n: int) -> list:
+    """sum c * table[j] over the (j, c) of terms with j < len(table), from
+    the sparse rows of the table, as a sparse element reduced mod n."""
+    acc = {}
+    get = acc.get
+    top = len(table)
+    for j, c in terms:
+        if j < top:
+            for i, x in table[j]:
+                acc[i] = get(i, 0) + c * x
+    return [(i, r) for i, c in acc.items() if (r := c % n)]
 
 
 def required_cap(p: int, n: int, K: int, exponents) -> int:

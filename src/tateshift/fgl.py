@@ -69,6 +69,10 @@ class FormalGroupLaw:
         self.kind = kind
         self.domain = F.domain
         self.cap = F.cap
+        # F(x, y) = sum_i x^i F_i(y): columns[i] lists the (j, c) terms of F_i
+        self.columns: dict[int, list] = {}
+        for (i, j), c in F.terms.items():
+            self.columns.setdefault(i, []).append((j, c))
         self._m_cache: dict[int, TruncatedSeries] = {}
         self._weierstrass: dict[int, WeierstrassFactorization] = {}
         self._formal_inverse = None

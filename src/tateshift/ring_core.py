@@ -16,6 +16,7 @@ saturation (that needs finiteness).
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 from . import zmod
 
@@ -438,6 +439,57 @@ class FiniteAlgebra:
                             acc[k] += c * ck
         return RingElement._reduced(self, [x % n for x in acc])
 
+    def dot_sparse(self, pairs) -> list:
+        """Sum a * b over the pairs (a, b) of sparse elements (``sparse``),
+        reduced mod N once, as a sparse element.
+
+        Each product of two nonzero coordinates goes in through its basis
+        product (``basis_product``, inlined: one table lookup, or one
+        fold-cache lookup for a presented algebra).  Unless N is prime, a
+        product that is 0 mod N, common over Z/p^K, is skipped.
+        """
+        n = self.base.n
+        field = self.base.power == 1
+        acc = defaultdict(int)
+        codes = self._codes
+        if codes is None:
+            table = self.mul_table
+            for a, b in pairs:
+                for i, ca in a:
+                    for j, cb in b:
+                        c = ca * cb
+                        if field or c % n:
+                            for k, ck in table[(i, j) if i <= j else (j, i)]:
+                                acc[k] += c * ck
+        else:
+            folds, fold = self._reducer._folds, self._reducer.fold
+            for a, b in pairs:
+                b = [(codes[j], cb) for j, cb in b]
+                for i, ca in a:
+                    ci = codes[i]
+                    for cj, cb in b:
+                        c = ca * cb
+                        if field or c % n:
+                            row = folds.get(ci + cj)
+                            if row is None:
+                                row = fold(ci + cj)
+                            for k, ck in row:
+                                acc[k] += c * ck
+        return [(k, r) for k, c in acc.items() if (r := c % n)]
+
+    @staticmethod
+    def sparse(e: RingElement) -> list:
+        """The nonzero coordinates of e as (basis index, coeff) pairs."""
+        return [(i, c) for i, c in enumerate(e.coords) if c]
+
+    def from_sparse(self, items) -> RingElement:
+        """The element with the (basis index, coeff) pairs of items, each
+        index once and every coeff reduced mod N."""
+        coords = [0] * self.rank
+        for i, c in items:
+            coords[i] = c
+        return RingElement._reduced(self, coords)
+
     def columns(self, e: RingElement):
         """The routine j -> e * b_j, column j of multiplication by e.
 
@@ -504,6 +556,66 @@ class FiniteAlgebra:
                     break
         self._local_prime = p
         return p
+
+    def frobenius(self):
+        """The map y -> y^p on sparse elements (``sparse``), or None unless
+        this algebra is F_p[x_1..x_m]/(x_1^(d_1), ..., x_m^(d_m)).
+
+        Over F_p = Z/p a local tower's relations are G_k = x_k^(d_k): every
+        coefficient below the leading one is divisible by p, hence 0.  There
+        (sum c_a x^a)^p = sum c_a x^(pa), since the cross terms of a p-th
+        power are divisible by p and c^p = c in F_p, and x^(pa) = 0 once
+        some p a_k >= d_k.  So y^p moves coordinates and takes no product.
+        The map of basis positions is built once per algebra.
+        """
+        target = getattr(self, "_frobenius", "?")
+        if target == "?":
+            target = None
+            p = self.local_tower_prime()
+            if p is not None and p == self.base.n:
+                index = self.presentation["index"]
+                kept = [range((len(rel) - 2) // p + 1)
+                        for rel in self.presentation["relations"]]
+                target = {index[a]: index[tuple(p * x for x in a)]
+                          for a in itertools.product(*kept)}
+            self._frobenius = target
+        if target is None:
+            return None
+        return lambda y: [(t, c) for i, c in y if (t := target.get(i)) is not None]
+
+    def frobenius_index(self, e: RingElement):
+        """Smallest k with e^k = 0, or None if e is a unit, in an algebra
+        with a ``frobenius``.
+
+        The ring is local, so e is a unit when its constant coordinate is
+        nonzero and nilpotent otherwise.  The powers y^(p^t) are Frobenius
+        images, taken until one is 0: y^(p^T) != 0 = y^(p^(T+1)).  The
+        largest N with y^N != 0 then satisfies p^T <= N < p^(T+1); it is
+        read by its base-p digits from the top, each digit the number of
+        times y^(p^t) multiplies in before the product vanishes.  That takes
+        at most (p - 1)(T + 1) - 1 products, below
+        (p - 1)(log_p(k) + 1).
+        """
+        frobenius = self.frobenius()
+        if e.coords[0]:
+            return None
+        p = self.base.n
+        powers = []  # powers[t] = y^(p^t), all nonzero
+        y = self.sparse(e)
+        while y:
+            powers.append(y)
+            y = frobenius(y)
+        if not powers:
+            return 1
+        top = len(powers) - 1
+        acc, largest = powers[top], p**top  # acc = y^largest != 0
+        for t in range(top, -1, -1):
+            for _ in range(p - 1 - (t == top)):
+                nxt = self.dot_sparse([(acc, powers[t])])
+                if not nxt:
+                    break
+                acc, largest = nxt, largest + p**t
+        return largest + 1
 
     def describe(self, e: RingElement) -> str:
         parts = []
@@ -680,6 +792,11 @@ def localize_by_saturation(alg: FiniteAlgebra, s_gens):
     kernels grow strictly until the power is 0 (ker s^a = ker s^2a would
     make them stable from a on, so s^a = 0).  Other rings run the Howell
     chain, which detects where the kernels stop.
+
+    The nilpotent chain has ceil(log2 index(s)) nonzero entries plus the
+    closing None, index(s) being the least k with s^k = 0: s^(2^i) != 0
+    exactly when 2^i < index(s), and the i >= 0 with 2^i < k are
+    0, ..., ceil(log2 k) - 1 (none for k = 1, where s = 0).
     """
     for s in s_gens:
         if s.parent is not alg:

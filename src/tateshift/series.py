@@ -508,10 +508,9 @@ def _eval_tables(f: TruncatedSeries, tables, polynomial: bool = False) -> RingEl
     still carries the nilpotency check below.
     """
     alg = tables[0][0].parent
-    # A table that ends short of its top has the nilpotency index as its
-    # length; one that reaches index cap + 1 fails this test on its own.
-    if not polynomial and sum(len(t) - 1 for t in tables) > f.cap:
-        _raise_uncovered(alg, tables, f.cap)
+    if not polynomial:
+        _check_covered(f.cap, tables,
+                      [t[1] if len(t) > 1 else alg.zero() for t in tables])
     last = len(tables) - 1
     last_table = [a.coords for a in tables[last]]
     groups = {}
@@ -548,11 +547,22 @@ def _power_table(alg, a: RingElement, top: int) -> list:
     return table
 
 
-def _raise_uncovered(alg, tables, cap: int):
-    """Raise the error of the first argument the cap cannot cover."""
+def _check_covered(cap: int, tables, args):
+    """Raise NonNilpotentArgument unless cap covers every monomial in the
+    arguments that can be nonzero.
+
+    ``tables[i]`` is the power table of the i-th argument, cut before its
+    first zero power and at index cap + 1 (as ``_power_table`` with top
+    cap + 1 cuts it), and ``args[i]`` is that argument.  A table that
+    ends short of its top has the nilpotency index as its length; one that
+    reaches index cap + 1 fails the test on its own.  The error names the
+    first argument the cap cannot cover.
+    """
+    if sum(len(t) - 1 for t in tables) <= cap:
+        return
     indices = []
-    for t in tables:
-        idx = alg.nilpotency_index(t[1]) if len(t) > 1 else 1
+    for a in args:
+        idx = a.parent.nilpotency_index(a)
         if idx is None:
             raise NonNilpotentArgument(
                 "argument is not nilpotent; pass polynomial=True for "

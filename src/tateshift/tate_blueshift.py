@@ -176,13 +176,14 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1,
                        search=None) -> dict:
     """Zero-product certificate of length <= limit over a finite ring.
 
-    The powers of the generators at the ascending positions ``step`` (all of
-    them by default) are stepped in lockstep; at the first m where some
-    x_i^m is 0, the least such i gives the word [i]*m.  On a local tower
-    every inverted Euler class is nilpotent, so this succeeds once limit
-    reaches the least nilpotency index among the stepped classes.
-    ``lower`` is a proven lower bound on the length of every certificate:
-    when it reaches m, the word is minimal and nothing is searched.
+    Among the generators at the ascending positions ``step`` (all of them by
+    default), the least nilpotency index m, when it is at most limit, and
+    the least position i of that index give the word [i]*m (see
+    ``_power_word``).  On a local tower every inverted Euler class is
+    nilpotent, so this succeeds once limit reaches the least nilpotency
+    index among the stepped classes.  ``lower`` is a proven lower bound on
+    the length of every certificate: when it reaches m, the word is
+    minimal and nothing is searched.
     Otherwise a breadth-first search of the lengths below m (all of
     1..limit when no power vanished) looks for a shorter word, examining at
     most ``CERT_SEARCH_BUDGET`` products.  ``search``, when given, returns
@@ -195,16 +196,7 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1,
     {"not_found_max_len": limit}, the limit that left the ZERO without a
     certificate.
     """
-    step = range(len(gens)) if step is None else step
-    powers = {i: gens[i] for i in step}
-    times = {i: gens[i].multiplier() for i in step}
-    word = None
-    for m in range(1, limit + 1):
-        i = next((i for i, x in powers.items() if x.is_zero()), None)
-        if i is not None:
-            word = [i] * m
-            break
-        powers = {i: times[i](x) for i, x in powers.items()}
+    word = _power_word(gens, limit, range(len(gens)) if step is None else step)
     if word and lower > len(word):
         raise RuntimeError("lower bound exceeds a certificate")  # bound invariant
     if word and len(word) <= lower:
@@ -222,6 +214,39 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1,
     elif found.budget is None:
         out["not_found_max_len"] = found.max_len
     return out
+
+
+def _power_word(gens, limit: int, step):
+    """[i]*m for the least m <= limit with gens[i]^m = 0 for some i in
+    step, i the first such position; None if there is no such m.
+
+    Over F_p with every relation x_k^(d_k), each stepped index is read by
+    base-p digits (``FiniteAlgebra.frobenius_index``).  Elsewhere, as over
+    Z/p^K with K > 1, where y -> y^p is not additive, the powers are
+    stepped in lockstep (``_lockstep_word``).
+    """
+    alg = gens[0].parent if gens else None
+    if alg is None or alg.frobenius() is None:
+        return _lockstep_word(gens, limit, step)
+    best = None
+    for i in step:
+        m = alg.frobenius_index(gens[i])
+        if m is not None and m <= limit and (best is None or m < best[0]):
+            best = (m, i)
+    return None if best is None else [best[1]] * best[0]
+
+
+def _lockstep_word(gens, limit: int, step):
+    """``_power_word`` by stepping the powers at step together, one
+    product each per m, until one vanishes."""
+    powers = {i: gens[i] for i in step}
+    times = {i: gens[i].multiplier() for i in step}
+    for m in range(1, limit + 1):
+        i = next((i for i, x in powers.items() if x.is_zero()), None)
+        if i is not None:
+            return [i] * m
+        powers = {i: times[i](x) for i, x in powers.items()}
+    return None
 
 
 def valuation_witness(alg: FiniteAlgebra, gens) -> dict | None:
@@ -274,10 +299,11 @@ def _valuation_data(alg: FiniteAlgebra, p: int) -> tuple:
     field = MonomialReducer([f], modulus=p)
     # basis monomial x^mu maps to z^s t^e, s = sum k mu_k and e = sum a_k mu_k
     by_degree = {}
+    mul, positions = operator.mul, range(len(degrees))
     for i, mu in enumerate(alg.presentation["exponents"]):
-        e = sum(a * u for a, u in zip(weights, mu))
+        e = sum(map(mul, weights, mu))
         if e < M:
-            s = sum(k * u for k, u in enumerate(mu))
+            s = sum(map(mul, positions, mu))
             by_degree.setdefault(e, []).append((i, field.power_row(0, s)))
     alg._valuation_data = (M, weights, f, sorted(by_degree.items()))
     return alg._valuation_data

@@ -5,10 +5,15 @@ Each routine here is an independent reference for a routine of
 ``test_`` prefix, so pytest imports it only through the test modules.
 """
 
+import functools
 import itertools
 
 from tateshift import zmod
-from tateshift.classifying import ClassifyingError
+from tateshift.classifying import (
+    AbelianPGroup,
+    ClassifyingError,
+    build_classifying_ring,
+)
 from tateshift.fgl import X1, X2, FormalGroupLaw, _sum_unit_series
 from tateshift.ring_core import (
     ZERO_RING,
@@ -19,10 +24,34 @@ from tateshift.ring_core import (
     identity_rows,
 )
 from tateshift.ring_linalg import elem_one, poly_eval_elems
-from tateshift.series import TruncatedSeries, ZModDomain, inverse, substitute
+from tateshift.series import (
+    TruncatedSeries,
+    ZModDomain,
+    _eval_tables,
+    _power_table,
+    inverse,
+    substitute,
+)
+from tateshift.tate_blueshift import build_law
 
 
 # -- groups and torsion roots --------------------------------------------------
+
+
+# Every group with |A| <= 16 for p = 2 and p = 3.
+SMALL_GROUPS = [
+    (p, A) for p, top in ((2, 4), (3, 2)) for r in range(1, top + 1)
+    for A in itertools.product(range(1, top + 1), repeat=r) if sum(A) <= top
+]
+
+
+@functools.cache
+def small_ring(kind: str, p: int, h: int, A: tuple):
+    """The classifying ring of A under the Honda law of height h or the
+    multiplicative law over Z/p^h, built once per test session."""
+    law = (build_law("honda", p, n=h, exponents=list(A)) if kind == "honda" else
+           build_law("multiplicative", p, modulus_power=h, exponents=list(A)))
+    return build_classifying_ring(law, AbelianPGroup(p, A))
 
 
 def torsion_elements(group, j: int):
@@ -85,6 +114,42 @@ def poly_compose_iterate(g, j: int, n: int):
             acc.pop()
         out = acc
     return out
+
+
+def euler_classes_by_fold(cr, elements):
+    """Euler classes by one ``_eval_tables`` fold per class, every power
+    table a list of ring elements.
+
+    A class with k its last nonzero coordinate and two or more nonzero
+    coordinates is F(e(head), e(w_k e_k)), head being w with w_k = 0,
+    folded from the power tables of both; a single class e(a e_k) is [a]
+    at the table of x_k.  Tables and classes are kept for the call only.
+    """
+    alg, law = cr.algebra, cr.law
+    classes, tables = {}, {}
+
+    def table(v):
+        if v not in tables:
+            tables[v] = _power_table(alg, euler(v), law.cap + 1)
+        return tables[v]
+
+    def euler(w):
+        if w not in classes:
+            support = [k for k, a in enumerate(w) if a]
+            if not support:
+                classes[w] = alg.zero()
+            elif len(support) == 1:
+                k = support[0]
+                x_k = _power_table(alg, alg.gen(k), law.cap + 1)
+                classes[w] = _eval_tables(law.m_series(w[k]), [x_k])
+            else:
+                k = support[-1]
+                head = w[:k] + (0,) * (len(w) - k)
+                single = tuple(a if i == k else 0 for i, a in enumerate(w))
+                classes[w] = _eval_tables(law.F, [table(head), table(single)])
+        return classes[w]
+
+    return [euler(tuple(w)) for w in elements]
 
 
 # -- formal group laws ---------------------------------------------------------

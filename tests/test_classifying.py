@@ -11,7 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tateshift import classifying
+from tateshift import classifying, cli
 from tateshift.classifying import (
     AbelianPGroup,
     ClassifyingError,
@@ -31,7 +31,15 @@ from tateshift.ring_linalg import verify_localized_tuple
 from tateshift.series import NonNilpotentArgument, TruncatedSeries, eval_at
 from tateshift.tate_blueshift import inverted_element_set
 
-from oracles import V_count, V_count_image, pj_root_set, torsion_elements
+from oracles import (
+    SMALL_GROUPS,
+    V_count,
+    V_count_image,
+    euler_classes_by_fold,
+    pj_root_set,
+    small_ring,
+    torsion_elements,
+)
 
 
 def honda_ring(p, n, exponents):
@@ -167,18 +175,38 @@ def test_euler_recursion_matches_fold(query):
         assert ec.value.coords == expected[ec.element]
 
 
+# Honda heights n and multiplicative modulus powers K of the differential
+# test over SMALL_GROUPS
+COLUMN_LAWS = (("honda", 1), ("honda", 2),
+               ("multiplicative", 1), ("multiplicative", 2), ("multiplicative", 3))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(COLUMN_LAWS), st.sampled_from(SMALL_GROUPS))
+def test_euler_columns_match_the_fold_oracle(law, group):
+    # sum_i h^i F_i(b) over F's columns equals one fold of F per class
+    (kind, h), (p, A) = law, group
+    built = small_ring(kind, p, h, A)
+    cr = ClassifyingRing(built.law, built.group, built.algebra)  # empty caches
+    elements = list(cr.group.elements())
+    expected = euler_classes_by_fold(cr, elements)
+    assert [ec.value.coords for ec in cr.euler_classes(elements)] == [
+        e.coords for e in expected]
+
+
 def test_euler_shared_tables_keep_cap_check():
     # cap 4 builds the ring of (Z/4)^2 but cannot cover x1 +_F x2, whose
     # nonvanishing monomials reach degree 3 + 3
     cr = build_classifying_ring(build_honda(2, 1, 4), AbelianPGroup(2, [2, 2]))
     for w in ((1, 0), (0, 1), (2, 1)):  # x1^2 +_F x2 reaches only degree 4
         assert cr.euler_class(w).value == fold_euler(cr, w)
-    with pytest.raises(NonNilpotentArgument):
+    with pytest.raises(NonNilpotentArgument, match="does not cover"):
         fold_euler(cr, (1, 1))
-    with pytest.raises(NonNilpotentArgument):
+    with pytest.raises(NonNilpotentArgument, match="does not cover"):
         cr.euler_class((1, 1))
-    with pytest.raises(NonNilpotentArgument):
+    with pytest.raises(NonNilpotentArgument, match="does not cover"):
         cr.euler_classes([(0, 1), (3, 1)])
+    assert not cr._single_tables and not cr._columns and cr._head is None
 
 
 def test_element_length_checked_before_reduction():
@@ -192,15 +220,32 @@ def test_element_length_checked_before_reduction():
 
 
 def test_no_power_table_outlives_a_call():
-    # rank 256; the tables are kept only within one batch of classes
+    # rank 256; the tables and F's columns at single classes are kept only
+    # within one batch of classes
     cr = honda_ring(2, 2, [2, 2])
     assert cr.algebra.rank == 256
     for u, w in (((1, 2), (3, 1)), ((2, 3), (0, 1))):
         certify_root_difference(cr, u, w)
-        assert not cr._single_tables and cr._head is None
-    for call in (lambda: cr.euler_class((3, 3)), lambda: pj_root_set(cr, 1)):
+        assert not cr._single_tables and not cr._columns and cr._head is None
+    for call in (lambda: cr.euler_class((3, 3)),
+                 lambda: cr.euler_classes(cr.group.elements()),
+                 lambda: pj_root_set(cr, 1)):
         call()
-        assert not cr._single_tables and cr._head is None
+        assert not cr._single_tables and not cr._columns and cr._head is None
+
+
+def test_ring_held_across_tate_jobs_keeps_only_classes():
+    # the CLI memo holds the ring for the next job; of the batch it keeps
+    # the Euler classes, not the power tables or columns that built them
+    cli._last_law.clear()
+    for C in ([1, 1], [2, 1]):
+        code, _ = cli.run_job("tate", {"p": 2, "A": [2, 2], "C": C})
+        assert code == 0
+        (memo,) = cli._last_law.values()
+        cr = memo.ring
+        assert set(inverted_element_set(cr.group, SubgroupSpec(C))) <= set(
+            cr._euler_cache)
+        assert not cr._single_tables and not cr._columns and cr._head is None
 
 
 # -- torsion root sets --------------------------------------------------------------

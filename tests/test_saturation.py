@@ -8,9 +8,13 @@ step on every ring and is the reference for ``localize_by_saturation``,
 which builds none on a local tower.
 """
 
+import itertools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tateshift import zmod
+from tateshift.classifying import SubgroupSpec
 from tateshift.ring_core import (
     BaseModulus,
     FiniteAlgebra,
@@ -20,8 +24,9 @@ from tateshift.ring_core import (
     identity_rows,
     localize_by_saturation,
 )
+from tateshift.tate_blueshift import inverted_element_set
 
-from oracles import saturation_ideal
+from oracles import SMALL_GROUPS, saturation_ideal, small_ring
 
 MODULI = (4, 6, 8, 9, 12, 18, 27, 30)
 
@@ -181,3 +186,28 @@ def test_local_tower_squaring_matches_the_howell_chain(case):
         assert quotient is alg and chain == [] and rows == []
         assert proj == identity_rows(alg.rank)
     assert rows_on_demand(alg, chain) == steps
+
+
+@pytest.mark.parametrize("kind,h", [("honda", 1), ("multiplicative", 1)])
+def test_local_tower_chain_length_is_ceil_log2_index(kind, h):
+    # a nilpotent chain holds ceil(log2 index(s)) nonzero powers plus the
+    # closing None, for every class and every product a tate job inverts
+    def check(alg, gens):
+        _, _, chain = localize_by_saturation(alg, gens)
+        s = alg.one()
+        for g in gens:
+            s = s * g
+        assert len(chain) == (alg.nilpotency_index(s) - 1).bit_length() + 1
+        return len(chain)
+
+    longest = 0
+    for p, A in SMALL_GROUPS:
+        cr = small_ring(kind, p, h, A)
+        alg = cr.algebra
+        for ec in cr.euler_classes(list(cr.group.elements())[1:]):
+            longest = max(longest, check(alg, [ec.value]))
+        for C in itertools.product(*(range(i + 1) for i in A)):
+            if any(C):
+                check(alg, [ec.value for ec in cr.euler_classes(
+                    inverted_element_set(cr.group, SubgroupSpec(C)))])
+    assert longest == 5  # x_1 of Z/16: x, x^2, x^4, x^8 and None

@@ -9,10 +9,11 @@ import functools
 import itertools
 import math
 import operator
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tateshift import tate_blueshift
 from tateshift.classifying import (
@@ -20,6 +21,7 @@ from tateshift.classifying import (
     InvalidSubgroup,
     SubgroupSpec,
     build_classifying_ring,
+    orbit_representatives,
 )
 from tateshift.cli import run_job
 from tateshift.ring_core import (
@@ -46,7 +48,7 @@ from tateshift.tate_blueshift import (
     valuation_witness,
 )
 
-from oracles import V_count, V_count_image
+from oracles import SMALL_GROUPS, V_count, V_count_image, small_ring
 
 
 # -- blue-shift bounds ------------------------------------------------------------
@@ -532,13 +534,6 @@ def test_exact_search_budget_recorded(monkeypatch):
         "not_found_max_len": 5, "search_budget": 3}
 
 
-# Every group with |A| <= 16 for p = 2 and p = 3.
-SMALL_GROUPS = [
-    (p, A) for p, top in ((2, 4), (3, 2)) for r in range(1, top + 1)
-    for A in itertools.product(range(1, top + 1), repeat=r) if sum(A) <= top
-]
-
-
 # Strata (p, whether C must be non-cyclic), drawn before the group: 15 of
 # the 18 groups are 2-groups and the one non-cyclic C at p = 3 is C = A =
 # (Z/3)^2, so a draw of the group alone almost never reaches p = 3.
@@ -561,6 +556,41 @@ def exact_searches(draw):
     # the modulus power K of the multiplicative law, None over Z
     return (*draw(subgroups()), draw(st.integers(1, 4)),
             draw(st.sampled_from([None, 2, 3])))
+
+
+# Laws over F_p: Honda heights 1 and 2 and the multiplicative law with K = 1
+FIELD_LAWS = (("honda", 1), ("honda", 2), ("multiplicative", 1))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(FIELD_LAWS), subgroups())
+def test_frobenius_indices_and_words_match_lockstep(law, case):
+    # the digit-read index of every inverted class is its nilpotency index,
+    # and the word and minimality match lockstep stepping, also when the
+    # limit falls below the least index (a small budget keeps that search
+    # short; both sides run the same search)
+    (kind, h), (p, A, C) = law, case
+    assume(any(C))
+    cr = small_ring(kind, p, h, A)
+    alg = cr.algebra
+    inverted = inverted_element_set(cr.group, SubgroupSpec(C))
+    gens = [ec.value for ec in cr.euler_classes(inverted)]
+    indices = [alg.frobenius_index(g) for g in gens]
+    assert indices == [alg.nilpotency_index(g) for g in gens]
+    step = orbit_representatives(cr.group, inverted)
+    least = min(indices[i] for i in step)
+    psi = valuation_witness(alg, gens)
+    with mock.patch.object(tate_blueshift, "CERT_SEARCH_BUDGET", 64):
+        for limit, lower in ((least - 1, 1), (least, 1), (alg.rank + 1, 1),
+                             (alg.rank + 1, -(-psi["M"] // psi["d"]))):
+            word = tate_blueshift._power_word(gens, limit, step)
+            assert word == tate_blueshift._lockstep_word(gens, limit, step)
+            assert word == (None if limit < least else
+                            [next(i for i in step if indices[i] == least)] * least)
+            got = finite_certificate(gens, limit, step, lower)
+            with mock.patch.object(tate_blueshift, "_power_word",
+                                   tate_blueshift._lockstep_word):
+                assert finite_certificate(gens, limit, step, lower) == got
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
