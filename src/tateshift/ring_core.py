@@ -3,7 +3,9 @@
 A FiniteAlgebra is a commutative ring presented as a finite free Z/N-module,
 usually built from a tower base[x_1..x_m]/(g_1(x_1), ..., g_m(x_m)) with
 monic relations, whose basis products come from a monomial reducer; other
-algebras (quotients) carry a structure-constant table.  Elements are
+algebras (quotients) carry a structure-constant table.  Either way a basis
+product is one lookup in a cache keyed by an integer code of the pair,
+filled on first use from the reducer or the table.  Elements are
 coordinate vectors in a fixed graded-lexicographic monomial basis, so all
 serializations are bit-stable.
 
@@ -305,14 +307,17 @@ class FiniteAlgebra:
     """Commutative ring, free of finite rank over Z/N.
 
     ``basis_product(i, j)`` is the product of basis elements i and j as a
-    sparse tuple of (k, coeff) pairs.  A presented algebra
-    (``from_presentation``) keeps no table: the product is the reducer's
-    normal form of the monomial whose mixed-radix code is the sum of the two
-    basis codes, built on first use and cached by the reducer.  Any other
-    algebra, such as a quotient, is given by a structure table
-    ``mul_table[(i, j)]`` for i <= j.  The first basis element is the
-    multiplicative identity.  ``generators[k]`` is the coordinate vector of
-    the k-th presentation variable.
+    sparse tuple of (k, coeff) pairs.  Every algebra reads it the same way:
+    the row of the code left[i] + right[j] in one fold cache, built on first
+    use.  A presented algebra (``from_presentation``) keeps no table: both
+    codes of b_i are its monomial's mixed-radix code, and the row is the
+    reducer's normal form of the monomial with the summed code, cached by
+    the reducer.  Any other algebra, such as a quotient, is given by a
+    structure table ``mul_table[(i, j)]`` for i <= j: b_i has code i * rank
+    on the left and i on the right, and the row of i * rank + j is read from
+    the table.  The first basis element is the multiplicative identity.
+    ``generators[k]`` is the coordinate vector of the k-th presentation
+    variable.
     """
 
     def __init__(self, base: BaseModulus, rank: int, basis_labels, mul_table,
@@ -323,9 +328,13 @@ class FiniteAlgebra:
         self.mul_table = mul_table
         self.generators = tuple(generators)
         self.presentation = presentation
-        self._reducer = reducer
-        self._codes = (None if reducer is None else
-                       [reducer.codes[e] for e in reducer.monomials])
+        if reducer is None:
+            self._left = [i * rank for i in range(rank)]
+            self._right = list(range(rank))
+            self._folds, self._fold = {}, self._table_fold
+        else:
+            self._left = self._right = [reducer.codes[e] for e in reducer.monomials]
+            self._folds, self._fold = reducer._folds, reducer.fold
         self._check_identity()
 
     # -- construction -----------------------------------------------------
@@ -365,24 +374,24 @@ class FiniteAlgebra:
 
     @classmethod
     def scalar_ring(cls, base: BaseModulus):
-        """Z/N itself, as a rank-1 algebra."""
-        return cls(base, 1, ["1"], {(0, 0): ((0, 1),)}, generators=(),
-                   presentation={"vars": [], "relations": [], "exponents": [()],
-                                 "index": {(): 0}})
+        """Z/N itself, as a rank-1 algebra: the presentation with no variables."""
+        return cls.from_presentation(base, [], [])
 
     def _check_identity(self):
         for j in range(self.rank):
-            if self.table_product(0, j) != {j: 1}:
+            if dict(self.basis_product(0, j)) != {j: 1}:
                 raise ValueError("first basis element is not the identity")
+
+    def _table_fold(self, code: int) -> tuple:
+        """The product of a table algebra with code i * rank + j: b_i * b_j,
+        read from ``mul_table`` and kept in the fold cache."""
+        i, j = divmod(code, self.rank)
+        row = self._folds[code] = self.mul_table[(i, j) if i <= j else (j, i)]
+        return row
 
     def basis_product(self, i: int, j: int) -> tuple:
         """b_i * b_j as ((k, coeff), ...) sorted by k."""
-        if self._codes is None:
-            return self.mul_table[(i, j) if i <= j else (j, i)]
-        return self._reducer.fold(self._codes[i] + self._codes[j])
-
-    def table_product(self, i: int, j: int) -> dict:
-        return dict(self.basis_product(i, j))
+        return self._fold(self._left[i] + self._right[j])
 
     # -- elements ----------------------------------------------------------
 
@@ -412,31 +421,20 @@ class FiniteAlgebra:
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         n = self.base.n
         acc = [0] * self.rank
-        codes = self._codes
-        if codes is None:
-            nz_a = [(i, c) for i, c in enumerate(a.coords) if c]
-            nz_b = [(j, c) for j, c in enumerate(b.coords) if c]
-            product = self.basis_product
-            for i, ca in nz_a:
-                for j, cb in nz_b:
-                    c = ca * cb % n
-                    if c:
-                        for k, ck in product(i, j):
-                            acc[k] += c * ck
-        else:
-            # basis_product inlined: one fold-cache lookup per pair
-            nz_a = [(codes[i], c) for i, c in enumerate(a.coords) if c]
-            nz_b = [(codes[j], c) for j, c in enumerate(b.coords) if c]
-            folds = self._reducer._folds
-            for ci, ca in nz_a:
-                for cj, cb in nz_b:
-                    c = ca * cb % n
-                    if c:
-                        row = folds.get(ci + cj)
-                        if row is None:
-                            row = self._reducer.fold(ci + cj)
-                        for k, ck in row:
-                            acc[k] += c * ck
+        # basis_product inlined: one fold-cache lookup per pair
+        left, right = self._left, self._right
+        nz_a = [(left[i], c) for i, c in enumerate(a.coords) if c]
+        nz_b = [(right[j], c) for j, c in enumerate(b.coords) if c]
+        folds, fold = self._folds, self._fold
+        for ci, ca in nz_a:
+            for cj, cb in nz_b:
+                c = ca * cb % n
+                if c:
+                    row = folds.get(ci + cj)
+                    if row is None:
+                        row = fold(ci + cj)
+                    for k, ck in row:
+                        acc[k] += c * ck
         return RingElement._reduced(self, [x % n for x in acc])
 
     def dot_sparse(self, pairs) -> list:
@@ -444,37 +442,27 @@ class FiniteAlgebra:
         reduced mod N once, as a sparse element.
 
         Each product of two nonzero coordinates goes in through its basis
-        product (``basis_product``, inlined: one table lookup, or one
-        fold-cache lookup for a presented algebra).  Unless N is prime, a
-        product that is 0 mod N, common over Z/p^K, is skipped.
+        product (``basis_product``, inlined: one fold-cache lookup).  Unless
+        N is prime, a product that is 0 mod N, common over Z/p^K, is
+        skipped.
         """
         n = self.base.n
         field = self.base.power == 1
         acc = defaultdict(int)
-        codes = self._codes
-        if codes is None:
-            table = self.mul_table
-            for a, b in pairs:
-                for i, ca in a:
-                    for j, cb in b:
-                        c = ca * cb
-                        if field or c % n:
-                            for k, ck in table[(i, j) if i <= j else (j, i)]:
-                                acc[k] += c * ck
-        else:
-            folds, fold = self._reducer._folds, self._reducer.fold
-            for a, b in pairs:
-                b = [(codes[j], cb) for j, cb in b]
-                for i, ca in a:
-                    ci = codes[i]
-                    for cj, cb in b:
-                        c = ca * cb
-                        if field or c % n:
-                            row = folds.get(ci + cj)
-                            if row is None:
-                                row = fold(ci + cj)
-                            for k, ck in row:
-                                acc[k] += c * ck
+        left, right = self._left, self._right
+        folds, fold = self._folds, self._fold
+        for a, b in pairs:
+            b = [(right[j], cb) for j, cb in b]
+            for i, ca in a:
+                ci = left[i]
+                for cj, cb in b:
+                    c = ca * cb
+                    if field or c % n:
+                        row = folds.get(ci + cj)
+                        if row is None:
+                            row = fold(ci + cj)
+                        for k, ck in row:
+                            acc[k] += c * ck
         return [(k, r) for k, c in acc.items() if (r := c % n)]
 
     @staticmethod
@@ -495,28 +483,15 @@ class FiniteAlgebra:
 
         A column is a sparse ((k, coeff), ...) tuple reduced mod N, summed
         over the nonzero coordinates of e.  Each basis product is looked up
-        directly, as ``basis_product`` would: in the table, or in the
-        reducer's fold cache of a presented algebra.
+        in the fold cache directly, as ``basis_product`` would.
         """
         n = self.base.n
-        codes = self._codes
-        if codes is None:
-            nz = [(i, c) for i, c in enumerate(e.coords) if c]
-            table = self.mul_table
-
-            def column(j):
-                acc = {}
-                for i, c in nz:
-                    for k, ck in table[(i, j) if i <= j else (j, i)]:
-                        acc[k] = acc.get(k, 0) + c * ck
-                return tuple([(k, x % n) for k, x in acc.items() if x % n])
-
-            return column
-        nz = [(codes[i], c) for i, c in enumerate(e.coords) if c]
-        folds, fold = self._reducer._folds, self._reducer.fold
+        left, right = self._left, self._right
+        nz = [(left[i], c) for i, c in enumerate(e.coords) if c]
+        folds, fold = self._folds, self._fold
 
         def column(j):
-            cj = codes[j]
+            cj = right[j]
             acc = {}
             for ci, c in nz:
                 row = folds.get(ci + cj)
@@ -691,7 +666,7 @@ def annihilator(e: RingElement) -> list[RingElement]:
 
 def is_nzd(e: RingElement) -> bool:
     """Non-zero-divisor test: trivial annihilator (and e != 0 in a nonzero ring)."""
-    return not annihilator(e) and not e.is_zero()
+    return not e.is_zero() and not annihilator(e)
 
 
 def is_unit(e: RingElement):
@@ -719,18 +694,9 @@ def exact_div(a: RingElement, d: RingElement) -> RingElement:
 
 
 def ideal_module_rows(gens) -> list[list[int]]:
-    """Z/N-module generators of the ideal (gens): the vectors g * b_j."""
-    alg = gens[0].parent
-    rank = alg.rank
-    rows = []
-    for g in gens:
-        column = alg.columns(g)
-        for j in range(rank):
-            row = [0] * rank
-            for k, x in column(j):
-                row[k] = x
-            rows.append(row)
-    return rows
+    """Z/N-module generators of the ideal (gens): the vectors g * b_j, the
+    columns of each ``mul_matrix``."""
+    return [list(col) for g in gens for col in zip(*g.parent.mul_matrix(g))]
 
 
 def ideal_contains_one(gens) -> bool:
@@ -1395,8 +1361,6 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
     base = BaseModulus(int(data["base"]))
     variables = list(data["vars"])
     relations = [[int(c) for c in rel] for rel in data["relations"]]
-    if not variables:
-        return FiniteAlgebra.scalar_ring(base)
     return FiniteAlgebra.from_presentation(base, variables, relations)
 
 

@@ -19,10 +19,10 @@ from .ring_core import (
     PolyElement,
     RingElement,
     ZeroDivisorDivisor,
-    annihilator,
     exact_div as ring_exact_div,
     ideal_contains_one,
     integer_solve,
+    is_nzd,
     multiset_products,
     unit_cofactor,
 )
@@ -68,7 +68,7 @@ def elem_is_nzd(x):
     if isinstance(x, int):
         return x != 0
     if isinstance(x, RingElement):
-        return not x.is_zero() and not annihilator(x)
+        return is_nzd(x)
     if isinstance(x, PolyElement):
         return x.parent.is_nzd(x)
     raise TypeError(f"unsupported element {x!r}")

@@ -183,7 +183,8 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1,
     nilpotent, so this succeeds once limit reaches the least nilpotency
     index among the stepped classes.  ``lower`` is a proven lower bound on
     the length of every certificate: when it reaches m, the word is
-    minimal and nothing is searched.
+    minimal and nothing is searched, and when it exceeds limit no word
+    fits and nothing is stepped or searched.
     Otherwise a breadth-first search of the lengths below m (all of
     1..limit when no power vanished) looks for a shorter word, examining at
     most ``CERT_SEARCH_BUDGET`` products.  ``search``, when given, returns
@@ -196,6 +197,8 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1,
     {"not_found_max_len": limit}, the limit that left the ZERO without a
     certificate.
     """
+    if lower > limit:
+        return {"not_found_max_len": limit}
     word = _power_word(gens, limit, range(len(gens)) if step is None else step)
     if word and lower > len(word):
         raise RuntimeError("lower bound exceeds a certificate")  # bound invariant

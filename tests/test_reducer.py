@@ -6,7 +6,9 @@ product generator is checked against the eager breadth-first search it
 replaced in the same way, and against the lazy search that multiplied with
 ``value * gens[idx]`` before multipliers; the table-free products of
 presented algebras against the structure table they used to fill, and
-multiplication through cached columns against ``FiniteAlgebra.multiply``.
+multiplication through cached columns and sparse sums (``dot_sparse``)
+against ``FiniteAlgebra.multiply``, over presented, tabled and quotient
+algebras.
 """
 
 import itertools
@@ -24,6 +26,8 @@ from tateshift.ring_core import (
     MonomialReducer,
     NonFreeQuotient,
     RingMismatch,
+    algebra_from_json,
+    algebra_to_json,
     ideal_module_rows,
     multiset_products,
 )
@@ -159,7 +163,7 @@ def test_presentation_table_matches_stack_reducer(n, relations, data):
     for i, j in itertools.combinations_with_replacement(range(alg.rank), 2):
         prod = tuple(x + y for x, y in zip(exps[i], exps[j]))
         oracle = stack_reduce(relations, {prod: 1}, modulus=n)
-        assert alg.table_product(i, j) == {index[e]: c for e, c in oracle.items()}
+        assert dict(alg.basis_product(i, j)) == {index[e]: c for e, c in oracle.items()}
     for k in range(len(relations)):
         x_k = tuple(int(t == k) for t in range(len(relations)))
         oracle = stack_reduce(relations, {x_k: 1}, modulus=n)
@@ -316,6 +320,27 @@ def test_multiplier_matches_multiply(n, relations, data):
             for g, t in zip(gens, times):
                 for v in values:
                     assert t(v).coords == alg.multiply(v, g).coords
+        # one sparse sum over every (value, generator) pair, reduced once
+        total = alg.zero()
+        for g in gens:
+            for v in values:
+                total = total + alg.multiply(v, g)
+        pairs = [(alg.sparse(v), alg.sparse(g)) for g in gens for v in values]
+        assert alg.from_sparse(alg.dot_sparse(pairs)) == total
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 9])
+def test_scalar_ring_matches_empty_presentation(n):
+    # Z/n as a rank-1 algebra, built directly and from its wire format
+    direct = FiniteAlgebra.scalar_ring(BaseModulus(n))
+    wired = algebra_from_json({"base": str(n), "vars": [], "relations": []})
+    assert algebra_to_json(direct) == algebra_to_json(wired)
+    assert repr(direct) == repr(wired) == f"Z/{n}"
+    assert direct.basis_labels == wired.basis_labels == ["1"]
+    for a, b in itertools.product(range(n), repeat=2):
+        assert ((direct.from_int(a) * direct.from_int(b)).coords
+                == (wired.from_int(a) * wired.from_int(b)).coords
+                == ((a * b) % n,))
 
 
 def test_multiplier_rejects_other_ring():

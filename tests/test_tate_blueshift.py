@@ -478,6 +478,22 @@ def test_finite_certificate_rejects_a_bound_above_its_word():
         finite_certificate(gens, 5, lower=5)
 
 
+def test_limit_below_the_valuation_bound_searches_nothing():
+    # Honda n=2 over (Z/4)^2 with C the 2-torsion: the valuation bound is 16,
+    # so a limit of 15 leaves no certificate to find, and 16 finds the word
+    job = {"p": 2, "A": [2, 2], "C": [1, 1], "fgl": "honda", "n": 2}
+    code, report = run_job("tate", {**job, "max_cert_len": 15})
+    assert code == 0 and report["status"] == "ZERO"
+    assert report["witness"] == {"not_found_max_len": 15,
+                                 "saturation_chain_length": 2}
+    code, report = run_job("tate", {**job, "max_cert_len": 16})
+    assert code == 0 and report["status"] == "ZERO"
+    cert = report["witness"]["certificate"]
+    assert (cert["length"], cert["minimal"]) == (16, True)
+    assert cert["valuation_witness"]["M"] == 16
+    assert "search_budget" not in report["witness"]
+
+
 def test_inverted_set_sizes():
     group = AbelianPGroup(2, [2, 1])
     assert len(inverted_element_set(group, SubgroupSpec([0, 0]))) == 0
