@@ -540,8 +540,9 @@ class FiniteAlgebra:
         coefficient below the leading one is divisible by p, hence 0.  There
         (sum c_a x^a)^p = sum c_a x^(pa), since the cross terms of a p-th
         power are divisible by p and c^p = c in F_p, and x^(pa) = 0 once
-        some p a_k >= d_k.  So y^p moves coordinates and takes no product.
-        The map of basis positions is built once per algebra.
+        some p a_k >= d_k.  So y^p moves coordinates and takes no product,
+        and ``nilpotency_index`` takes these images as the rungs of its
+        ladder.  The map of basis positions is built once per algebra.
         """
         target = getattr(self, "_frobenius", "?")
         if target == "?":
@@ -558,40 +559,6 @@ class FiniteAlgebra:
             return None
         return lambda y: [(t, c) for i, c in y if (t := target.get(i)) is not None]
 
-    def frobenius_index(self, e: RingElement):
-        """Smallest k with e^k = 0, or None if e is a unit, in an algebra
-        with a ``frobenius``.
-
-        The ring is local, so e is a unit when its constant coordinate is
-        nonzero and nilpotent otherwise.  The powers y^(p^t) are Frobenius
-        images, taken until one is 0: y^(p^T) != 0 = y^(p^(T+1)).  The
-        largest N with y^N != 0 then satisfies p^T <= N < p^(T+1); it is
-        read by its base-p digits from the top, each digit the number of
-        times y^(p^t) multiplies in before the product vanishes.  That takes
-        at most (p - 1)(T + 1) - 1 products, below
-        (p - 1)(log_p(k) + 1).
-        """
-        frobenius = self.frobenius()
-        if e.coords[0]:
-            return None
-        p = self.base.n
-        powers = []  # powers[t] = y^(p^t), all nonzero
-        y = self.sparse(e)
-        while y:
-            powers.append(y)
-            y = frobenius(y)
-        if not powers:
-            return 1
-        top = len(powers) - 1
-        acc, largest = powers[top], p**top  # acc = y^largest != 0
-        for t in range(top, -1, -1):
-            for _ in range(p - 1 - (t == top)):
-                nxt = self.dot_sparse([(acc, powers[t])])
-                if not nxt:
-                    break
-                acc, largest = nxt, largest + p**t
-        return largest + 1
-
     def describe(self, e: RingElement) -> str:
         parts = []
         for c, label in zip(e.coords, self.basis_labels):
@@ -601,27 +568,43 @@ class FiniteAlgebra:
         return " + ".join(parts) if parts else "0"
 
     def nilpotency_index(self, e: RingElement, bound: int | None = None):
-        """Smallest k with e^k = 0, or None if e is not nilpotent.
+        """Smallest k with e^k = 0, or None if e is not nilpotent (a unit,
+        say) or its index exceeds bound.
 
-        Repeated squaring up to a rank-driven bound decides nilpotency.
+        The default bound, rank * bitlen(N) + 2, exceeds the length of the
+        ring as a Z-module, so it bounds every nilpotency index.  The powers
+        y^(q^t) form a ladder, taken until one is 0 or q^t reaches bound:
+        Frobenius images with q = p where ``frobenius`` exists, squares
+        (``dot_sparse``) with q = 2 elsewhere.  Then y^(q^T) != 0 =
+        y^(q^(T+1)), and the largest L with y^L != 0 satisfies
+        q^T <= L < q^(T+1); it is read by its base-q digits from the top,
+        each digit the number of times y^(q^t) multiplies in before the
+        product vanishes.  That takes at most (q - 1)(T + 1) - 1 products,
+        below (q - 1)(log_q(k) + 1).
         """
         if bound is None:
             bound = self.rank * max(self.base.n.bit_length(), 1) + 2
-        if e.is_zero():
-            return 1
-        s = e
-        k = 1
-        while k <= bound:
-            s = s * s
-            k *= 2
-            if s.is_zero():
-                # refine: find exact index by linear scan of powers
-                idx, power = 1, e
-                while not power.is_zero():
-                    power = power * e
-                    idx += 1
-                return idx
-        return None
+        step = self.frobenius()
+        q = 2 if step is None else self.base.n
+        step = step or (lambda y: self.dot_sparse([(y, y)]))
+        powers = []  # powers[t] = y^(q^t), all nonzero
+        y = self.sparse(e)
+        while y:
+            if q ** len(powers) >= bound:  # the index exceeds q^t
+                return None
+            powers.append(y)
+            y = step(y)
+        largest = 0  # the largest L with y^L != 0, 0 when y = 0
+        if powers:
+            top = len(powers) - 1
+            acc, largest = powers[top], q**top  # acc = y^largest != 0
+            for t in range(top, -1, -1):
+                for _ in range(q - 1 - (t == top)):
+                    nxt = self.dot_sparse([(acc, powers[t])])
+                    if not nxt:
+                        break
+                    acc, largest = nxt, largest + q**t
+        return largest + 1 if largest < bound else None
 
     def __repr__(self):
         if self.presentation and self.presentation["vars"]:

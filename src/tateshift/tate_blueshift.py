@@ -179,12 +179,14 @@ def finite_certificate(gens, limit: int, step=None, lower: int = 1,
     Among the generators at the ascending positions ``step`` (all of them by
     default), the least nilpotency index m, when it is at most limit, and
     the least position i of that index give the word [i]*m (see
-    ``_power_word``).  On a local tower every inverted Euler class is
-    nilpotent, so this succeeds once limit reaches the least nilpotency
-    index among the stepped classes.  ``lower`` is a proven lower bound on
-    the length of every certificate: when it reaches m, the word is
-    minimal and nothing is searched, and when it exceeds limit no word
-    fits and nothing is stepped or searched.
+    ``_power_word``; each index is read by ``FiniteAlgebra.nilpotency_index``
+    from a ladder of Frobenius images over F_p, of squares elsewhere).  On
+    a local tower every inverted Euler class is nilpotent, so this succeeds
+    once limit reaches the least nilpotency index among the stepped
+    classes.  ``lower`` is a proven lower bound on the length of every
+    certificate: when it reaches m, the word is minimal and nothing is
+    searched, and when it exceeds limit no word fits, no index is read
+    and no search runs.
     Otherwise a breadth-first search of the lengths below m (all of
     1..limit when no power vanished) looks for a shorter word, examining at
     most ``CERT_SEARCH_BUDGET`` products.  ``search``, when given, returns
@@ -223,33 +225,16 @@ def _power_word(gens, limit: int, step):
     """[i]*m for the least m <= limit with gens[i]^m = 0 for some i in
     step, i the first such position; None if there is no such m.
 
-    Over F_p with every relation x_k^(d_k), each stepped index is read by
-    base-p digits (``FiniteAlgebra.frobenius_index``).  Elsewhere, as over
-    Z/p^K with K > 1, where y -> y^p is not additive, the powers are
-    stepped in lockstep (``_lockstep_word``).
+    Each stepped index is ``FiniteAlgebra.nilpotency_index``, bounded by
+    limit and then by one below the least index found so far, so that a
+    class whose index cannot win stops its ladder early.
     """
-    alg = gens[0].parent if gens else None
-    if alg is None or alg.frobenius() is None:
-        return _lockstep_word(gens, limit, step)
-    best = None
+    best, bound = None, limit
     for i in step:
-        m = alg.frobenius_index(gens[i])
-        if m is not None and m <= limit and (best is None or m < best[0]):
-            best = (m, i)
-    return None if best is None else [best[1]] * best[0]
-
-
-def _lockstep_word(gens, limit: int, step):
-    """``_power_word`` by stepping the powers at step together, one
-    product each per m, until one vanishes."""
-    powers = {i: gens[i] for i in step}
-    times = {i: gens[i].multiplier() for i in step}
-    for m in range(1, limit + 1):
-        i = next((i for i, x in powers.items() if x.is_zero()), None)
-        if i is not None:
-            return [i] * m
-        powers = {i: times[i](x) for i, x in powers.items()}
-    return None
+        m = gens[i].parent.nilpotency_index(gens[i], bound)
+        if m is not None:
+            best, bound = i, m - 1
+    return None if best is None else [best] * (bound + 1)
 
 
 def valuation_witness(alg: FiniteAlgebra, gens) -> dict | None:

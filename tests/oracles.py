@@ -181,6 +181,72 @@ def formal_difference_with_unit(law, a: TruncatedSeries, b: TruncatedSeries):
     return diff, inverse(substitute(_sum_unit_series(law), {X1: b, X2: diff}))
 
 
+# -- nilpotency indices --------------------------------------------------------
+# The routines ``FiniteAlgebra.nilpotency_index`` replaced: squaring then a
+# scan, Frobenius digits over F_p, and stepping the powers in lockstep.
+
+
+def square_then_scan_index(alg, e):
+    """Smallest k with e^k = 0, or None if e is not nilpotent: squaring up
+    to the ring's length bound rank * bitlen(N) + 2 decides nilpotency,
+    and a linear scan of the powers then finds the index."""
+    bound = alg.rank * max(alg.base.n.bit_length(), 1) + 2
+    if e.is_zero():
+        return 1
+    s, k = e, 1
+    while k <= bound:
+        s, k = s * s, 2 * k
+        if s.is_zero():
+            idx, power = 1, e
+            while not power.is_zero():
+                power, idx = power * e, idx + 1
+            return idx
+    return None
+
+
+def frobenius_digit_index(alg, e):
+    """Smallest k with e^k = 0, or None if e is a unit, in an algebra with
+    a ``frobenius``: the Frobenius images y^(p^t) are taken until one is 0,
+    and the largest L with y^L != 0 is read by its base-p digits from the
+    top, each digit the number of times y^(p^t) multiplies in before the
+    product vanishes."""
+    frobenius = alg.frobenius()
+    if e.coords[0]:
+        return None
+    p = alg.base.n
+    powers = []  # powers[t] = y^(p^t), all nonzero
+    y = alg.sparse(e)
+    while y:
+        powers.append(y)
+        y = frobenius(y)
+    if not powers:
+        return 1
+    top = len(powers) - 1
+    acc, largest = powers[top], p**top
+    for t in range(top, -1, -1):
+        for _ in range(p - 1 - (t == top)):
+            nxt = alg.dot_sparse([(acc, powers[t])])
+            if not nxt:
+                break
+            acc, largest = nxt, largest + p**t
+    return largest + 1
+
+
+def lockstep_word(gens, limit: int, step=None):
+    """[i]*m for the least m <= limit with gens[i]^m = 0 for some i at the
+    positions step (all of them by default), i the first such position;
+    None if there is no such m.  The powers are stepped together, one
+    product each per m."""
+    step = range(len(gens)) if step is None else step
+    powers = {i: gens[i] for i in step}
+    for m in range(1, limit + 1):
+        zero = [i for i, x in powers.items() if x.is_zero()]
+        if zero:
+            return [zero[0]] * m
+        powers = {i: x * gens[i] for i, x in powers.items()}
+    return None
+
+
 # -- rings and linear algebra --------------------------------------------------
 
 

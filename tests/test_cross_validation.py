@@ -2,6 +2,9 @@
 
 import itertools
 import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from tateshift import zmod
 from tateshift.classifying import (
@@ -11,11 +14,12 @@ from tateshift.classifying import (
     quotient_image_elements,
     required_cap,
 )
-from tateshift.fgl import build_honda, build_multiplicative
-from tateshift.series import TruncatedSeries, eval_at, substitute
+from tateshift.cli import dumps, run_job
+from tateshift.fgl import X1, X2, build_honda, build_multiplicative
+from tateshift.series import TruncatedSeries, ZModDomain, eval_at, substitute
 from tateshift.tate_blueshift import blueshift_bounds
 
-from oracles import V_count, V_count_image
+from oracles import SMALL_GROUPS, V_count, V_count_image
 
 
 def test_honda_law_is_frobenius_linear():
@@ -29,6 +33,54 @@ def test_honda_law_is_frobenius_linear():
         x2q = TruncatedSeries(law.domain, ("x1", "x2"), cap, {(0, q): 1})
         rhs = substitute(law.F, {"x1": x1q, "x2": x2q})
         assert lhs == rhs
+
+
+def artin_hasse_minus_one(p: int, cap: int) -> TruncatedSeries:
+    """E - 1 over F_p, E(x) = exp(sum_i x^(p^i) / p^i) the Artin-Hasse
+    exponential.  Its coefficients are built over QQ from E'/E =
+    sum_i x^(p^i - 1), that is n a_n = sum_i a_(n - p^i) with a_0 = 1, and
+    are p-integral (Hazewinkel, Formal Groups and Applications, 1978)."""
+    a = [Fraction(1)]
+    for n in range(1, cap + 1):
+        acc, q = Fraction(0), 1
+        while q <= n:
+            acc, q = acc + a[n - q], q * p
+        a.append(acc / n)
+    assert all(c.denominator % p for c in a)
+    return TruncatedSeries(ZModDomain(p), ("x",), cap, {
+        (n,): c.numerator * pow(c.denominator, -1, p) % p
+        for n, c in enumerate(a) if n})
+
+
+def test_artin_hasse_carries_honda_height_1_to_multiplicative():
+    # f = E - 1 is a strict isomorphism, f(F_H(x, y)) = F_M(f(x), f(y)),
+    # since log_M(f(x)) = log E(x) = sum_i x^(p^i) / p^i = log_H(x).  It is
+    # an oracle for build_honda's reversion and bilinear form that shares
+    # no code with them
+    for p, cap in ((2, 10), (3, 13), (5, 19)):
+        honda, mult = build_honda(p, 1, cap), build_multiplicative(p, 1, cap)
+        f = artin_hasse_minus_one(p, cap)
+        assert f.coefficient((1,)) == 1
+        f1, f2 = (substitute(f, {"x": TruncatedSeries.variable(f.domain, (X1, X2), cap, v)})
+                  for v in (X1, X2))
+        assert substitute(f, {"x": honda.F}) == substitute(mult.F, {X1: f1, X2: f2})
+
+
+@settings(max_examples=18, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_GROUPS))
+def test_honda_height_1_and_multiplicative_tate_reports_agree(group):
+    # the Artin-Hasse isomorphism above sends e_H(w) to e_M(w) in the
+    # classifying rings over F_p, so on every C the tate reports agree
+    # byte for byte apart from the law
+    p, A = group
+    reports = []
+    for law in ({"fgl": "honda", "n": 1}, {"fgl": "multiplicative"}):
+        reports.append([])
+        for C in itertools.product(*(range(a + 1) for a in A)):
+            code, report = run_job("tate", {"p": p, "A": list(A), "C": list(C), **law})
+            assert code == 0 and report.pop("law")["kind"] == law["fgl"]
+            reports[-1].append(dumps(report))
+    assert reports[0] == reports[1]
 
 
 def test_howell_form_canonical_random():

@@ -1,10 +1,12 @@
 """FiniteAlgebra / ExactPolyRing decision procedures vs brute-force oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from tateshift import zmod
@@ -27,6 +29,8 @@ from tateshift.ring_core import (
     zero_product_certificate,
 )
 from tateshift.tate_blueshift import multiplicative_exact_ring
+
+from oracles import square_then_scan_index
 
 
 def algebra_z4_x2_plus_2x():
@@ -403,3 +407,61 @@ def test_exact_ring_questions_match_det_and_rational_oracles(case):
         assert replay(cols, particular) == ring.coords(a)
     assert all(replay(cols, k) == [0] * ring.rank for k in kernel)
     assert len(kernel) >= ring.rank
+
+
+# -- nilpotency indices ------------------------------------------------------
+
+
+NILPOTENCY_MODULI = (2, 3, 4, 5, 6, 8, 9, 12, 25, 27)
+
+
+def idempotent_exponent(alg) -> int:
+    """An m with r^m idempotent for every r: in each local factor of size
+    p^a, a <= rank * v_p(N), with residue field F_(p^f), f <= rank, m is
+    at least the nilpotency index of the maximal ideal (at most a) and a
+    multiple of the unit group's exponent, which divides (p^f - 1) p^a."""
+    m = 1
+    for p, v in sympy.factorint(alg.base.n).items():
+        m = math.lcm(m, p ** (alg.rank * v), *(p**f - 1 for f in range(1, alg.rank + 1)))
+    return m
+
+
+@st.composite
+def nilpotency_cases(draw):
+    """A presented algebra over Z/N, its relations local (every coefficient
+    below the leading one divisible by rad(N)) or not, and an element of
+    the drawn kind.  A unit, nilpotent or idempotent element is built from
+    up to four random r, the first that gives neither 0 nor 1."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = rnd.choice(NILPOTENCY_MODULI)
+    scale = math.prod(sympy.primefactors(n)) if rnd.random() < 0.5 else 1
+    degrees = rnd.choice([[1], [2], [3], [4], [1, 2], [2, 1], [2, 2]])
+    alg = FiniteAlgebra.from_presentation(
+        BaseModulus(n), [f"x{k}" for k in range(len(degrees))],
+        [[scale * rnd.randrange(n) for _ in range(d)] + [1] for d in degrees])
+    kind = rnd.choice(["zero", "unit", "nilpotent", "idempotent"])
+    e, m = alg.zero(), idempotent_exponent(alg)
+    for _ in range(4 if kind != "zero" else 0):
+        r = alg.from_coords([rnd.choice([0, 0, 1, rnd.randrange(n)])
+                             for _ in range(alg.rank)])
+        f = r**m  # 1 on the factors where r is a unit, else 0
+        e = {"unit": r * f + (alg.one() - f), "nilpotent": r - r * f,
+             "idempotent": f}[kind]
+        if not e.is_zero() and e != alg.one():
+            break
+    return alg, kind, e
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(nilpotency_cases())
+def test_nilpotency_index_with_bound_matches_square_then_scan(case):
+    # None exactly when e is not nilpotent or its index exceeds the bound;
+    # e = 0 has index 1, so the bound 0 drops it
+    alg, kind, e = case
+    if kind == "idempotent":
+        assert e * e == e
+    index = square_then_scan_index(alg, e)
+    assert (index is None) == (kind in ("unit", "idempotent") and not e.is_zero())
+    for bound in (None, 0, 1, *((index - 1, index) if index else (100,))):
+        expected = index if index is not None and (bound is None or index <= bound) else None
+        assert alg.nilpotency_index(e, bound) == expected

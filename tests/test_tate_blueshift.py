@@ -1,15 +1,14 @@
 """Tate vanishing outcomes and blue-shift bound arithmetic.
 
-The lockstep over every inverted class and the unbudgeted breadth-first
-search, which finite certificates no longer run, are kept here as oracles
-for the orbit representatives and the valuation bound.
+The lockstep over every inverted class (``oracles.lockstep_word``) and the
+unbudgeted breadth-first search, which finite certificates no longer run,
+serve as oracles for the orbit representatives and the valuation bound.
 """
 
 import functools
 import itertools
 import math
 import operator
-from unittest import mock
 
 import pytest
 import sympy
@@ -48,7 +47,15 @@ from tateshift.tate_blueshift import (
     valuation_witness,
 )
 
-from oracles import SMALL_GROUPS, V_count, V_count_image, small_ring
+from oracles import (
+    SMALL_GROUPS,
+    V_count,
+    V_count_image,
+    frobenius_digit_index,
+    lockstep_word,
+    small_ring,
+    square_then_scan_index,
+)
 
 
 # -- blue-shift bounds ------------------------------------------------------------
@@ -335,18 +342,6 @@ def small_tate_cases(draw):
     return tower, C
 
 
-def lockstep_word(gens, limit):
-    """The all-class lockstep: [i]*m for the least m with some x_i^m = 0,
-    and the least such i."""
-    powers = list(gens)
-    for m in range(1, limit + 1):
-        zero = [i for i, x in enumerate(powers) if x.is_zero()]
-        if zero:
-            return [zero[0]] * m
-        powers = [x * g for x, g in zip(powers, gens)]
-    return None
-
-
 def tower_case(tower, C):
     law, cr = small_tower(*tower)
     inverted = inverted_element_set(cr.group, SubgroupSpec(C))
@@ -574,39 +569,39 @@ def exact_searches(draw):
             draw(st.sampled_from([None, 2, 3])))
 
 
-# Laws over F_p: Honda heights 1 and 2 and the multiplicative law with K = 1
-FIELD_LAWS = (("honda", 1), ("honda", 2), ("multiplicative", 1))
+# Laws over F_p (Honda heights 1 and 2, the multiplicative law with K = 1),
+# where the index ladder takes Frobenius images, and the multiplicative law
+# over Z/p^K with K = 2, 3, where it takes squares
+LADDER_LAWS = (("honda", 1), ("honda", 2), ("multiplicative", 1),
+               ("multiplicative", 2), ("multiplicative", 3))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.sampled_from(FIELD_LAWS), subgroups())
-def test_frobenius_indices_and_words_match_lockstep(law, case):
-    # the digit-read index of every inverted class is its nilpotency index,
-    # and the word and minimality match lockstep stepping, also when the
-    # limit falls below the least index (a small budget keeps that search
-    # short; both sides run the same search)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from(LADDER_LAWS), subgroups())
+def test_nilpotency_indices_and_words_match_oracles(law, case):
+    # the ladder-read index of every inverted class is the square-then-scan
+    # index (and, over F_p, the Frobenius-digit index); a bound at the index
+    # keeps it and one below drops it; the word matches lockstep stepping,
+    # also when the limit falls below the least index
     (kind, h), (p, A, C) = law, case
     assume(any(C))
     cr = small_ring(kind, p, h, A)
     alg = cr.algebra
     inverted = inverted_element_set(cr.group, SubgroupSpec(C))
     gens = [ec.value for ec in cr.euler_classes(inverted)]
-    indices = [alg.frobenius_index(g) for g in gens]
-    assert indices == [alg.nilpotency_index(g) for g in gens]
+    indices = [alg.nilpotency_index(g) for g in gens]
+    assert indices == [square_then_scan_index(alg, g) for g in gens]
+    if alg.frobenius() is not None:
+        assert indices == [frobenius_digit_index(alg, g) for g in gens]
+    for g, m in zip(gens, indices):
+        assert (alg.nilpotency_index(g, m), alg.nilpotency_index(g, m - 1)) == (m, None)
     step = orbit_representatives(cr.group, inverted)
     least = min(indices[i] for i in step)
-    psi = valuation_witness(alg, gens)
-    with mock.patch.object(tate_blueshift, "CERT_SEARCH_BUDGET", 64):
-        for limit, lower in ((least - 1, 1), (least, 1), (alg.rank + 1, 1),
-                             (alg.rank + 1, -(-psi["M"] // psi["d"]))):
-            word = tate_blueshift._power_word(gens, limit, step)
-            assert word == tate_blueshift._lockstep_word(gens, limit, step)
-            assert word == (None if limit < least else
-                            [next(i for i in step if indices[i] == least)] * least)
-            got = finite_certificate(gens, limit, step, lower)
-            with mock.patch.object(tate_blueshift, "_power_word",
-                                   tate_blueshift._lockstep_word):
-                assert finite_certificate(gens, limit, step, lower) == got
+    for limit in (least - 1, least, alg.rank + 1):
+        word = tate_blueshift._power_word(gens, limit, step)
+        assert word == lockstep_word(gens, limit, step)
+        assert word == (None if limit < least else
+                        [next(i for i in step if indices[i] == least)] * least)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
