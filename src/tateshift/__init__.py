@@ -16,8 +16,6 @@ from .ring_core import (
     RingElement,
     ZERO_RING,
     annihilator,
-    exact_div,
-    ideal_contains_one,
     is_unit,
     localize_by_saturation,
     zero_product_certificate,

@@ -321,7 +321,7 @@ def run_roots(params: dict) -> dict:
             else f"difference of elements {i} and {j} is a zero divisor"
         )
         return {"tuple_valid": False, "offending_pair": [i, j], "reason": reason}
-    tup = ring_linalg.NTuple(elements, True, "concrete", f_coeffs=f_coeffs)
+    tup = ring_linalg.NTuple(elements, f_coeffs=f_coeffs)
     result = ring_linalg.roots_to_coeffs(f_coeffs, tup)
     report = {
         "tuple_valid": True,
@@ -345,11 +345,10 @@ def run_roots(params: dict) -> dict:
         )
         report["factorization"] = [ring_core.element_to_json(c) for c in fac]
     if params.get("explain"):
-        elim = ring_linalg.gaussian_nzd_solve(tup)
         report["elimination_trace"] = [
             [[str(e.coords[0]) if e.parent.rank == 1 else
               ring_core.element_to_json(e) for e in row] for row in mat]
-            for mat in elim.trace
+            for mat in ring_linalg.gaussian_nzd_solve(tup)
         ]
     return report
 

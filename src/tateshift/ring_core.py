@@ -559,6 +559,31 @@ class FiniteAlgebra:
             return None
         return lambda y: [(t, c) for i, c in y if (t := target.get(i)) is not None]
 
+    # -- the ring protocol ExactPolyRing shares ----------------------------
+
+    def is_nzd(self, e: RingElement) -> bool:
+        """Non-zero-divisor test: trivial annihilator (and e != 0 in a nonzero ring)."""
+        return not e.is_zero() and not annihilator(e)
+
+    def exact_div(self, a: RingElement, d: RingElement) -> RingElement:
+        """The unique t with a = d*t; d must be a non-zero-divisor."""
+        if a.parent is not self or d.parent is not self:
+            raise RingMismatch("mismatched rings in exact_div")
+        x, kernel = zmod.solve_coset(self.mul_matrix(d), list(a.coords), self.base.n)
+        if kernel:
+            raise ZeroDivisorDivisor(f"divisor {d!r} has a nontrivial annihilator")
+        if x is None:
+            raise NotDivisible(f"{a!r} is not divisible by {d!r}")
+        return RingElement._reduced(self, x)
+
+    def module_contains(self, gens, target: RingElement) -> bool:
+        """Whether target lies in the ideal (gens): the Z/N-span of the
+        g * b_j, read off their Howell form."""
+        if any(g.parent is not self for g in gens):
+            raise RingMismatch("generators from different rings")
+        rows = ideal_module_rows(gens)
+        return zmod.howell(rows, self.base.n).contains(list(target.coords))
+
     def describe(self, e: RingElement) -> str:
         parts = []
         for c, label in zip(e.coords, self.basis_labels):
@@ -647,11 +672,6 @@ def annihilator(e: RingElement) -> list[RingElement]:
     return [RingElement._reduced(alg, g) for g in zmod.right_kernel(mat, alg.base.n)]
 
 
-def is_nzd(e: RingElement) -> bool:
-    """Non-zero-divisor test: trivial annihilator (and e != 0 in a nonzero ring)."""
-    return not e.is_zero() and not annihilator(e)
-
-
 def is_unit(e: RingElement):
     """(True, inverse) if multiplication-by-e is invertible, else (False, None)."""
     alg = e.parent
@@ -663,37 +683,10 @@ def is_unit(e: RingElement):
     return True, RingElement(alg, x)
 
 
-def exact_div(a: RingElement, d: RingElement) -> RingElement:
-    """The unique t with a = d*t; d must be a non-zero-divisor."""
-    alg = a.parent
-    if d.parent is not alg:
-        raise RingMismatch("mismatched rings in exact_div")
-    x, kernel = zmod.solve_coset(alg.mul_matrix(d), list(a.coords), alg.base.n)
-    if kernel:
-        raise ZeroDivisorDivisor(f"divisor {d!r} has a nontrivial annihilator")
-    if x is None:
-        raise NotDivisible(f"{a!r} is not divisible by {d!r}")
-    return RingElement._reduced(alg, x)
-
-
 def ideal_module_rows(gens) -> list[list[int]]:
     """Z/N-module generators of the ideal (gens): the vectors g * b_j, the
     columns of each ``mul_matrix``."""
     return [list(col) for g in gens for col in zip(*g.parent.mul_matrix(g))]
-
-
-def ideal_contains_one(gens) -> bool:
-    """Whether 1 lies in the Z/N-span of { g*b : g in gens, b basis }."""
-    gens = [g for g in gens]
-    if not gens:
-        return False
-    alg = gens[0].parent
-    for g in gens:
-        if g.parent is not alg:
-            raise RingMismatch("generators from different rings")
-    rows = ideal_module_rows(gens)
-    hf = zmod.howell(rows, alg.base.n)
-    return hf.contains([1] + [0] * (alg.rank - 1))
 
 
 def _product(alg: FiniteAlgebra, s_gens):
@@ -981,24 +974,29 @@ def _complete_to_basis(u, n):
 
 
 def unit_in_affine_coset(alg: FiniteAlgebra, y0, kernel_rows, budget=2048):
-    """A unit of the form y0 + combination of kernel rows, or None.
+    """(unit or None, cut): a unit of the form y0 + combination of kernel
+    rows, and the budget if the scan stopped before every combination.
 
     In a local tower the constant coordinate decides unitness, so one kernel
     generator with unit constant coordinate fixes any non-unit y0; otherwise
-    a bounded deterministic enumeration is scanned.
+    a bounded deterministic enumeration is scanned, and ``cut`` is 0 when it
+    covered every coefficient vector over Z/N.
     """
     n = alg.base.n
     p = alg.local_tower_prime()
     if p is not None:
         if y0[0] % p:
-            return y0
+            return y0, 0
         for k in kernel_rows:
             if k[0] % p:
-                return [(a + b) % n for a, b in zip(y0, k)]
-        return None
+                return [(a + b) % n for a, b in zip(y0, k)], 0
+        return None, 0
     candidates = [y0]
+    cut = 0
     if kernel_rows:
         reach = min(n, max(2, budget // max(1, len(kernel_rows))))
+        if reach < n or reach ** len(kernel_rows) > budget:
+            cut = budget
         for combo in itertools.islice(
             itertools.product(range(reach), repeat=len(kernel_rows)), budget
         ):
@@ -1013,12 +1011,13 @@ def unit_in_affine_coset(alg: FiniteAlgebra, y0, kernel_rows, budget=2048):
     for y in candidates:
         e = RingElement(alg, y)
         if is_unit(e)[0]:
-            return list(e.coords)
-    return None
+            return list(e.coords), 0
+    return None, cut
 
 
 def unit_cofactor(s: RingElement, d: RingElement):
-    """(solvable, u): whether s*y = d has a solution, and a unit one or None.
+    """(solvable, u, cut): whether s*y = d has a solution, a unit one or
+    None, and the budget of a coset scan that stopped short (else 0).
 
     One solve-plus-kernel call gives the solutions as a coset y0 + ker(s),
     which unit_in_affine_coset scans for a unit.
@@ -1026,9 +1025,9 @@ def unit_cofactor(s: RingElement, d: RingElement):
     alg = s.parent
     y0, kernel = zmod.solve_coset(alg.mul_matrix(s), list(d.coords), alg.base.n)
     if y0 is None:
-        return False, None
-    hit = unit_in_affine_coset(alg, y0, kernel)
-    return True, (None if hit is None else RingElement._reduced(alg, hit))
+        return False, None, 0
+    hit, cut = unit_in_affine_coset(alg, y0, kernel)
+    return True, (None if hit is None else RingElement._reduced(alg, hit)), cut
 
 
 # -- certificates ------------------------------------------------------------

@@ -6,8 +6,11 @@ Vandermonde system has only the zero solution, the generalized Vieta/Cramer
 relations between the roots and the coefficients of a polynomial hold, and a
 polynomial with "too many" roots forces the ring to vanish.
 
-Elements may be RingElements of a FiniteAlgebra, PolyElements of an
-ExactPolyRing, or plain ints (exact Z); the helpers dispatch on type.
+Elements are RingElements of a FiniteAlgebra or PolyElements of an
+ExactPolyRing (Z itself is ``ExactPolyRing([], [])``).  Both rings answer
+one protocol, which is all this module asks of them: ``zero()``, ``one()``,
+``is_nzd(e)``, ``exact_div(a, d)`` and ``module_contains(gens, target)``,
+with ``is_zero()`` on the elements.
 """
 
 from __future__ import annotations
@@ -19,10 +22,7 @@ from .ring_core import (
     PolyElement,
     RingElement,
     ZeroDivisorDivisor,
-    exact_div as ring_exact_div,
-    ideal_contains_one,
     integer_solve,
-    is_nzd,
     multiset_products,
     unit_cofactor,
 )
@@ -44,53 +44,9 @@ class NotATuple(LinalgError):
     pass
 
 
-# -- element dispatch ---------------------------------------------------------
-
-
-def elem_zero(x):
-    if isinstance(x, int):
-        return 0
-    return x.parent.zero()
-
-
-def elem_one(x):
-    if isinstance(x, int):
-        return 1
-    return x.parent.one()
-
-
-def elem_is_zero(x):
-    return x == 0 if isinstance(x, int) else x.is_zero()
-
-
-def elem_is_nzd(x):
-    """Non-zero-divisor test in the element's ring."""
-    if isinstance(x, int):
-        return x != 0
-    if isinstance(x, RingElement):
-        return is_nzd(x)
-    if isinstance(x, PolyElement):
-        return x.parent.is_nzd(x)
-    raise TypeError(f"unsupported element {x!r}")
-
-
-def elem_exact_div(a, d):
-    if isinstance(a, int):
-        if d == 0:
-            raise ZeroDivisorDivisor("division by zero in Z")
-        if a % d:
-            raise NotDivisible(f"{d} does not divide {a} in Z")
-        return a // d
-    if isinstance(a, RingElement):
-        return ring_exact_div(a, d)
-    if isinstance(a, PolyElement):
-        return a.parent.exact_div(a, d)
-    raise TypeError(f"unsupported element {a!r}")
-
-
 def poly_eval_elems(coeffs, x):
     """Horner evaluation; coefficients and point from the same ring."""
-    acc = elem_zero(x)
+    acc = x.parent.zero()
     for c in reversed(list(coeffs)):
         acc = acc * x + c
     return acc
@@ -108,12 +64,10 @@ class NTuple:
     that localization being the ring under discussion.
     """
 
-    __slots__ = ("elements", "verified", "mode", "witnesses", "f_coeffs")
+    __slots__ = ("elements", "mode", "witnesses", "f_coeffs")
 
-    def __init__(self, elements, verified, mode="concrete", witnesses=None,
-                 f_coeffs=None):
+    def __init__(self, elements, mode="concrete", witnesses=None, f_coeffs=None):
         self.elements = list(elements)
-        self.verified = verified
         self.mode = mode
         self.witnesses = witnesses or {}
         self.f_coeffs = f_coeffs
@@ -131,11 +85,12 @@ def is_ntuple(elements, f=None):
     elements = list(elements)
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
-            if not elem_is_nzd(elements[i] - elements[j]):
+            d = elements[i] - elements[j]
+            if not d.parent.is_nzd(d):
                 return False, (i, j)
     if f is not None:
         for i, r in enumerate(elements):
-            if not elem_is_zero(poly_eval_elems(f, r)):
+            if not poly_eval_elems(f, r).is_zero():
                 return False, (i, i)
     return True, None
 
@@ -147,7 +102,7 @@ def verify_tuple(elements, f=None) -> NTuple:
         if i == j:
             raise NotATuple(f"element {i} is not a root of f")
         raise NotATuple(f"difference of elements {i} and {j} is a zero divisor")
-    return NTuple(elements, True, "concrete", f_coeffs=f)
+    return NTuple(elements, f_coeffs=f)
 
 
 # -- determinants ------------------------------------------------------------------
@@ -159,7 +114,7 @@ def vandermonde_matrix(ts, ncols=None):
     ncols = n if ncols is None else ncols
     rows = []
     for t in ts:
-        row = [elem_one(t)]
+        row = [t.parent.one()]
         for _ in range(ncols - 1):
             row.append(row[-1] * t)
         rows.append(row)
@@ -169,8 +124,8 @@ def vandermonde_matrix(ts, ncols=None):
 def det_division_free(matrix, one=1):
     """Determinant without ring division: cofactor to size 5, Berkowitz above.
 
-    ``one`` is the ring's identity, returned for the 0x0 matrix, which has no
-    entry to name the ring.
+    ``one`` is the ring's identity: the determinant of the 0x0 matrix, which
+    has no entry to name the ring, and Berkowitz's leading coefficient.
     """
     n = len(matrix)
     if n == 0:
@@ -180,7 +135,7 @@ def det_division_free(matrix, one=1):
             raise ValueError("matrix must be square")
     if n <= 5:
         return _det_cofactor(matrix)
-    return _det_berkowitz(matrix)
+    return _det_berkowitz(matrix, one)
 
 
 def _det_cofactor(m):
@@ -197,10 +152,9 @@ def _det_cofactor(m):
     return out
 
 
-def _det_berkowitz(m):
+def _det_berkowitz(m, one=1):
     n = len(m)
-    zero = elem_zero(m[0][0])
-    one = elem_one(m[0][0])
+    zero = one - one
     poly = [one, -m[0][0]]
     for r in range(1, n):
         a = m[r][r]
@@ -243,23 +197,15 @@ def _dot_or_zero(xs, ys, zero):
 # -- elimination with non-zero-divisor cancellation ----------------------------------
 
 
-class EliminationResult:
-    """Outcome of the Vandermonde elimination: solution space is {0}."""
-
-    __slots__ = ("status", "trace")
-
-    def __init__(self, trace):
-        self.status = "UNIQUE_ZERO"
-        self.trace = trace
-
-
-def gaussian_nzd_solve(ntuple) -> EliminationResult:
-    """Row-reduce the Vandermonde system of the tuple to unit pivots.
+def gaussian_nzd_solve(ntuple) -> list:
+    """Row-reduce the Vandermonde system of the tuple to unit pivots, and
+    return the trace: the matrix before the first stage and after each.
 
     Each stage subtracts the pivot row and cancels the common non-zero-divisor
     factor t_i - t_s from the whole row (cancellation preserves the solution
     set); the final upper triangular matrix with pivots 1 confirms the only
-    solution is the zero vector.
+    solution is the zero vector.  A tuple for which that fails raises
+    PivotNotCancellable.
     """
     elements = ntuple.elements if isinstance(ntuple, NTuple) else list(ntuple)
     ts = list(elements)
@@ -273,11 +219,11 @@ def gaussian_nzd_solve(ntuple) -> EliminationResult:
             factor = ts[i] - ts[stage]
             new_row = []
             for entry in diff:
-                if elem_is_zero(entry):
+                if entry.is_zero():
                     new_row.append(entry)
                     continue
                 try:
-                    new_row.append(elem_exact_div(entry, factor))
+                    new_row.append(factor.parent.exact_div(entry, factor))
                 except (NotDivisible, ZeroDivisorDivisor) as exc:
                     raise PivotNotCancellable(
                         f"difference of roots {i} and {stage} cannot be "
@@ -286,9 +232,9 @@ def gaussian_nzd_solve(ntuple) -> EliminationResult:
             rows[i] = new_row
         trace.append([list(r) for r in rows])
     for i in range(n):
-        if not elem_is_zero(rows[i][i] - elem_one(ts[0])):
+        if not (rows[i][i] - ts[i].parent.one()).is_zero():
             raise PivotNotCancellable(f"pivot {i} did not normalize to 1")
-    return EliminationResult(trace)
+    return trace
 
 
 # -- root-coefficient relations -------------------------------------------------------
@@ -308,9 +254,10 @@ class RootCoeffResult:
 
 def poly_from_roots(roots, leading):
     """Coefficients of leading * prod (x - r_i), constant term first."""
-    coeffs = [elem_one(leading)]
+    ring = leading.parent
+    coeffs = [ring.one()]
     for r in roots:
-        new = [elem_zero(leading) for _ in range(len(coeffs) + 1)]
+        new = [ring.zero() for _ in range(len(coeffs) + 1)]
         for i, c in enumerate(coeffs):
             new[i + 1] = new[i + 1] + c
             new[i] = new[i] - c * r
@@ -326,38 +273,39 @@ def roots_to_coeffs(f_coeffs, ntuple: NTuple) -> RootCoeffResult:
     a_i = det(..beta..) / det V via exact division (divisibility is guaranteed
     for verified tuples; failure means the precondition was violated).
     """
-    if not (isinstance(ntuple, NTuple) and ntuple.verified):
+    if not isinstance(ntuple, NTuple):
         raise NotATuple("roots_to_coeffs needs a verified tuple")
     f_coeffs = list(f_coeffs)
     roots = ntuple.elements
     if ntuple.mode == "concrete":
         for i, r in enumerate(roots):
-            if not elem_is_zero(poly_eval_elems(f_coeffs, r)):
+            if not poly_eval_elems(f_coeffs, r).is_zero():
                 raise NotATuple(f"element {i} is not a root of f")
     n = len(roots)
     m = len(f_coeffs) - 1
     if n > m:
         for i, a in enumerate(f_coeffs):
-            if not elem_is_zero(a):
+            if not a.is_zero():
                 raise NotATuple(
                     f"coefficient {i} is nonzero although the tuple is larger "
                     "than the degree; the tuple cannot be valid"
                 )
-        return RootCoeffResult("AllZero", [elem_zero(roots[0])] * (m + 1))
+        return RootCoeffResult("AllZero", [roots[0].parent.zero()] * (m + 1))
     if n == m:
         lead = f_coeffs[-1]
         expanded = poly_from_roots(roots, lead)
         for got, given in zip(expanded, f_coeffs):
-            if not elem_is_zero(got - given):
+            if not (got - given).is_zero():
                 raise NotATuple("Vieta relations fail; tuple is not valid for f")
         return RootCoeffResult(
             "Vieta", expanded[:-1], factorization={"leading": lead, "roots": roots}
         )
     # n < m: Cramer with exact division by det V
-    det_v = det_division_free(vandermonde_matrix(roots), one=elem_one(f_coeffs[-1]))
+    ring = f_coeffs[-1].parent
+    det_v = det_division_free(vandermonde_matrix(roots), one=ring.one())
     beta = []
     for r in roots:
-        acc = elem_zero(r)
+        acc = ring.zero()
         power = r
         for _ in range(n - 1):
             power = power * r
@@ -372,16 +320,16 @@ def roots_to_coeffs(f_coeffs, ntuple: NTuple) -> RootCoeffResult:
     for i in range(n):
         cols = columns[:i] + [beta] + columns[i + 1:]
         mat = [[cols[c][r] for c in range(n)] for r in range(n)]
-        det_i = det_division_free(mat)
+        det_i = det_division_free(mat, one=ring.one())
         col_dets.append(det_i)
         try:
-            recovered.append(elem_exact_div(det_i, det_v))
+            recovered.append(ring.exact_div(det_i, det_v))
         except (NotDivisible, ZeroDivisorDivisor) as exc:
             raise DivisibilityFailure(
                 f"det column {i} not divisible by det V: {exc}"
             ) from exc
     for i in range(n):
-        if not elem_is_zero(recovered[i] - f_coeffs[i]):
+        if not (recovered[i] - f_coeffs[i]).is_zero():
             raise DivisibilityFailure(
                 f"recovered coefficient {i} disagrees with the input"
             )
@@ -423,13 +371,13 @@ def vanishing_condition(f_coeffs, ntuple: NTuple) -> VanishingVerdict:
     localized tuples that case is not decidable at finite truncation level
     and reports Inconclusive.
     """
-    if not (isinstance(ntuple, NTuple) and ntuple.verified):
+    if not isinstance(ntuple, NTuple):
         raise NotATuple("vanishing_condition needs a verified tuple")
     f_coeffs = list(f_coeffs)
     roots = ntuple.elements
     if ntuple.mode == "concrete":
         for i, r in enumerate(roots):
-            if not elem_is_zero(poly_eval_elems(f_coeffs, r)):
+            if not poly_eval_elems(f_coeffs, r).is_zero():
                 raise NotATuple(f"element {i} is not a root of f")
     n = len(roots)
     m = len(f_coeffs) - 1
@@ -459,9 +407,7 @@ def vanishing_condition(f_coeffs, ntuple: NTuple) -> VanishingVerdict:
              "note": INDEX_CONVENTION_NOTE},
         )
     diffs = [a - b for a, b in zip(f_coeffs, result.recovered)]
-    contains = _one_in_ideal(diffs) if any(
-        not elem_is_zero(d) for d in diffs
-    ) else False
+    contains = _one_in_ideal(diffs)
     return VanishingVerdict(
         VanishingVerdict.MUST_BE_ZERO if contains
         else VanishingVerdict.INCONCLUSIVE,
@@ -471,22 +417,12 @@ def vanishing_condition(f_coeffs, ntuple: NTuple) -> VanishingVerdict:
 
 
 def _one_in_ideal(gens) -> bool:
-    gens = [g for g in gens if not elem_is_zero(g)]
+    """Whether the nonzero gens generate the unit ideal; False for none."""
+    gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False
-    g0 = gens[0]
-    if isinstance(g0, int):
-        from math import gcd
-
-        acc = 0
-        for g in gens:
-            acc = gcd(acc, g)
-        return acc == 1
-    if isinstance(g0, RingElement):
-        return ideal_contains_one(gens)
-    if isinstance(g0, PolyElement):
-        return g0.parent.module_contains(gens, g0.parent.one())
-    raise TypeError(f"unsupported element {g0!r}")
+    ring = gens[0].parent
+    return ring.module_contains(gens, ring.one())
 
 
 # -- tuples verified in a localization ---------------------------------------------------
@@ -497,36 +433,38 @@ UNIT_SCAN_BUDGET = 512
 
 
 def _unit_multiple_witness(d, s_gens, max_len, units):
-    """((word, unit) or None, budget_ran_out) with d = unit * prod(word).
+    """((word, unit) or None, ran_out) with d = unit * prod(word); ran_out
+    is the candidate budget of a unit scan that ran out, else 0.
 
     A witness certifies that d becomes a unit in the localization inverting
-    s_gens.  Over a FiniteAlgebra each word takes one solve and coset scan.
-    Over an ExactPolyRing every word up to max_len first tries the
-    structured units (``_structured_units`` of the ring, passed in so that
-    one tuple builds them once); only then does each word take an integer
-    solve, whose kernel box scans share UNIT_SCAN_BUDGET candidates.
+    s_gens.  Over a FiniteAlgebra each word takes one solve and a coset
+    scan (``unit_cofactor``) of its own budget.  Over an ExactPolyRing every
+    word up to max_len first tries the structured units
+    (``_structured_units`` of the ring, passed in so that one tuple builds
+    them once); only then does each word take an integer solve, whose
+    kernel box scans share UNIT_SCAN_BUDGET candidates.
     """
     if isinstance(d, RingElement):
+        ran_out = 0
         for value, word in multiset_products(s_gens, max_len):
-            u = unit_cofactor(value, d)[1]
+            _, u, cut = unit_cofactor(value, d)
             if u is not None:
-                return (list(word), u), False
-        return None, False
-    if not isinstance(d, PolyElement):
-        raise TypeError(f"unsupported element {d!r}")
+                return (list(word), u), 0
+            ran_out = ran_out or cut
+        return None, ran_out
     ring = d.parent
     for value, word in multiset_products(s_gens, max_len):
         for u in units:
             if value * u == d and ring.is_unit(u):
-                return (list(word), u), False
+                return (list(word), u), 0
     left = UNIT_SCAN_BUDGET
     for value, word in multiset_products(s_gens, max_len):
         u, left = _scan_integer_cofactors(value, d, left)
         if u is not None:
-            return (list(word), u), False
+            return (list(word), u), 0
         if not left:
-            return None, True
-    return None, False
+            return None, UNIT_SCAN_BUDGET
+    return None, 0
 
 
 def _structured_units(ring):
@@ -570,10 +508,10 @@ def _scan_integer_cofactors(s, d, left):
 
 def _kill_word(t, s_gens, max_len):
     """A word whose product annihilates t (so t dies in the localization)."""
-    if elem_is_zero(t):
+    if t.is_zero():
         return []
     for value, word in multiset_products(s_gens, max_len):
-        if elem_is_zero(value * t):
+        if (value * t).is_zero():
             return list(word)
     return None
 
@@ -596,7 +534,7 @@ def verify_localized_tuple(s_gens, elements, f=None, max_len=12) -> NTuple:
                 units = _structured_units(d.parent)
             hit, ran_out = _unit_multiple_witness(d, s_gens, max_len, units)
             if hit is None:
-                bound = (f"the unit scan budget of {UNIT_SCAN_BUDGET} "
+                bound = (f"the unit scan budget of {ran_out} "
                          "candidates ran out" if ran_out
                          else f"within products of length {max_len}")
                 raise NotATuple(
@@ -614,4 +552,4 @@ def verify_localized_tuple(s_gens, elements, f=None, max_len=12) -> NTuple:
                     f"within products of length {max_len}"
                 )
             witnesses["roots"][i] = {"word": word}
-    return NTuple(elements, True, "localized", witnesses, f_coeffs=f)
+    return NTuple(elements, "localized", witnesses, f_coeffs=f)

@@ -7,6 +7,7 @@ Each routine here is an independent reference for a routine of
 
 import functools
 import itertools
+import math
 
 from tateshift import zmod
 from tateshift.classifying import (
@@ -23,7 +24,7 @@ from tateshift.ring_core import (
     ideal_module_rows,
     identity_rows,
 )
-from tateshift.ring_linalg import elem_one, poly_eval_elems
+from tateshift.ring_linalg import poly_eval_elems
 from tateshift.series import (
     TruncatedSeries,
     ZModDomain,
@@ -278,10 +279,18 @@ def quotient_by_ideal(alg, gens):
     return _quotient_algebra(alg, rows)
 
 
+def gcd_one_in_ideal(gens) -> bool:
+    """Whether integers generate the unit ideal of Z: their gcd is 1, and
+    no generators give the zero ideal.  This was ``ring_linalg``'s branch
+    for plain int elements before Z became ``ExactPolyRing([], [])``."""
+    return math.gcd(*gens) == 1
+
+
 def vandermonde_det(ts):
-    """prod_{j<i} (t_i - t_j); the empty and singleton products are 1."""
+    """prod_{j<i} (t_i - t_j) over plain ints or ring elements; the empty
+    and singleton products are 1."""
     ts = list(ts)
-    out = elem_one(ts[0]) if ts else 1
+    out = 1 if not ts or isinstance(ts[0], int) else ts[0].parent.one()
     for i, j in itertools.combinations(range(len(ts)), 2):
         out = out * (ts[j] - ts[i])
     return out

@@ -250,8 +250,10 @@ def test_criterion_8_elimination():
         vals = rng.sample(range(p), size)
         ring = FiniteAlgebra.scalar_ring(BaseModulus(p))
         ts = [ring.from_int(v) for v in vals]
-        result = gaussian_nzd_solve(verify_tuple(ts))
-        assert result.status == "UNIQUE_ZERO"
+        last = gaussian_nzd_solve(verify_tuple(ts))[-1]
+        # the reduced system is unit upper triangular: only 0 solves it
+        assert all(row[j] == (ring.one() if i == j else ring.zero())
+                   for i, row in enumerate(last) for j in range(i + 1))
         oracle = field_rank([[pow(v, j, p) for j in range(size)] for v in vals], p)
         assert oracle == size  # full rank <=> only the zero solution
         done += 1

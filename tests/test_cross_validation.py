@@ -16,10 +16,10 @@ from tateshift.classifying import (
 )
 from tateshift.cli import dumps, run_job
 from tateshift.fgl import X1, X2, build_honda, build_multiplicative
-from tateshift.series import TruncatedSeries, ZModDomain, eval_at, substitute
-from tateshift.tate_blueshift import blueshift_bounds
+from tateshift.series import TruncatedSeries, ZModDomain, eval_at, reversion, substitute
+from tateshift.tate_blueshift import blueshift_bounds, tate_ring
 
-from oracles import SMALL_GROUPS, V_count, V_count_image
+from oracles import SMALL_GROUPS, V_count, V_count_image, build_custom, small_ring
 
 
 def test_honda_law_is_frobenius_linear():
@@ -81,6 +81,50 @@ def test_honda_height_1_and_multiplicative_tate_reports_agree(group):
             assert code == 0 and report.pop("law")["kind"] == law["fgl"]
             reports[-1].append(dumps(report))
     assert reports[0] == reports[1]
+
+
+def conjugate_law(law, g):
+    """F^g(x, y) = g(F(g^-1 x, g^-1 y)): g is a strict isomorphism from
+    the law F to F^g."""
+    ginv = reversion(g)
+    y1, y2 = (substitute(ginv, {"x": TruncatedSeries.variable(law.domain, (X1, X2), law.cap, v)})
+              for v in (X1, X2))
+    Fg = substitute(g, {"x": substitute(law.F, {X1: y1, X2: y2})})
+    return build_custom(Fg, law.p, law.height)
+
+
+def tate_fields(result):
+    """What an isomorphism of classifying rings preserves: status, inverted
+    classes, chain length, certificate length and minimality, and a
+    minimal word.  ``valuation_witness`` depends on the presentation."""
+    out = result.to_dict()
+    cert = out["witness"].get("certificate", {})
+    return (out["status"], out["inverted_classes"],
+            out["witness"].get("saturation_chain_length"),
+            cert.get("length"), cert.get("minimal"),
+            cert["generators"] if cert.get("minimal") else None)
+
+
+# Honda laws of heights 1 and 2 over F_p up to cap 30.  The five at caps
+# 66-258 take 0.4 s to 110 s each to conjugate by a dense g and build.
+CONJUGATE_CASES = [(p, A, n) for p, A in SMALL_GROUPS for n in (1, 2)
+                   if required_cap(p, n, 1, A) <= 30]
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(st.sampled_from(CONJUGATE_CASES), st.randoms(use_true_random=False))
+def test_conjugated_law_tate_results_agree(case, rng):
+    # g carries F's classifying ring isomorphically onto F^g's, with
+    # e(w) -> g(e(w)) = e(w) * unit, so every C gives the same answer
+    p, A, n = case
+    ref = small_ring("honda", p, n, A)
+    cap = ref.law.cap
+    g = TruncatedSeries(ref.law.domain, ("x",), cap,
+                        {(1,): 1} | {(i,): rng.randrange(p) for i in range(2, cap + 1)})
+    conj = build_classifying_ring(conjugate_law(ref.law, g), AbelianPGroup(p, A))
+    for C in itertools.product(*(range(a + 1) for a in A)):
+        sub = SubgroupSpec(list(C))
+        assert tate_fields(tate_ring(conj, sub)) == tate_fields(tate_ring(ref, sub)), C
 
 
 def test_howell_form_canonical_random():

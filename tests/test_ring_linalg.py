@@ -16,6 +16,7 @@ from tateshift.ring_linalg import (
     det_division_free,
     _det_berkowitz,
     _det_cofactor,
+    _one_in_ideal,
     gaussian_nzd_solve,
     is_ntuple,
     poly_from_roots,
@@ -30,11 +31,20 @@ from tateshift.tate_blueshift import (
     multiplicative_exact_ring,
 )
 
-from oracles import vandermonde_det
+from oracles import gcd_one_in_ideal, vandermonde_det
+
+Z = ExactPolyRing([], [])
 
 
 def zmod_ring(n):
     return FiniteAlgebra.scalar_ring(BaseModulus(n))
+
+
+def is_unit_upper_triangular(mat):
+    """The reduced Vandermonde system has the zero vector as its only
+    solution: ones on the diagonal and zeros below it."""
+    return all(row[j] == (row[j].parent.one() if i == j else row[j].parent.zero())
+               for i, row in enumerate(mat) for j in range(i + 1))
 
 
 def field_rank(mat, p):
@@ -109,11 +119,12 @@ def test_det_division_free_examples():
 
 def test_vandermonde_cross_check_random():
     # two independent computations: product formula vs division-free determinant
+    # over Z, as ExactPolyRing([], []); sizes past 5 take Berkowitz
     rng = random.Random(41)
     for _ in range(40):
-        size = rng.randrange(1, 6)
-        ts = [rng.randrange(-9, 10) for _ in range(size)]
-        assert det_division_free(vandermonde_matrix(ts)) == vandermonde_det(ts)
+        size = rng.randrange(1, 8)
+        ts = [rng.randrange(-9, 10) * Z.one() for _ in range(size)]
+        assert det_division_free(vandermonde_matrix(ts), one=Z.one()) == vandermonde_det(ts)
     z12 = zmod_ring(12)
     for _ in range(25):
         size = rng.randrange(1, 5)
@@ -140,22 +151,22 @@ def test_det_division_free_large_uses_berkowitz():
 
 def test_gaussian_nzd_solve_single():
     z7 = zmod_ring(7)
-    result = gaussian_nzd_solve(verify_tuple([z7.from_int(1)]))
-    assert result.status == "UNIQUE_ZERO"
+    trace = gaussian_nzd_solve(verify_tuple([z7.from_int(1)]))
+    assert trace == [[[z7.one()]]]
 
 
 def test_gaussian_nzd_solve_z7_trace():
     z7 = zmod_ring(7)
     ts = [z7.from_int(0), z7.from_int(1), z7.from_int(2)]
-    result = gaussian_nzd_solve(verify_tuple(ts))
-    assert result.status == "UNIQUE_ZERO"
+    trace = gaussian_nzd_solve(verify_tuple(ts))
+    assert len(trace) == 3 and is_unit_upper_triangular(trace[-1])
 
     def coords(mat):
         return [[e.coords[0] for e in row] for row in mat]
 
     # after stage 1 the rows follow the (0, 1, t_1 + t_i) pattern
-    assert coords(result.trace[1]) == [[1, 0, 0], [0, 1, 1], [0, 1, 2]]
-    assert coords(result.trace[2]) == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+    assert coords(trace[1]) == [[1, 0, 0], [0, 1, 1], [0, 1, 2]]
+    assert coords(trace[2]) == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
 
 
 def test_gaussian_nzd_solve_matches_field_rank_oracle():
@@ -166,8 +177,8 @@ def test_gaussian_nzd_solve_matches_field_rank_oracle():
             size = rng.randrange(1, 5)
             vals = rng.sample(range(p), size)
             ts = [ring.from_int(v) for v in vals]
-            result = gaussian_nzd_solve(verify_tuple(ts))
-            assert result.status == "UNIQUE_ZERO"
+            trace = gaussian_nzd_solve(verify_tuple(ts))
+            assert is_unit_upper_triangular(trace[-1])
             assert field_rank(
                 [[pow(v, j, p) for j in range(size)] for v in vals], p
             ) == size
@@ -355,9 +366,25 @@ def test_localized_tuple_names_spent_unit_scan_budget():
         verify_localized_tuple([x1], [ring.one(), ring.zero()], max_len=1)
 
 
-def test_elem_exact_div_integers():
-    from tateshift.ring_linalg import elem_exact_div
+def test_localized_tuple_names_cut_coset_scan():
+    # Z/6[x]/(x^6) is not local.  4 = 2 * 5 with 5 a unit, so [4, 0] is a
+    # tuple once 2 is inverted; but the solutions of 2 y = 4 are 2 plus the
+    # span of the six kernel rows 3 x^i, the scan varies the last row
+    # fastest, and 5 = 2 + 3 lies past its 2048 candidates
+    alg = FiniteAlgebra.from_presentation(BaseModulus(6), ["x"], [[0] * 6 + [1]])
+    with pytest.raises(NotATuple, match="budget of 2048 candidates ran out"):
+        verify_localized_tuple([alg.from_int(2)], [alg.from_int(4), alg.zero()],
+                               max_len=1)
 
-    assert elem_exact_div(6, 2) == 3
-    with pytest.raises(Exception):
-        elem_exact_div(7, 2)
+
+def test_z_module_contains_matches_gcd():
+    # Z is ExactPolyRing([], []): 1 lies in the ideal of integers exactly
+    # when their gcd is 1
+    rng = random.Random(67)
+    one = Z.one()
+    for _ in range(200):
+        gens = [rng.choice((0, rng.randrange(-30, 31))) for _ in range(rng.randrange(5))]
+        expected = gcd_one_in_ideal(gens)
+        assert Z.module_contains([g * one for g in gens], one) == expected, gens
+        if gens:
+            assert _one_in_ideal([g * one for g in gens]) == expected, gens
