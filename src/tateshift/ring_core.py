@@ -17,6 +17,7 @@ saturation (that needs finiteness).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 
@@ -584,6 +585,51 @@ class FiniteAlgebra:
         rows = ideal_module_rows(gens)
         return zmod.howell(rows, self.base.n).contains(list(target.coords))
 
+    unit_cofactor_scope = "every unit was tried as a cofactor"
+
+    def unit_cofactor(self, s: RingElement, d: RingElement):
+        """A unit u with s*u = d, or None when there is none.
+
+        One solve gives the solutions of s*y = d as a coset y0 + Ann(s).  It
+        holds a unit exactly when 1 lies in y0*R + Ann(s): a unit u = y0 + j
+        gives 1 = y0*u^-1 + j*u^-1, and units lift modulo any ideal of a
+        finite ring.  In a local tower the constant coordinate decides
+        unitness, so the unit is y0 or y0 plus the first kernel row with a
+        unit constant coordinate.  Elsewhere one more solve gives
+        y0*z + j = 1 with j in Ann(s), and u = y0 + (1 - e)*j, where e = a*b
+        is the idempotent of y0: a = y0^(2^t) with 2^t past the bound on
+        nilpotency indices, and a^2*b = a.  On each local factor where y0 is
+        a unit, e = 1 and u = y0; where y0 is nilpotent, e = 0 and
+        u = 1 + y0*(1 - z).  That unit is replayed before it is returned.
+        """
+        n = self.base.n
+        y0, kernel = zmod.solve_coset(self.mul_matrix(s), list(d.coords), n)
+        if y0 is None:
+            return None
+        p = self.local_tower_prime()
+        if p is not None:
+            for k in [[0] * self.rank] + kernel:
+                if (y0[0] + k[0]) % p:
+                    return RingElement(self, [a + b for a, b in zip(y0, k)])
+            return None
+        y, one = RingElement._reduced(self, y0), self.one()
+        # columns y*b_j, then the kernel rows: (z, c) with y*z + c.kernel = 1
+        mat = [row + [k[i] for k in kernel]
+               for i, row in enumerate(self.mul_matrix(y))]
+        zc = zmod.solve(mat, list(one.coords), n)
+        if zc is None:
+            return None
+        j = one - y * RingElement._reduced(self, zc[:self.rank])
+        a = y
+        for _ in range(self._index_bound().bit_length()):
+            a = a * a
+        b = zmod.solve(self.mul_matrix(a * a), list(a.coords), n)
+        u = y + (one - a * RingElement._reduced(self, b)) * j
+        if s * u != d or not is_unit(u)[0]:
+            raise RuntimeError(f"unit cofactor {u!r} of {d!r} by {s!r} "
+                               "does not replay")
+        return u
+
     def describe(self, e: RingElement) -> str:
         parts = []
         for c, label in zip(e.coords, self.basis_labels):
@@ -608,7 +654,7 @@ class FiniteAlgebra:
         below (q - 1)(log_q(k) + 1).
         """
         if bound is None:
-            bound = self.rank * max(self.base.n.bit_length(), 1) + 2
+            bound = self._index_bound()
         step = self.frobenius()
         q = 2 if step is None else self.base.n
         step = step or (lambda y: self.dot_sparse([(y, y)]))
@@ -630,6 +676,10 @@ class FiniteAlgebra:
                         break
                     acc, largest = nxt, largest + q**t
         return largest + 1 if largest < bound else None
+
+    def _index_bound(self) -> int:
+        """The default bound of ``nilpotency_index``: past every index."""
+        return self.rank * max(self.base.n.bit_length(), 1) + 2
 
     def __repr__(self):
         if self.presentation and self.presentation["vars"]:
@@ -973,63 +1023,6 @@ def _complete_to_basis(u, n):
     return _int_matrix_inverse_mod(trans, n)
 
 
-def unit_in_affine_coset(alg: FiniteAlgebra, y0, kernel_rows, budget=2048):
-    """(unit or None, cut): a unit of the form y0 + combination of kernel
-    rows, and the budget if the scan stopped before every combination.
-
-    In a local tower the constant coordinate decides unitness, so one kernel
-    generator with unit constant coordinate fixes any non-unit y0; otherwise
-    a bounded deterministic enumeration is scanned, and ``cut`` is 0 when it
-    covered every coefficient vector over Z/N.
-    """
-    n = alg.base.n
-    p = alg.local_tower_prime()
-    if p is not None:
-        if y0[0] % p:
-            return y0, 0
-        for k in kernel_rows:
-            if k[0] % p:
-                return [(a + b) % n for a, b in zip(y0, k)], 0
-        return None, 0
-    candidates = [y0]
-    cut = 0
-    if kernel_rows:
-        reach = min(n, max(2, budget // max(1, len(kernel_rows))))
-        if reach < n or reach ** len(kernel_rows) > budget:
-            cut = budget
-        for combo in itertools.islice(
-            itertools.product(range(reach), repeat=len(kernel_rows)), budget
-        ):
-            if not any(combo):
-                continue
-            y = list(y0)
-            for c, k in zip(combo, kernel_rows):
-                if c:
-                    for t in range(len(y)):
-                        y[t] = (y[t] + c * k[t]) % n
-            candidates.append(y)
-    for y in candidates:
-        e = RingElement(alg, y)
-        if is_unit(e)[0]:
-            return list(e.coords), 0
-    return None, cut
-
-
-def unit_cofactor(s: RingElement, d: RingElement):
-    """(solvable, u, cut): whether s*y = d has a solution, a unit one or
-    None, and the budget of a coset scan that stopped short (else 0).
-
-    One solve-plus-kernel call gives the solutions as a coset y0 + ker(s),
-    which unit_in_affine_coset scans for a unit.
-    """
-    alg = s.parent
-    y0, kernel = zmod.solve_coset(alg.mul_matrix(s), list(d.coords), alg.base.n)
-    if y0 is None:
-        return False, None, 0
-    hit, cut = unit_in_affine_coset(alg, y0, kernel)
-    return True, (None if hit is None else RingElement._reduced(alg, hit)), cut
-
-
 # -- certificates ------------------------------------------------------------
 
 
@@ -1057,8 +1050,11 @@ def multiset_products(gens, max_len: int):
     suffice).  A value equal to one yielded before is dropped and not
     extended, which fixes the order and keeps the search deterministic.
     Each generator is asked once for its ``multiplier()``, the map
-    v -> v * g_i, which makes every product of the search.
+    v -> v * g_i, which makes every product of the search.  A max_len
+    below 1 raises ValueError on the first ``next``.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     seen = set()
     frontier = []
     for idx, g in enumerate(gens):
@@ -1089,8 +1085,6 @@ def zero_product_certificate(s_gens, max_len: int, budget: int | None = None):
     found breadth-first.  ``budget`` caps the number of products examined;
     when it runs out the result records it.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     for examined, (value, word) in enumerate(multiset_products(list(s_gens), max_len)):
         if examined == budget:
             return CertificateNotFound(max_len, budget)
@@ -1260,6 +1254,36 @@ class ExactPolyRing:
     def module_contains(self, gens, target: PolyElement) -> bool:
         """Whether target lies in the ideal (gens): integer lattice membership."""
         return self._solve(gens, target)[0] is not None
+
+    unit_cofactor_scope = "only structured units were tried as cofactors"
+
+    def unit_cofactor(self, s: PolyElement, d: PolyElement):
+        """The first structured unit u with s*u = d, or None.
+
+        Unlike a finite ring's, None does not show that no unit cofactor
+        exists: only ``structured_units`` are tried.
+        """
+        for u in self.structured_units:
+            if s * u == d and self.is_unit(u):
+                return u
+        return None
+
+    @functools.cached_property
+    def structured_units(self) -> list:
+        """Signed monomials, then signed products of (1 + x_k) powers: the
+        unit groups of group-ring style presentations in either coordinate
+        convention.  Built on first use and kept.
+        """
+        out = [PolyElement(self, {mono: sign})
+               for sign in (1, -1) for mono in self.monomials]
+        shifted = [self.one() + self.gen(k) for k in range(len(self.variables))]
+        for exps in self.monomials:
+            cand = self.one()
+            for k, e in enumerate(exps):
+                for _ in range(e):
+                    cand = cand * shifted[k]
+            out += [cand, cand * -1]
+        return out
 
     def __repr__(self):
         rel = ", ".join(

@@ -9,22 +9,17 @@ polynomial with "too many" roots forces the ring to vanish.
 Elements are RingElements of a FiniteAlgebra or PolyElements of an
 ExactPolyRing (Z itself is ``ExactPolyRing([], [])``).  Both rings answer
 one protocol, which is all this module asks of them: ``zero()``, ``one()``,
-``is_nzd(e)``, ``exact_div(a, d)`` and ``module_contains(gens, target)``,
-with ``is_zero()`` on the elements.
+``is_nzd(e)``, ``exact_div(a, d)``, ``module_contains(gens, target)`` and
+``unit_cofactor(s, d)`` (a unit u with s*u = d, or None) with its
+``unit_cofactor_scope``, and ``is_zero()`` on the elements.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .ring_core import (
     NotDivisible,
-    PolyElement,
-    RingElement,
     ZeroDivisorDivisor,
-    integer_solve,
     multiset_products,
-    unit_cofactor,
 )
 
 
@@ -427,83 +422,18 @@ def _one_in_ideal(gens) -> bool:
 
 # -- tuples verified in a localization ---------------------------------------------------
 
-# Unitness tests one difference may spend on integer cofactors over an
-# ExactPolyRing: each is one integer elimination over rank columns.
-UNIT_SCAN_BUDGET = 512
-
-
-def _unit_multiple_witness(d, s_gens, max_len, units):
-    """((word, unit) or None, ran_out) with d = unit * prod(word); ran_out
-    is the candidate budget of a unit scan that ran out, else 0.
+def _unit_multiple_witness(d, s_gens, max_len):
+    """(word, unit) with d = unit * prod(word), or None.
 
     A witness certifies that d becomes a unit in the localization inverting
-    s_gens.  Over a FiniteAlgebra each word takes one solve and a coset
-    scan (``unit_cofactor``) of its own budget.  Over an ExactPolyRing every
-    word up to max_len first tries the structured units
-    (``_structured_units`` of the ring, passed in so that one tuple builds
-    them once); only then does each word take an integer solve, whose
-    kernel box scans share UNIT_SCAN_BUDGET candidates.
+    s_gens.  The word is the first of ``multiset_products`` for which the
+    ring's ``unit_cofactor`` finds a unit.
     """
-    if isinstance(d, RingElement):
-        ran_out = 0
-        for value, word in multiset_products(s_gens, max_len):
-            _, u, cut = unit_cofactor(value, d)
-            if u is not None:
-                return (list(word), u), 0
-            ran_out = ran_out or cut
-        return None, ran_out
-    ring = d.parent
     for value, word in multiset_products(s_gens, max_len):
-        for u in units:
-            if value * u == d and ring.is_unit(u):
-                return (list(word), u), 0
-    left = UNIT_SCAN_BUDGET
-    for value, word in multiset_products(s_gens, max_len):
-        u, left = _scan_integer_cofactors(value, d, left)
+        u = d.parent.unit_cofactor(value, d)
         if u is not None:
-            return (list(word), u), 0
-        if not left:
-            return None, UNIT_SCAN_BUDGET
-    return None, 0
-
-
-def _structured_units(ring):
-    """Signed monomials, then signed products of (1 + x_k) powers: the unit
-    groups of group-ring style presentations in either coordinate convention.
-    """
-    out = [PolyElement(ring, {mono: sign})
-           for sign in (1, -1) for mono in ring.monomials]
-    shifted = [ring.one() + ring.gen(k) for k in range(len(ring.variables))]
-    for exps in ring.monomials:
-        cand = ring.one()
-        for k, e in enumerate(exps):
-            for _ in range(e):
-                cand = cand * shifted[k]
-        out += [cand, cand * -1]
-    return out
-
-
-def _scan_integer_cofactors(s, d, left):
-    """(unit u with s*u = d or None, candidates left): the integer solutions
-    of s*y = d, the particular one first and then a box of kernel
-    combinations, each costing one unitness test out of ``left``.
-    """
-    ring = s.parent
-    particular, kernel = integer_solve(ring.columns(s), ring.coords(d))
-    if particular is None:
-        return None, left
-    box = (0, 1, -1, 2, -2, 3, -3)  # the all-zero combination comes first
-    combos = itertools.product(box, repeat=len(kernel))
-    for combo in itertools.islice(combos, left):
-        left -= 1
-        vec = list(particular)
-        for c, k in zip(combo, kernel):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, k)]
-        cand = ring.from_coords(vec)
-        if ring.is_unit(cand):
-            return cand, left
-    return None, left
+            return list(word), u
+    return None
 
 
 def _kill_word(t, s_gens, max_len):
@@ -526,20 +456,15 @@ def verify_localized_tuple(s_gens, elements, f=None, max_len=12) -> NTuple:
     """
     elements = list(elements)
     witnesses = {"pairs": {}, "roots": {}, "inverted": s_gens}
-    units = None
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             d = elements[i] - elements[j]
-            if units is None and isinstance(d, PolyElement):
-                units = _structured_units(d.parent)
-            hit, ran_out = _unit_multiple_witness(d, s_gens, max_len, units)
+            hit = _unit_multiple_witness(d, s_gens, max_len)
             if hit is None:
-                bound = (f"the unit scan budget of {ran_out} "
-                         "candidates ran out" if ran_out
-                         else f"within products of length {max_len}")
                 raise NotATuple(
                     f"difference of elements {i} and {j} is not certified "
-                    f"to become a unit in the localization: {bound}"
+                    f"to become a unit in the localization: within products "
+                    f"of length {max_len}; {d.parent.unit_cofactor_scope}"
                 )
             witnesses["pairs"][(i, j)] = {"word": hit[0], "unit": hit[1]}
     if f is not None:

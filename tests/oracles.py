@@ -279,6 +279,19 @@ def quotient_by_ideal(alg, gens):
     return _quotient_algebra(alg, rows)
 
 
+@functools.cache
+def units_by_enumeration(alg):
+    """Every unit u of a small finite ring: some element v has u*v = 1."""
+    elements = list(alg.elements())
+    one = alg.one()
+    return [u for u in elements if any(u * v == one for v in elements)]
+
+
+def unit_cofactors_by_enumeration(s, d):
+    """Every unit u with s*u = d, found by trying each unit of the ring."""
+    return [u for u in units_by_enumeration(s.parent) if s * u == d]
+
+
 def gcd_one_in_ideal(gens) -> bool:
     """Whether integers generate the unit ideal of Z: their gcd is 1, and
     no generators give the zero ideal.  This was ``ring_linalg``'s branch

@@ -28,7 +28,11 @@ from tateshift.ring_core import (
 )
 from tateshift.tate_blueshift import multiplicative_exact_ring
 
-from oracles import square_then_scan_index
+from oracles import (
+    square_then_scan_index,
+    unit_cofactors_by_enumeration,
+    units_by_enumeration,
+)
 
 
 def algebra_z4_x2_plus_2x():
@@ -139,6 +143,43 @@ def test_unit_iff_trivial_annihilator_exhaustive():
             assert unit == nzd, (alg, e)
             if unit:
                 assert (e * inv) == alg.one()
+
+
+# Small rings over Z/N with one or two variables: local towers first, then
+# rings that are not, some local (F_9 = Z/3[x]/(x^2 + 1)) and some products
+# of local factors (Z/6[x]/(x^2), Z/10[x]/(x^2 + x), Z/12 in rank 1).
+UNIT_COFACTOR_RINGS = (
+    (4, [[0, 2, 1]]), (2, [[0, 0, 0, 1]]), (2, [[0, 0, 1], [0, 0, 1]]),
+    (9, [[3, 1]]), (4, [[2, 1], [0, 2, 1]]),
+    (3, [[1, 0, 1]]), (6, [[0, 0, 1]]), (2, [[0, 1, 1]]), (10, [[0, 1, 1]]),
+    (12, [[0, 1]]), (2, [[0, 1, 1], [0, 0, 1]]), (6, [[3, 1], [0, 1, 1]]),
+    (3, [[0, 1, 1], [2, 0, 1]]),
+)
+
+
+def test_unit_cofactor_matches_enumeration():
+    # None exactly when no unit u has s*u = d; a returned unit replays.  Each
+    # s is asked for every d in s*R^x and for two random d, mostly outside.
+    # s = 2 is a unit on the factors of odd residue characteristic and
+    # nilpotent on the others, so there y0 and the idempotent e are mixed
+    rng = random.Random(28)
+    inside = outside = 0
+    for n, relations in UNIT_COFACTOR_RINGS:
+        alg = FiniteAlgebra.from_presentation(
+            BaseModulus(n), [f"x{k}" for k in range(len(relations))], relations)
+        elements, units = list(alg.elements()), units_by_enumeration(alg)
+        for s in [alg.from_int(2)] + rng.sample(elements, 3):
+            targets = {s * u for u in units} | {rng.choice(elements) for _ in range(2)}
+            for d in sorted(targets, key=lambda e: e.coords):
+                expected = unit_cofactors_by_enumeration(s, d)
+                got = alg.unit_cofactor(s, d)
+                if expected:
+                    inside += 1
+                    assert got in expected, (alg, s, d, got)  # s*got = d, a unit
+                else:
+                    outside += 1
+                    assert got is None, (alg, s, d, got)
+    assert inside > 200 and outside > 50, (inside, outside)
 
 
 def test_exact_div_examples_and_random():

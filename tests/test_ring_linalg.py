@@ -6,9 +6,13 @@ import random
 
 import pytest
 
-from tateshift.ring_core import BaseModulus, ExactPolyRing, FiniteAlgebra
+from tateshift.ring_core import (
+    BaseModulus,
+    ExactPolyRing,
+    FiniteAlgebra,
+    zero_product_certificate,
+)
 from tateshift.ring_linalg import (
-    UNIT_SCAN_BUDGET,
     NotATuple,
     PivotNotCancellable,
     RootCoeffResult,
@@ -354,27 +358,37 @@ def test_localized_tuple_ku_p5_witnesses_replay():
     assert vanishing_condition(f, tup).verdict == VanishingVerdict.MUST_BE_ZERO
 
 
-def test_localized_tuple_names_spent_unit_scan_budget():
+def test_localized_tuple_names_structured_units_only():
     # Z[(Z/2)^3] = Z[x1,x2,x3]/(x_k^2 + 2 x_k): x1 * y = 2 x1 is solvable,
     # but every solution is 2 at the character with 1 + x1 -> -1, so none is
-    # a unit, and the kernel box (7^4 combinations) outlasts the budget
+    # a unit; the exact ring tries only its structured units and says so
     ring = multiplicative_exact_ring(2, [1, 1, 1])
     x1 = ring.gen(0)
-    with pytest.raises(NotATuple, match=f"budget of {UNIT_SCAN_BUDGET} candidates ran out"):
+    with pytest.raises(NotATuple, match="length 1; only structured units were tried"):
         verify_localized_tuple([x1], [x1 * 2, ring.zero()], max_len=1)
     with pytest.raises(NotATuple, match="within products of length 1"):
         verify_localized_tuple([x1], [ring.one(), ring.zero()], max_len=1)
 
 
-def test_localized_tuple_names_cut_coset_scan():
+def test_localized_tuple_over_non_local_ring():
     # Z/6[x]/(x^6) is not local.  4 = 2 * 5 with 5 a unit, so [4, 0] is a
-    # tuple once 2 is inverted; but the solutions of 2 y = 4 are 2 plus the
-    # span of the six kernel rows 3 x^i, the scan varies the last row
-    # fastest, and 5 = 2 + 3 lies past its 2048 candidates
+    # tuple once 2 is inverted: the solutions of 2 y = 4 are 2 plus the
+    # kernel 3 R, and the unit among them is 5 = 2 + 3
     alg = FiniteAlgebra.from_presentation(BaseModulus(6), ["x"], [[0] * 6 + [1]])
-    with pytest.raises(NotATuple, match="budget of 2048 candidates ran out"):
-        verify_localized_tuple([alg.from_int(2)], [alg.from_int(4), alg.zero()],
-                               max_len=1)
+    tup = verify_localized_tuple([alg.from_int(2)], [alg.from_int(4), alg.zero()],
+                                 max_len=1)
+    assert tup.witnesses["pairs"] == {(0, 1): {"word": [0], "unit": alg.from_int(5)}}
+
+
+def test_localized_tuple_needs_positive_max_len():
+    # F_2[x]/(x^2): 1 + x is a unit, so only the length bound can refuse
+    alg = FiniteAlgebra.from_presentation(BaseModulus(2), ["x"], [[0, 0, 1]])
+    gens = [alg.one() + alg.gen(0)]
+    for max_len in (0, -3):
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            verify_localized_tuple(gens, [alg.one(), alg.zero()], max_len=max_len)
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            zero_product_certificate(gens, max_len)
 
 
 def test_z_module_contains_matches_gcd():
