@@ -6,8 +6,8 @@ polynomial of the p^(i_k)-series.  Euler classes are the iterated formal sums
 [w_1](X_1) +_F ... +_F [w_m](X_m); the p^j-torsion of A enumerates exactly
 the algebra-homomorphism roots of the p^j-series.  Each class is one formal
 sum of a cached class and a single class b = e(w_k e_k), taken from the
-columns of F(x, y) = sum_i x^i F_i(y) as sum_i h^i F_i(b), with every
-F_i(b) computed once per batch of classes.
+columns of F(x, y) = sum_i x^i F_i(y) as sum_i h^i F_i(b): the column fold
+of ``series.eval_at``, with every F_i(b) computed once per batch of classes.
 
 Grading convention: the periodicity generator is specialized to 1, so the
 usual even grading of Euler classes is dropped; reports state this.
@@ -19,7 +19,7 @@ import itertools
 
 from .fgl import CapTooSmall, FGLError, FormalGroupLaw, _sum_unit_series
 from .ring_core import BaseModulus, FiniteAlgebra, RingElement
-from .series import _check_covered, _power_table, eval_at
+from .series import _check_covered, _combine, _fold, _power_table, eval_at
 from .zmod import is_prime
 
 
@@ -147,6 +147,22 @@ class EulerClass:
         return f"EulerClass({self.element})"
 
 
+class _Batch:
+    """The power tables and columns F_i(b) that one ``euler_classes`` call,
+    or one lone ``euler_class`` call, shares; none outlives the call.
+
+    A head's table is kept only while it is the latest head, since
+    consecutive queries usually share it.
+    """
+
+    __slots__ = ("singles", "columns", "head")
+
+    def __init__(self):
+        self.singles: dict[tuple, list] = {}
+        self.columns: dict[tuple, dict] = {}  # single class -> {i: F_i(b)}
+        self.head = None  # (head element, its power table)
+
+
 class ClassifyingRing:
     """The finite algebra presentation of E*(BA) plus the source data."""
 
@@ -156,44 +172,37 @@ class ClassifyingRing:
         self.group = group
         self.algebra = algebra
         self._euler_cache: dict[tuple, RingElement] = {}
-        self._single_tables: dict[tuple, list] = {}
-        self._columns: dict[tuple, dict] = {}  # single class -> {i: F_i(b)}
-        self._head = None  # (head element, its power table)
-        self._in_batch = False  # whether the tables above outlive a class
 
     # -- Euler classes ------------------------------------------------------
 
-    def euler_class(self, w) -> EulerClass:
+    def euler_class(self, w, batch: _Batch | None = None) -> EulerClass:
         """[w_1](X_1) +_F ... +_F [w_m](X_m), folded left to right.
 
         Commutativity and associativity of F (verified at build) make the
         result order independent; the fixed fold gives byte-stable output.
-        Outside a batch of ``euler_classes`` no power table outlives the
-        call.
+        The power tables come from ``batch``, a fresh one unless the call
+        is part of ``euler_classes``.
         """
         orders = self.group.orders
         if len(w) != len(orders):
             raise InvalidSubgroup("group element length mismatch")
         w = tuple(int(a) % o for a, o in zip(w, orders))
-        try:
-            return EulerClass(w, self._euler(w))
-        finally:
-            if not self._in_batch:
-                self._drop_tables()
+        return EulerClass(w, self._euler(w, _Batch() if batch is None else batch))
 
-    def _euler(self, w: tuple) -> RingElement:
+    def _euler(self, w: tuple, batch: _Batch) -> RingElement:
         """The left fold as one formal sum per element: with k the last nonzero
         coordinate, e(w) = e(head) +_F e(w_k e_k), head being w with w_k = 0.
 
         F(x, 0) = x exactly, so skipping zero coordinates leaves the fold's
         value unchanged.  With h = e(head), b = e(w_k e_k) and F's columns
         F(x, y) = sum_i x^i F_i(y), the sum is e(w) = sum_i h^i F_i(b),
-        taken in one ``dot_sparse`` over the i with h^i nonzero.  Each
-        F_i(b) is a combination of the powers of b, computed the first time
-        a head's table reaches i and kept with b's table, so the classes
-        that share b share it.  A single class is [w_k](x_k), a
-        combination of the powers of x_k.  Either sum drops only terms whose
-        powers vanish, once the cap covers the powers that do not.
+        the column fold of ``series.eval_at`` taken in one ``dot_sparse``
+        over the i with h^i nonzero.  Each F_i(b) is ``series._combine`` of
+        the powers of b, computed the first time a head's table reaches i
+        and kept in the batch, so the classes that share b share it.  A
+        single class is [w_k](x_k), folded at the powers of x_k.  Either sum
+        drops only terms whose powers vanish, once the cap covers the powers
+        that do not.
         """
         value = self._euler_cache.get(w)
         if value is not None:
@@ -205,19 +214,18 @@ class ClassifyingRing:
             value = alg.zero()
         elif len(support) == 1:
             k = support[0]
-            x_k = self._table(self._single(k, 1))
+            x_k = self._table(self._single(k, 1), batch)
             series = self.law.m_series(w[k])
             _check_covered(series.cap, [x_k], [alg.gen(k)])
-            value = alg.from_sparse(_combine(
-                [(e[0], c) for e, c in series.terms.items()], x_k, n))
+            value = alg.from_sparse(_fold(alg, series.terms.items(), [x_k]))
         else:
             k = support[-1]
             head = w[:k] + (0,) * (len(w) - k)
             single = self._single(k, w[k])
-            h, b = self._table(head), self._table(single)
+            h, b = self._table(head, batch), self._table(single, batch)
             _check_covered(self.law.cap, [h, b],
-                           [self._euler(head), self._euler(single)])
-            columns = self._columns.setdefault(single, {})
+                           [self._euler(head, batch), self._euler(single, batch)])
+            columns = batch.columns.setdefault(single, {})
             pairs = []
             for i, h_i in enumerate(h):
                 column = columns.get(i)
@@ -233,64 +241,31 @@ class ClassifyingRing:
         """The element a e_k."""
         return tuple(a if i == k else 0 for i in range(len(self.group.orders)))
 
-    def _table(self, v: tuple) -> list:
-        """Power table of e(v), built once per element.
-
-        The table is ``series._power_table`` with top cap + 1, each power
-        taken at full rank and kept sparse (``FiniteAlgebra.sparse``).
-        Tables of single classes e(a e_k) (for a = 1 the generator x_k),
-        and the columns F_i(b) taken from them, are kept until the batch
-        ends (a call of ``euler_class`` outside one is a batch of its own);
-        a head's table is kept only while it is the latest head, since
-        consecutive queries usually share it.
-        """
+    def _table(self, v: tuple, batch: _Batch) -> list:
+        """Power table of e(v) (``series._power_table`` with top cap + 1),
+        built once per batch for a single class and once per run of
+        queries for a head."""
+        alg, top = self.algebra, self.law.cap + 1
         support = [k for k, a in enumerate(v) if a]
         if len(support) == 1:
-            table = self._single_tables.get(v)
+            table = batch.singles.get(v)
             if table is None:
                 k = support[0]
-                value = self.algebra.gen(k) if v[k] == 1 else self._euler(v)
-                table = self._single_tables[v] = self._powers(value)
+                value = alg.gen(k) if v[k] == 1 else self._euler(v, batch)
+                table = batch.singles[v] = _power_table(alg, value, top)
             return table
-        if self._head is None or self._head[0] != v:
-            self._head = (v, self._powers(self._euler(v)))
-        return self._head[1]
-
-    def _powers(self, value: RingElement) -> list:
-        alg = self.algebra
-        return [alg.sparse(a) for a in _power_table(alg, value, self.law.cap + 1)]
+        if batch.head is None or batch.head[0] != v:
+            batch.head = (v, _power_table(alg, self._euler(v, batch), top))
+        return batch.head[1]
 
     def euler_classes(self, elements):
-        """Euler classes of elements, in order; the power tables and columns
-        they shared are dropped at the end, so they do not outlive the
-        batch."""
-        self._in_batch = True
-        try:
-            return [self.euler_class(w) for w in elements]
-        finally:
-            self._in_batch = False
-            self._drop_tables()
-
-    def _drop_tables(self):
-        self._single_tables.clear()
-        self._columns.clear()
-        self._head = None
+        """Euler classes of elements, in order, from one batch of power
+        tables and columns, dropped with the batch at the end."""
+        batch = _Batch()
+        return [self.euler_class(w, batch) for w in elements]
 
     def __repr__(self):
         return f"ClassifyingRing({self.group!r} over {self.law.kind}, rank={self.algebra.rank})"
-
-
-def _combine(terms, table: list, n: int) -> list:
-    """sum c * table[j] over the (j, c) of terms with j < len(table), from
-    the sparse rows of the table, as a sparse element reduced mod n."""
-    acc = {}
-    get = acc.get
-    top = len(table)
-    for j, c in terms:
-        if j < top:
-            for i, x in table[j]:
-                acc[i] = get(i, 0) + c * x
-    return [(i, r) for i, c in acc.items() if (r := c % n)]
 
 
 def required_cap(p: int, n: int, K: int, exponents) -> int:

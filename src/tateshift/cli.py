@@ -340,10 +340,8 @@ def run_roots(params: dict) -> dict:
         }
         report["index_convention"] = ring_linalg.INDEX_CONVENTION_NOTE
     if result.case == "Vieta":
-        fac = ring_linalg.poly_from_roots(
-            result.factorization["roots"], result.factorization["leading"]
-        )
-        report["factorization"] = [ring_core.element_to_json(c) for c in fac]
+        report["factorization"] = [ring_core.element_to_json(c)
+                                   for c in result.factorization]
     if params.get("explain"):
         report["elimination_trace"] = [
             [[str(e.coords[0]) if e.parent.rank == 1 else

@@ -236,7 +236,9 @@ def gaussian_nzd_solve(ntuple) -> list:
 
 
 class RootCoeffResult:
-    """Case tag, recovered coefficients and determinant witnesses."""
+    """Case tag, recovered coefficients and determinant witnesses; in the
+    Vieta case ``factorization`` is the expansion of a_n prod (x - r_i),
+    constant term first, checked equal to f."""
 
     __slots__ = ("case", "recovered", "witnesses", "factorization")
 
@@ -292,9 +294,7 @@ def roots_to_coeffs(f_coeffs, ntuple: NTuple) -> RootCoeffResult:
         for got, given in zip(expanded, f_coeffs):
             if not (got - given).is_zero():
                 raise NotATuple("Vieta relations fail; tuple is not valid for f")
-        return RootCoeffResult(
-            "Vieta", expanded[:-1], factorization={"leading": lead, "roots": roots}
-        )
+        return RootCoeffResult("Vieta", expanded[:-1], factorization=expanded)
     # n < m: Cramer with exact division by det V
     ring = f_coeffs[-1].parent
     det_v = det_division_free(vandermonde_matrix(roots), one=ring.one())

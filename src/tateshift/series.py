@@ -4,7 +4,9 @@ Series are truncated by TOTAL degree (matching ideal-filtration arguments and
 keeping composition well defined) and stored sparsely as exponent-vector ->
 coefficient maps.  Coefficients live in Z/N (plain ints) or Q (Fraction); the
 domain object supplies the arithmetic.  All values are immutable in use:
-operations return fresh series.
+operations return fresh series.  A series is evaluated at ring elements
+(``eval_at``) by one column fold over sparse power tables, the fold the
+Euler classes of ``classifying`` take.
 """
 
 from __future__ import annotations
@@ -185,10 +187,6 @@ class TruncatedSeries:
 
     def is_zero(self):
         return not self.terms
-
-    def valuation(self):
-        """Least total degree of a nonzero term (None for the zero series)."""
-        return min((sum(e) for e in self.terms), default=None)
 
     def univariate_coeffs(self):
         """Coefficient list c_0..c_cap for a one-variable series."""
@@ -475,12 +473,12 @@ def eval_at(f: TruncatedSeries, args, polynomial: bool = False) -> RingElement:
     jointly nonvanishing monomials (so the dropped tail is invisible), or the
     caller asserts f is a polynomial and the finite sum is taken as-is.
 
-    Each argument gets one table of its nonzero powers, which doubles as the
-    nilpotency check: it runs until a power vanishes or, short of that, up
-    to index cap + 1, past which the cap cannot cover the argument.  Terms
-    are grouped by every exponent but the last, so each group's sum is a
-    scalar combination of table rows and takes at most one ring product per
-    other argument.
+    Each argument gets one sparse table of its nonzero powers
+    (``_power_table``), which doubles as the nilpotency check: it runs until
+    a power vanishes or, short of that, up to index cap + 1, past which the
+    cap cannot cover the argument.  The value is the column fold of
+    ``_fold``: the terms are grouped by their first exponent, and each
+    group's rest is folded at the remaining arguments.
     """
     if len(args) != len(f.vars):
         raise ValueError("one argument per variable")
@@ -497,53 +495,54 @@ def eval_at(f: TruncatedSeries, args, polynomial: bool = False) -> RingElement:
     else:
         tops = [f.cap + 1] * len(args)
     tables = [_power_table(alg, a, top) for a, top in zip(args, tops)]
-    return _eval_tables(f, tables, polynomial)
-
-
-def _eval_tables(f: TruncatedSeries, tables, polynomial: bool = False) -> RingElement:
-    """f at the elements whose power tables are given, one per variable.
-
-    Unless f is taken as a polynomial, each table must come from
-    ``_power_table`` with top f.cap + 1, so a table shared between calls
-    still carries the nilpotency check below.
-    """
-    alg = tables[0][0].parent
     if not polynomial:
-        _check_covered(f.cap, tables,
-                      [t[1] if len(t) > 1 else alg.zero() for t in tables])
-    last = len(tables) - 1
-    last_table = [a.coords for a in tables[last]]
+        _check_covered(f.cap, tables, args)
+    return alg.from_sparse(_fold(alg, f.terms.items(), tables))
+
+
+def _fold(alg, terms, tables) -> list:
+    """sum c * prod_i tables[i][e_i] over the (e, c) of terms, as a sparse
+    element reduced mod N; a term past the end of a table is 0.
+
+    With one table this is ``_combine``.  Otherwise the terms are grouped by
+    their first exponent k, so f = sum_k x^k f_k, and the value is one
+    ``dot_sparse`` of each row tables[0][k] with f_k folded at the other
+    tables.  For F(x, y) the f_k are F's columns F_k(y).
+    """
+    n = alg.base.n
+    if len(tables) == 1:
+        return _combine([(e[0], c) for e, c in terms], tables[0], n)
+    first, rest = tables[0], tables[1:]
     groups = {}
-    for e, c in f.terms.items():
-        if all(k < len(t) for k, t in zip(e, tables)):
-            groups.setdefault(e[:last], []).append((e[last], c))
-    acc = [0] * alg.rank
-    for prefix, tail in groups.items():
-        inner = [0] * alg.rank
-        for k, c in tail:
-            for j, x in enumerate(last_table[k]):
-                if x:
-                    inner[j] += c * x
-        coords = inner
-        if any(prefix):
-            group = RingElement(alg, inner)
-            for i, k in enumerate(prefix):
-                if k:
-                    group = tables[i][k] * group
-            coords = group.coords
-        for j, x in enumerate(coords):
-            acc[j] += x
-    return RingElement(alg, acc)
+    for e, c in terms:
+        if e[0] < len(first):
+            groups.setdefault(e[0], []).append((e[1:], c))
+    pairs = [(first[k], column) for k, group in groups.items()
+             if (column := _fold(alg, group, rest))]
+    return alg.dot_sparse(pairs)
+
+
+def _combine(terms, table: list, n: int) -> list:
+    """sum c * table[j] over the (j, c) of terms with j < len(table), from
+    the sparse rows of the table, as a sparse element reduced mod n."""
+    acc = {}
+    get = acc.get
+    top = len(table)
+    for j, c in terms:
+        if j < top:
+            for i, x in table[j]:
+                acc[i] = get(i, 0) + c * x
+    return [(i, r) for i, c in acc.items() if (r := c % n)]
 
 
 def _power_table(alg, a: RingElement, top: int) -> list:
-    """[1, a, a^2, ...] up to a^top, cut before the first zero power."""
-    table = [alg.one()]
-    while len(table) <= top:
-        nxt = a if len(table) == 1 else table[-1] * a
-        if nxt.is_zero():
-            break
-        table.append(nxt)
+    """Sparse rows (``FiniteAlgebra.sparse``) of 1, a, a^2, ... up to a^top,
+    cut before the first zero power; each power is one ``multiply``."""
+    table, power = [alg.sparse(alg.one())], a
+    while len(table) <= top and not power.is_zero():
+        table.append(alg.sparse(power))
+        if len(table) <= top:
+            power = power * a
     return table
 
 

@@ -18,18 +18,20 @@ from tateshift.classifying import (
 from tateshift.fgl import X1, X2, FormalGroupLaw, _sum_unit_series
 from tateshift.ring_core import (
     ZERO_RING,
+    RingElement,
     _kernel_chain,
     _product,
     _quotient_algebra,
+    graded_lex_key,
     ideal_module_rows,
     identity_rows,
 )
 from tateshift.ring_linalg import poly_eval_elems
 from tateshift.series import (
+    NonNilpotentArgument,
     TruncatedSeries,
     ZModDomain,
-    _eval_tables,
-    _power_table,
+    _check_covered,
     inverse,
     substitute,
 )
@@ -118,7 +120,7 @@ def poly_compose_iterate(g, j: int, n: int):
 
 
 def euler_classes_by_fold(cr, elements):
-    """Euler classes by one ``_eval_tables`` fold per class, every power
+    """Euler classes by one ``eval_by_groups`` fold per class, every power
     table a list of ring elements.
 
     A class with k its last nonzero coordinate and two or more nonzero
@@ -131,7 +133,7 @@ def euler_classes_by_fold(cr, elements):
 
     def table(v):
         if v not in tables:
-            tables[v] = _power_table(alg, euler(v), law.cap + 1)
+            tables[v] = dense_power_table(alg, euler(v), law.cap + 1)
         return tables[v]
 
     def euler(w):
@@ -141,16 +143,102 @@ def euler_classes_by_fold(cr, elements):
                 classes[w] = alg.zero()
             elif len(support) == 1:
                 k = support[0]
-                x_k = _power_table(alg, alg.gen(k), law.cap + 1)
-                classes[w] = _eval_tables(law.m_series(w[k]), [x_k])
+                x_k = dense_power_table(alg, alg.gen(k), law.cap + 1)
+                classes[w] = eval_by_groups(law.m_series(w[k]), [x_k])
             else:
                 k = support[-1]
                 head = w[:k] + (0,) * (len(w) - k)
                 single = tuple(a if i == k else 0 for i, a in enumerate(w))
-                classes[w] = _eval_tables(law.F, [table(head), table(single)])
+                classes[w] = eval_by_groups(law.F, [table(head), table(single)])
         return classes[w]
 
     return [euler(tuple(w)) for w in elements]
+
+
+# -- evaluation at ring elements -------------------------------------------------
+# The evaluations ``series.eval_at`` replaced: every term multiplied out with
+# the nilpotency checked by ``nilpotency_index``, and dense per-group sums
+# with one full product per group over tables of ring elements.
+
+
+def old_eval_at(f, args, polynomial=False):
+    """f at ring elements, one product per variable of each term."""
+    alg = args[0].parent
+    if not polynomial:
+        indices = []
+        for a in args:
+            idx = alg.nilpotency_index(a)
+            if idx is None:
+                raise NonNilpotentArgument(
+                    "argument is not nilpotent; pass polynomial=True for "
+                    "polynomial evaluation"
+                )
+            indices.append(idx)
+        if sum(i - 1 for i in indices) > f.cap:
+            raise NonNilpotentArgument(
+                f"cap {f.cap} does not cover all nonvanishing monomials "
+                f"(need {sum(i - 1 for i in indices)})"
+            )
+    powers = [{0: alg.one(), 1: a} for a in args]
+
+    def power(i, k):
+        cache = powers[i]
+        if k not in cache:
+            cache[k] = power(i, k - 1) * args[i]
+        return cache[k]
+
+    acc = alg.zero()
+    for e, c in sorted(f.terms.items(), key=lambda t: graded_lex_key(t[0])):
+        term = alg.one() * c
+        for i, k in enumerate(e):
+            if k:
+                term = term * power(i, k)
+        acc = acc + term
+    return acc
+
+
+def dense_power_table(alg, a, top: int) -> list:
+    """[1, a, a^2, ...] up to a^top as ring elements, cut before the first
+    zero power."""
+    table = [alg.one()]
+    while len(table) <= top:
+        nxt = a if len(table) == 1 else table[-1] * a
+        if nxt.is_zero():
+            break
+        table.append(nxt)
+    return table
+
+
+def eval_by_groups(f, tables):
+    """f at the elements whose ``dense_power_table``s with top f.cap + 1
+    are given, one per variable, with the cap's coverage checked.
+
+    Terms are grouped by every exponent but the last: each group's sum is
+    a dense scalar combination of the last table's rows, and takes one
+    ring product per other nonzero exponent.
+    """
+    alg = tables[0][0].parent
+    _check_covered(f.cap, tables,
+                   [t[1] if len(t) > 1 else alg.zero() for t in tables])
+    last = len(tables) - 1
+    last_table = [a.coords for a in tables[last]]
+    groups = {}
+    for e, c in f.terms.items():
+        if all(k < len(t) for k, t in zip(e, tables)):
+            groups.setdefault(e[:last], []).append((e[last], c))
+    acc = [0] * alg.rank
+    for prefix, tail in groups.items():
+        inner = [0] * alg.rank
+        for k, c in tail:
+            for j, x in enumerate(last_table[k]):
+                if x:
+                    inner[j] += c * x
+        group = RingElement(alg, inner)
+        for i, k in enumerate(prefix):
+            if k:
+                group = tables[i][k] * group
+        acc = [a + x for a, x in zip(acc, group.coords)]
+    return RingElement(alg, acc)
 
 
 # -- formal group laws ---------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The per-element left fold that ``euler_class`` replaced is kept here as the
 reference for the one-step recursion over shared power tables, and
-``FiniteAlgebra.unit_cofactor`` as the reference for root-difference units.
+``FiniteAlgebra.unit_cofactor`` and the term-by-term ``oracles.old_eval_at``
+as the references for root-difference units.
 """
 
 import functools
@@ -25,7 +26,7 @@ from tateshift.classifying import (
     quotient_image_elements,
     required_cap,
 )
-from tateshift.fgl import build_honda, build_multiplicative
+from tateshift.fgl import _sum_unit_series, build_honda, build_multiplicative
 from tateshift.ring_core import BaseModulus, FiniteAlgebra, is_unit
 from tateshift.ring_linalg import verify_localized_tuple
 from tateshift.series import NonNilpotentArgument, TruncatedSeries, eval_at
@@ -36,6 +37,7 @@ from oracles import (
     V_count,
     V_count_image,
     euler_classes_by_fold,
+    old_eval_at,
     pj_root_set,
     small_ring,
     torsion_elements,
@@ -194,6 +196,10 @@ def test_euler_columns_match_the_fold_oracle(law, group):
         e.coords for e in expected]
 
 
+# a ring keeps its classes and no power table or column past a call
+RING_ATTRIBUTES = {"law", "group", "algebra", "_euler_cache"}
+
+
 def test_euler_shared_tables_keep_cap_check():
     # cap 4 builds the ring of (Z/4)^2 but cannot cover x1 +_F x2, whose
     # nonvanishing monomials reach degree 3 + 3
@@ -206,7 +212,7 @@ def test_euler_shared_tables_keep_cap_check():
         cr.euler_class((1, 1))
     with pytest.raises(NonNilpotentArgument, match="does not cover"):
         cr.euler_classes([(0, 1), (3, 1)])
-    assert not cr._single_tables and not cr._columns and cr._head is None
+    assert set(vars(cr)) == RING_ATTRIBUTES
 
 
 def test_element_length_checked_before_reduction():
@@ -220,18 +226,18 @@ def test_element_length_checked_before_reduction():
 
 
 def test_no_power_table_outlives_a_call():
-    # rank 256; the tables and F's columns at single classes are kept only
-    # within one batch of classes
+    # rank 256; the tables and F's columns at single classes live in one
+    # batch of classes
     cr = honda_ring(2, 2, [2, 2])
     assert cr.algebra.rank == 256
     for u, w in (((1, 2), (3, 1)), ((2, 3), (0, 1))):
         certify_root_difference(cr, u, w)
-        assert not cr._single_tables and not cr._columns and cr._head is None
+        assert set(vars(cr)) == RING_ATTRIBUTES
     for call in (lambda: cr.euler_class((3, 3)),
                  lambda: cr.euler_classes(cr.group.elements()),
                  lambda: pj_root_set(cr, 1)):
         call()
-        assert not cr._single_tables and not cr._columns and cr._head is None
+        assert set(vars(cr)) == RING_ATTRIBUTES
 
 
 def test_ring_held_across_tate_jobs_keeps_only_classes():
@@ -245,7 +251,7 @@ def test_ring_held_across_tate_jobs_keeps_only_classes():
         cr = memo.ring
         assert set(inverted_element_set(cr.group, SubgroupSpec(C))) <= set(
             cr._euler_cache)
-        assert not cr._single_tables and not cr._columns and cr._head is None
+        assert set(vars(cr)) == RING_ATTRIBUTES
 
 
 # -- torsion root sets --------------------------------------------------------------
@@ -398,6 +404,23 @@ def test_root_difference_unit_matches_solve(query):
     spec, u, w = query
     s, d = check_root_difference(pair_ring(spec), u, w)
     assert s.parent.unit_cofactor(s, d) is not None
+
+
+# Honda rings from SMALL_GROUPS at n = 1, 2, of ranks 8, 81 and 256
+UNIT_RINGS = ((2, 1, (1, 2)), (3, 2, (1, 1)), (2, 2, (1, 1, 2)))
+
+
+@pytest.mark.parametrize("p,n,A", UNIT_RINGS)
+def test_root_difference_unit_matches_term_by_term_evaluation(p, n, A):
+    # the unit is G(e(w), e(u - w)), by the column fold and term by term
+    cr = small_ring("honda", p, n, A)
+    elements = list(cr.group.elements())
+    classes = dict(zip(elements, (ec.value for ec in cr.euler_classes(elements))))
+    G = _sum_unit_series(cr.law)
+    for u, w in itertools.product(elements, repeat=2):
+        witness = certify_root_difference(cr, u, w)
+        s = classes[witness["difference_element"]]
+        assert witness["unit"] == old_eval_at(G, [classes[w], s], polynomial=True)
 
 
 def test_root_difference_needs_local_tower():

@@ -4,10 +4,11 @@ Kept here only as references: the tuple-zipping series product, the
 substitution that builds every term as a product with a scaled constant,
 copies the accumulator per term and takes every power by square-and-multiply,
 the series inverse that runs every Newton round at full precision, the axiom
-check by five substitutions, the evaluation that checks nilpotency with
-``nilpotency_index`` and multiplies each term out, the reversion that fixes
-one degree per full substitution, the Honda law composed as e(S) over
-Z/p^(V+1), and the Honda law composed over Q and reduced mod p.
+check by five substitutions, the reversion that fixes one degree per full
+substitution, the Honda law composed as e(S) over Z/p^(V+1), and the Honda
+law composed over Q and reduced mod p.  The evaluation that checks
+nilpotency with ``nilpotency_index`` and multiplies each term out is
+``oracles.old_eval_at``.
 """
 
 import functools
@@ -23,7 +24,7 @@ from tateshift.fgl import (
     IntegralityFailure,
     build_honda,
 )
-from tateshift.ring_core import BaseModulus, FiniteAlgebra, graded_lex_key
+from tateshift.ring_core import BaseModulus, FiniteAlgebra
 from tateshift.series import (
     QQ,
     NonNilpotentArgument,
@@ -36,6 +37,8 @@ from tateshift.series import (
     substitute,
 )
 from tateshift import zmod
+
+from oracles import old_eval_at
 
 VARS = ("x", "y", "z")
 
@@ -123,41 +126,6 @@ def five_substitution_axioms(F):
     left = substitute(F, {"x1": inner, "x2": t3}).terms
     if any(left.get((b, c, a)) != v for (a, b, c), v in left.items()):
         raise AxiomFailure("F is not associative")
-
-
-def old_eval_at(f, args, polynomial=False):
-    alg = args[0].parent
-    if not polynomial:
-        indices = []
-        for a in args:
-            idx = alg.nilpotency_index(a)
-            if idx is None:
-                raise NonNilpotentArgument(
-                    "argument is not nilpotent; pass polynomial=True for "
-                    "polynomial evaluation"
-                )
-            indices.append(idx)
-        if sum(i - 1 for i in indices) > f.cap:
-            raise NonNilpotentArgument(
-                f"cap {f.cap} does not cover all nonvanishing monomials "
-                f"(need {sum(i - 1 for i in indices)})"
-            )
-    powers = [{0: alg.one(), 1: a} for a in args]
-
-    def power(i, k):
-        cache = powers[i]
-        if k not in cache:
-            cache[k] = power(i, k - 1) * args[i]
-        return cache[k]
-
-    acc = alg.zero()
-    for e, c in sorted(f.terms.items(), key=lambda t: graded_lex_key(t[0])):
-        term = alg.one() * c
-        for i, k in enumerate(e):
-            if k:
-                term = term * power(i, k)
-        acc = acc + term
-    return acc
 
 
 def rational_to_zmod(f, n):

@@ -5,7 +5,10 @@ definition, by module-level code of src/tateshift (the exports of its
 __init__.py do not count) and by perfbench/ (its string literals included,
 since spans.py names the functions it wraps).  A definition is reached once
 its name is used by a root or by a reached definition; dunder methods are
-always reached.
+always reached.  A module-level function or class is used by its bare name,
+an attribute of that name or a string naming it; a method only by an
+attribute or a string, so a local variable of the same name does not reach
+it.
 """
 
 import ast
@@ -16,17 +19,19 @@ SRC = ROOT / "src" / "tateshift"
 
 
 def _names(node):
+    """The names node uses: a bare name as itself, an attribute or a piece
+    of a dotted string as "." + the name."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            yield "." + sub.attr
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            yield from sub.value.split(".")
+            yield from ("." + piece for piece in sub.value.split("."))
 
 
 def unreached():
-    defs, roots = [], set()  # defs: (qualified name, name, nodes)
+    defs, roots = [], set()  # defs: (qualified name, names that reach it, nodes)
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -40,8 +45,9 @@ def unreached():
                 methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
             # a class's own names exclude those of its methods
             own = [n for n in ast.iter_child_nodes(node) if n not in methods]
-            defs.append((f"{path.stem}.{node.name}", node.name, own))
-            defs += [(f"{path.stem}.{node.name}.{m.name}", m.name, [m])
+            defs.append((f"{path.stem}.{node.name}",
+                         {node.name, "." + node.name}, own))
+            defs += [(f"{path.stem}.{node.name}.{m.name}", {"." + m.name}, [m])
                      for m in methods]
             if path.stem == "cli":
                 roots.update(_names(node))
@@ -50,9 +56,10 @@ def unreached():
     reached, grew = set(), True
     while grew:
         grew = False
-        for qual, name, nodes in defs:
+        for qual, names, nodes in defs:
+            name = qual.rsplit(".", 1)[1]
             dunder = name.startswith("__") and name.endswith("__")
-            if qual not in reached and (name in roots or dunder):
+            if qual not in reached and (names & roots or dunder):
                 reached.add(qual)
                 roots.update(used for n in nodes for used in _names(n))
                 grew = True

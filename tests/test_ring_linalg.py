@@ -213,8 +213,7 @@ def test_roots_to_coeffs_vieta_z7():
     assert out.case == "Vieta"
     assert out.recovered[0] == z7.from_int(2)
     assert out.recovered[1] == z7.from_int(4)
-    fac = poly_from_roots(out.factorization["roots"], out.factorization["leading"])
-    assert [c.coords[0] for c in fac] == [2, 4, 1]
+    assert [c.coords[0] for c in out.factorization] == [2, 4, 1]
 
 
 def test_roots_to_coeffs_cramer_z5_worked_example():
