@@ -8,6 +8,8 @@ the algebra-homomorphism roots of the p^j-series.  Each class is one formal
 sum of a cached class and a single class b = e(w_k e_k), taken from the
 columns of F(x, y) = sum_i x^i F_i(y) as sum_i h^i F_i(b): the column fold
 of ``series.eval_at``, with every F_i(b) computed once per batch of classes.
+A single class lies in its factor R_k = base[x_k]/(G_k) of rank d_k, so its
+powers are products in R_k, not in the whole ring of rank prod d_k.
 
 Grading convention: the periodicity generator is specialized to 1, so the
 usual even grading of Euler classes is dropped; reports state this.
@@ -164,7 +166,14 @@ class _Batch:
 
 
 class ClassifyingRing:
-    """The finite algebra presentation of E*(BA) plus the source data."""
+    """The finite algebra presentation of E*(BA) plus the source data.
+
+    ``_factors[k]`` is the factor algebra R_k = base[x]/(G_k) of the k-th
+    variable together with the map t -> basis index of x_k^t in the ring,
+    built once with the ring, so that memoized jobs share it.  Variables
+    with the same relation share one factor, and a ring of one variable is
+    its own factor.
+    """
 
     def __init__(self, law: FormalGroupLaw, group: AbelianPGroup,
                  algebra: FiniteAlgebra):
@@ -172,6 +181,17 @@ class ClassifyingRing:
         self.group = group
         self.algebra = algebra
         self._euler_cache: dict[tuple, RingElement] = {}
+        pres = algebra.presentation
+        factors = {} if len(pres["relations"]) > 1 else {
+            tuple(pres["relations"][0]): algebra}
+        self._factors = []
+        for k, rel in enumerate(pres["relations"]):
+            key = tuple(rel)
+            if key not in factors:
+                factors[key] = FiniteAlgebra.from_presentation(
+                    algebra.base, ["x"], [rel])
+            index = [pres["index"][self._single(k, t)] for t in range(len(rel) - 1)]
+            self._factors.append((factors[key], index))
 
     # -- Euler classes ------------------------------------------------------
 
@@ -244,15 +264,28 @@ class ClassifyingRing:
     def _table(self, v: tuple, batch: _Batch) -> list:
         """Power table of e(v) (``series._power_table`` with top cap + 1),
         built once per batch for a single class and once per run of
-        queries for a head."""
+        queries for a head.
+
+        A single class e(a e_k) is taken to its factor R_k by reading its
+        coordinates at the x_k^t, its table is built there, and each row is
+        mapped back into the ring's basis; R_k embeds in the ring, so the
+        rows and the table's length are those of the ring's own table.
+        """
         alg, top = self.algebra, self.law.cap + 1
         support = [k for k, a in enumerate(v) if a]
         if len(support) == 1:
             table = batch.singles.get(v)
             if table is None:
                 k = support[0]
-                value = alg.gen(k) if v[k] == 1 else self._euler(v, batch)
-                table = batch.singles[v] = _power_table(alg, value, top)
+                factor, index = self._factors[k]
+                if v[k] == 1:
+                    value = factor.gen(0)
+                else:
+                    coords = self._euler(v, batch).coords
+                    value = factor.from_coords([coords[i] for i in index])
+                table = batch.singles[v] = [
+                    [(index[t], c) for t, c in row]
+                    for row in _power_table(factor, value, top)]
             return table
         if batch.head is None or batch.head[0] != v:
             batch.head = (v, _power_table(alg, self._euler(v, batch), top))

@@ -318,7 +318,7 @@ class FiniteAlgebra:
     on the left and i on the right, and the row of i * rank + j is read from
     the table.  The first basis element is the multiplicative identity.
     ``generators[k]`` is the coordinate vector of the k-th presentation
-    variable.
+    variable.  ``_check_identity`` proves b_0 the identity at construction.
     """
 
     def __init__(self, base: BaseModulus, rank: int, basis_labels, mul_table,
@@ -329,6 +329,7 @@ class FiniteAlgebra:
         self.mul_table = mul_table
         self.generators = tuple(generators)
         self.presentation = presentation
+        self._reducer = reducer
         if reducer is None:
             self._left = [i * rank for i in range(rank)]
             self._right = list(range(rank))
@@ -379,9 +380,29 @@ class FiniteAlgebra:
         return cls.from_presentation(base, [], [])
 
     def _check_identity(self):
-        for j in range(self.rank):
-            if dict(self.basis_product(0, j)) != {j: 1}:
-                raise ValueError("first basis element is not the identity")
+        """Raise ValueError unless b_0 * b_j = b_j for every j.
+
+        A table algebra reads every product b_0 * b_j.  A presented algebra
+        checks its factors instead: each variable's power rows x_k^t for
+        t < d_k are the unit rows, b_0 is the monomial 1 (code 0), and
+        ``_index_of_code`` takes the code of monomial j to j.  That proves
+        the identity for every j, because the row of code 0 + code_j is
+        ``MonomialReducer.normal_form`` of monomial j, the product of its
+        variables' rows: one code with coefficient 1, whose index is j.
+        This reads sum d_k rows and no normal form of the rank's monomials.
+        """
+        reducer = self._reducer
+        if reducer is None:
+            for j in range(self.rank):
+                if dict(self.basis_product(0, j)) != {j: 1}:
+                    raise ValueError("first basis element is not the identity")
+            return
+        index = reducer._index_of_code
+        if (any(reducer.power_row(k, t) != [int(s == t) for s in range(d)]
+                for k, d in enumerate(reducer.degrees) for t in range(d))
+                or self._left[0]
+                or any(index.get(c) != j for j, c in enumerate(self._right))):
+            raise ValueError("first basis element is not the identity")
 
     def _table_fold(self, code: int) -> tuple:
         """The product of a table algebra with code i * rank + j: b_i * b_j,

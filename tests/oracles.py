@@ -121,7 +121,8 @@ def poly_compose_iterate(g, j: int, n: int):
 
 def euler_classes_by_fold(cr, elements):
     """Euler classes by one ``eval_by_groups`` fold per class, every power
-    table a list of ring elements.
+    table a list of ring elements of the whole ring, where
+    ``ClassifyingRing`` builds a single class's table in its factor R_k.
 
     A class with k its last nonzero coordinate and two or more nonzero
     coordinates is F(e(head), e(w_k e_k)), head being w with w_k = 0,
@@ -153,6 +154,14 @@ def euler_classes_by_fold(cr, elements):
         return classes[w]
 
     return [euler(tuple(w)) for w in elements]
+
+
+def identity_by_full_scan(alg) -> bool:
+    """Whether b_0 * b_j = b_j for every basis element b_j, each product
+    read through ``basis_product``: the check ``FiniteAlgebra`` made of a
+    presented algebra before it checked the algebra's factors, one normal
+    form per basis monomial."""
+    return all(dict(alg.basis_product(0, j)) == {j: 1} for j in range(alg.rank))
 
 
 # -- evaluation at ring elements -------------------------------------------------

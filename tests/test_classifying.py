@@ -183,21 +183,38 @@ COLUMN_LAWS = (("honda", 1), ("honda", 2),
                ("multiplicative", 1), ("multiplicative", 2), ("multiplicative", 3))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.sampled_from(COLUMN_LAWS), st.sampled_from(SMALL_GROUPS))
-def test_euler_columns_match_the_fold_oracle(law, group):
-    # sum_i h^i F_i(b) over F's columns equals one fold of F per class
-    (kind, h), (p, A) = law, group
-    built = small_ring(kind, p, h, A)
-    cr = ClassifyingRing(built.law, built.group, built.algebra)  # empty caches
-    elements = list(cr.group.elements())
-    expected = euler_classes_by_fold(cr, elements)
-    assert [ec.value.coords for ec in cr.euler_classes(elements)] == [
-        e.coords for e in expected]
+def test_euler_columns_match_the_fold_oracle():
+    # sum_i h^i F_i(b) over F's columns, with single classes and their
+    # powers taken in R_k = base[x_k]/(G_k), equals one fold of F per class
+    # over full-rank tables: every SMALL_GROUPS group under every law, up to
+    # rank 256 at Honda n=2 (Z/4)^2, but Honda n=2 on Z/16, whose law alone
+    # takes ~0.7 s at cap 258 and whose one factor is the whole ring
+    for (kind, h), (p, A) in itertools.product(COLUMN_LAWS, SMALL_GROUPS):
+        if (kind, h, p, A) == ("honda", 2, 2, (4,)):
+            continue
+        built = small_ring(kind, p, h, A)
+        cr = ClassifyingRing(built.law, built.group, built.algebra)  # empty caches
+        elements = list(cr.group.elements())
+        expected = euler_classes_by_fold(cr, elements)
+        assert [ec.value.coords for ec in cr.euler_classes(elements)] == [
+            e.coords for e in expected], (kind, h, p, A)
 
 
-# a ring keeps its classes and no power table or column past a call
-RING_ATTRIBUTES = {"law", "group", "algebra", "_euler_cache"}
+# a ring keeps its classes and its factor algebras, and no power table or
+# column of any rank past a call
+RING_ATTRIBUTES = {"law", "group", "algebra", "_euler_cache", "_factors"}
+
+
+def assert_keeps_no_table(cr):
+    """The ring holds its classes, in the whole ring, and per variable the
+    factor algebra R_k of rank d_k with the d_k indices of x_k^t: nothing
+    else, so no table built for a batch survives it."""
+    assert set(vars(cr)) == RING_ATTRIBUTES
+    assert all(v.parent is cr.algebra for v in cr._euler_cache.values())
+    degrees = [len(rel) - 1 for rel in cr.algebra.presentation["relations"]]
+    assert [(type(factor), factor.rank, len(index))
+            for factor, index in cr._factors] == [
+        (FiniteAlgebra, d, d) for d in degrees]
 
 
 def test_euler_shared_tables_keep_cap_check():
@@ -212,7 +229,7 @@ def test_euler_shared_tables_keep_cap_check():
         cr.euler_class((1, 1))
     with pytest.raises(NonNilpotentArgument, match="does not cover"):
         cr.euler_classes([(0, 1), (3, 1)])
-    assert set(vars(cr)) == RING_ATTRIBUTES
+    assert_keeps_no_table(cr)
 
 
 def test_element_length_checked_before_reduction():
@@ -232,18 +249,20 @@ def test_no_power_table_outlives_a_call():
     assert cr.algebra.rank == 256
     for u, w in (((1, 2), (3, 1)), ((2, 3), (0, 1))):
         certify_root_difference(cr, u, w)
-        assert set(vars(cr)) == RING_ATTRIBUTES
+        assert_keeps_no_table(cr)
     for call in (lambda: cr.euler_class((3, 3)),
                  lambda: cr.euler_classes(cr.group.elements()),
                  lambda: pj_root_set(cr, 1)):
         call()
-        assert set(vars(cr)) == RING_ATTRIBUTES
+        assert_keeps_no_table(cr)
 
 
 def test_ring_held_across_tate_jobs_keeps_only_classes():
-    # the CLI memo holds the ring for the next job; of the batch it keeps
-    # the Euler classes, not the power tables or columns that built them
+    # the CLI memo holds the ring, and with it the factor algebras, for the
+    # next job; of the batch it keeps the Euler classes, not the power
+    # tables or columns that built them
     cli._last_law.clear()
+    factors = []
     for C in ([1, 1], [2, 1]):
         code, _ = cli.run_job("tate", {"p": 2, "A": [2, 2], "C": C})
         assert code == 0
@@ -251,7 +270,9 @@ def test_ring_held_across_tate_jobs_keeps_only_classes():
         cr = memo.ring
         assert set(inverted_element_set(cr.group, SubgroupSpec(C))) <= set(
             cr._euler_cache)
-        assert set(vars(cr)) == RING_ATTRIBUTES
+        assert_keeps_no_table(cr)
+        factors.append(cr._factors)
+    assert factors[0] is factors[1]
 
 
 # -- torsion root sets --------------------------------------------------------------

@@ -36,7 +36,7 @@ from tateshift.tate_blueshift import (
     multiplicative_exact_ring,
 )
 
-from oracles import quotient_by_ideal
+from oracles import identity_by_full_scan, quotient_by_ideal
 
 
 def stack_reduce(relations, terms, modulus=None):
@@ -184,6 +184,43 @@ def test_presentation_table_matches_stack_reducer(n, relations, data):
     assert alg.mul_matrix(alg.from_coords(a)) == matrix
     assert tabled.mul_matrix(tabled.from_coords(a)) == matrix
     assert ideal_module_rows([alg.from_coords(a)]) == [list(c) for c in zip(*matrix)]
+
+
+def factor_check_passes(alg) -> bool:
+    try:
+        alg._check_identity()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("mutation", [None, "row", "swap"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from([4, 8, 9, 25, 27, 6]),
+       monic_relations(coeff=st.integers(0, 26), max_rank=48), st.data())
+def test_factor_identity_check_matches_full_scan(mutation, n, relations, data):
+    # the factor check reads sum d_k power rows and the code-to-index map;
+    # it passes, and fails on a mutated reducer, exactly as the full scan
+    relations = [[c % n for c in r[:-1]] + [1] for r in relations]
+    names = [f"x{k + 1}" for k in range(len(relations))]
+    alg = FiniteAlgebra.from_presentation(BaseModulus(n), names, relations)
+    reducer = alg._reducer
+    if mutation == "swap" and alg.rank == 1:
+        mutation = "row"
+    if mutation == "row":  # one coefficient of one power row below d_k
+        k = data.draw(st.integers(0, len(relations) - 1))
+        d = reducer.degrees[k]
+        row = reducer.power_row(k, data.draw(st.integers(0, d - 1)))
+        s = data.draw(st.integers(0, d - 1))
+        row[s] = (row[s] + data.draw(st.integers(1, n - 1))) % n
+    elif mutation == "swap":  # two codes of basis monomials trade indices
+        i, j = data.draw(st.lists(st.integers(0, alg.rank - 1), min_size=2,
+                                  max_size=2, unique=True))
+        index, codes = reducer._index_of_code, alg._right
+        index[codes[i]], index[codes[j]] = j, i
+    reducer._folds.clear()  # the full scan reads the mutated reducer afresh
+    assert factor_check_passes(alg) is identity_by_full_scan(alg) is (
+        mutation is None)
 
 
 def test_power_rows_mod_n():
