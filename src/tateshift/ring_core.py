@@ -60,7 +60,7 @@ class MonomialReducer:
     (``monomials``, ``index``).  The powers x_k^e with d_k <= e <= 2d_k - 2
     are put into normal form once, one multiplication by x_k at a time; rows
     for higher e are extended on demand.  The normal form of a monomial is
-    the product of its variables' rows.
+    the product of the rows of its nonzero exponents.
 
     A product of two basis monomials has every e_k <= 2d_k - 2, so it is
     encoded carry-free as the mixed-radix integer sum e_k * w_k with radix
@@ -115,6 +115,8 @@ class MonomialReducer:
         """x^exps as ((basis index, coeff), ...), sorted by index."""
         acc = {0: 1}
         for k, e in enumerate(exps):
+            if not e:
+                continue  # the unit row leaves acc as it is
             row, w = self.power_row(k, e), self.weights[k]
             acc = {code + t * w: c * x for code, c in acc.items()
                    for t, x in enumerate(row) if x}
@@ -384,12 +386,13 @@ class FiniteAlgebra:
 
         A table algebra reads every product b_0 * b_j.  A presented algebra
         checks its factors instead: each variable's power rows x_k^t for
-        t < d_k are the unit rows, b_0 is the monomial 1 (code 0), and
+        0 < t < d_k are the unit rows, b_0 is the monomial 1 (code 0), and
         ``_index_of_code`` takes the code of monomial j to j.  That proves
         the identity for every j, because the row of code 0 + code_j is
-        ``MonomialReducer.normal_form`` of monomial j, the product of its
-        variables' rows: one code with coefficient 1, whose index is j.
-        This reads sum d_k rows and no normal form of the rank's monomials.
+        ``MonomialReducer.normal_form`` of monomial j, the product of the
+        rows of its nonzero exponents: one code with coefficient 1, whose
+        index is j.  This reads sum (d_k - 1) rows and no normal form of
+        the rank's monomials.
         """
         reducer = self._reducer
         if reducer is None:
@@ -399,7 +402,7 @@ class FiniteAlgebra:
             return
         index = reducer._index_of_code
         if (any(reducer.power_row(k, t) != [int(s == t) for s in range(d)]
-                for k, d in enumerate(reducer.degrees) for t in range(d))
+                for k, d in enumerate(reducer.degrees) for t in range(1, d))
                 or self._left[0]
                 or any(index.get(c) != j for j, c in enumerate(self._right))):
             raise ValueError("first basis element is not the identity")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from .classifying import (
     AbelianPGroup,
@@ -115,10 +115,10 @@ def inverted_element_set(group: AbelianPGroup, sub: SubgroupSpec):
 # tate-scan benchmark that is the eight multiplicative jobs over Z/4, which
 # examine at most 2,524 products.  The README headline and Honda n=2
 # A=(Z/4)^2 are decided by the bound and search nothing.  The
-# multiplicative law searches in the group basis of (Z/p^K)[A], with the
-# classes ``_group_ring_euler_classes`` builds for exact mode too; the
-# products examined, and so the budget's reach, are the same as in the
-# ring's basis.
+# multiplicative law searches in the group basis of (Z/p^K)[A], each value
+# packed into one int (``_GroupRingElement``) by the builder exact mode
+# calls with the modulus 2^(L+2); the products examined, and so the
+# budget's reach, are the same as in the ring's basis.
 CERT_SEARCH_BUDGET = 8192
 
 
@@ -332,67 +332,87 @@ def multiplicative_euler_class_exact(ring: ExactPolyRing, w):
 
 
 class _GroupRingElement:
-    """An element of Z[A] or (Z/N)[A] by its coefficients on t^v, v in
-    group.elements() order.
-
-    Generators t^w - 1 also carry ``perm``, the index of v - w at the index of
-    v, so that multiplying by one is a single shifted difference, and the
-    modulus N of the coefficients (None over Z).
+    """An element of (Z/N)[A] packed into one int, ``code``: the coefficient
+    of t^v, reduced into [0, N), fills slot v, the slots of one fixed width
+    laid out in group.elements() order.  Equality and the hash are the
+    int's, and the element is 0 exactly when ``code`` is.
     """
 
-    __slots__ = ("coeffs", "perm", "modulus", "_hash")
+    __slots__ = ("code",)
 
-    def __init__(self, coeffs: tuple, perm: tuple | None = None,
-                 modulus: int | None = None):
-        self.coeffs = coeffs
-        self.perm = perm
-        self.modulus = modulus
-        self._hash = hash(coeffs)
+    def __init__(self, code: int):
+        self.code = code
+
+    def __eq__(self, other):
+        return isinstance(other, _GroupRingElement) and self.code == other.code
+
+    def __hash__(self):
+        return hash(self.code)
+
+    def is_zero(self) -> bool:
+        return not self.code
+
+
+class _GroupRingGenerator(_GroupRingElement):
+    """t^w - 1 in (Z/N)[A] with what multiplies by it: the slot ``width``
+    W, with N <= 2^(W-1), ``ones`` (a 1 in every slot), and ``axes``, one
+    (up, hi, down, lo) per k with w_k != 0.  For the slots v of hi
+    (v_k >= w_k) slot v - w_k e_k lies ``up`` bits lower, and for those of
+    lo (v_k < w_k) it lies ``down`` bits higher, so
+    ``((y << up) & hi) | ((y >> down) & lo)`` moves every slot v of y to
+    v + w_k e_k.
+    """
+
+    __slots__ = ("axes", "modulus", "width", "ones")
+
+    def __init__(self, code: int, axes: tuple, modulus: int, width: int,
+                 ones: int):
+        super().__init__(code)
+        self.axes, self.modulus, self.width, self.ones = axes, modulus, width, ones
 
     def multiplier(self):
-        """v -> v * (t^w - 1) for a generator: coefficient c_(v-w) - c_v at
-        t^v, reduced mod N when there is one."""
-        perm, n = self.perm, self.modulus
+        """y -> y * (t^w - 1), slot v becoming y_(v-w) - y_v mod N.
 
-        if n is None:
-            def times(v):
-                c = v.coeffs
-                return _GroupRingElement(tuple([c[j] - x for j, x in zip(perm, c)]))
-        else:
-            def times(v):
-                c = v.coeffs
-                return _GroupRingElement(
-                    tuple([(c[j] - x) % n for j, x in zip(perm, c)]))
+        The rotated y is t^w y.  Adding N in every slot before subtracting
+        y leaves each slot in [1, 2N - 1], so no borrow crosses a slot.
+        Adding 2^(W-1) - N then sets a slot's top bit exactly where it is
+        >= N (the sum stays below 2^W since N <= 2^(W-1)), and N is taken
+        from those slots: every slot is reduced mod N at once.
+        """
+        axes, n, shift = self.axes, self.modulus, self.width - 1
+        offset, high = n * self.ones, self.ones << shift
+        bias = high - offset
+
+        def times(v):
+            x = y = v.code
+            for up, hi, down, lo in axes:
+                y = ((y << up) & hi) | ((y >> down) & lo)
+            d = y + offset - x
+            return _GroupRingElement(d - (((d + bias) & high) >> shift) * n)
 
         return times
 
-    def __eq__(self, other):
-        return isinstance(other, _GroupRingElement) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return self._hash
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
-def _group_ring_euler_classes(group: AbelianPGroup, inverted,
-                              modulus: int | None = None):
-    """t^w - 1 for each w in inverted, in the group-element basis of Z[A],
-    or of (Z/modulus)[A] when a modulus is given."""
-    elements = list(group.elements())
-    index = {v: i for i, v in enumerate(elements)}
+def _group_ring_euler_classes(group: AbelianPGroup, inverted, modulus: int):
+    """t^w - 1 for each w in inverted, packed in (Z/modulus)[A] with slots
+    of width bit_length(modulus - 1) + 1 (see ``_GroupRingGenerator``)."""
     orders = group.orders
+    width = (modulus - 1).bit_length() + 1
+    every = (1 << (width * group.order)) - 1
+    ones = every // ((1 << width) - 1)
+    strides = [prod(orders[k + 1:]) for k in range(len(orders))]
     gens = []
     for w in inverted:
-        coeffs = [0] * len(elements)
-        coeffs[0] -= 1
-        coeffs[index[w]] += 1
-        if modulus is not None:
-            coeffs = [c % modulus for c in coeffs]
-        perm = tuple(index[tuple((a - b) % o for a, b, o in zip(v, w, orders))]
-                     for v in elements)
-        gens.append(_GroupRingElement(tuple(coeffs), perm, modulus))
+        axes = []
+        for w_k, o, s in zip(w, orders, strides):
+            if w_k:
+                block = width * s  # the bits of one step along axis k
+                # lo: the slots with v_k < w_k, one run in every period of o blocks
+                lo = ((1 << (block * w_k)) - 1) * (every // ((1 << (block * o)) - 1))
+                axes.append((block * w_k, every ^ lo, block * (o - w_k), lo))
+        # t^w - 1: 1 in slot w and -1 = N - 1 in slot 0 (w != 0, as 0 is in H)
+        code = (1 << (width * sum(map(operator.mul, w, strides)))) + modulus - 1
+        gens.append(_GroupRingGenerator(code, tuple(axes), modulus, width, ones))
     return gens
 
 
@@ -419,16 +439,23 @@ def tate_ring_exact(p: int, exponents, sub_exponents,
     chi(t^w) = zeta^(sum weights_l * w_l)) and nothing is searched; the
     character does not pass to the completed ring, so it proves no NONZERO.
 
-    For any other C every character is 1 on some inverted class, so a
-    certificate exists, and the zero-product search runs up to
-    ``max_cert_len``.  An exhausted search is INCONCLUSIVE, never NONZERO,
-    and records ``search_budget`` when ``EXACT_SEARCH_BUDGET`` ran out.  The
-    search runs in the group-element basis, where every product is one
-    shifted difference.  The change of basis is unimodular over Z, so zero
-    tests and dedup equalities, hence the word found, are the same as in the
-    monomial basis; the certificate is replayed there.  The same builder,
-    ``_group_ring_euler_classes``, given the modulus p^K, serves the finite
-    search of ``tate_ring`` over the multiplicative law.
+    For any other C every character is 1 on some inverted class, so the
+    product of all inverted classes is 0, and the zero-product search runs
+    up to ``max_cert_len``.  An exhausted search is INCONCLUSIVE, never
+    NONZERO, and records ``search_budget`` when ``EXACT_SEARCH_BUDGET`` ran
+    out.  The search runs in the group-element basis, packed as in
+    ``_GroupRingGenerator``, mod N = 2^(L+2) with
+    L = min(max_cert_len, len(inverted)).  A class has L1 norm 2, so a
+    product of l classes has L1 norm at most 2^l, and every coefficient and
+    every difference of two values of length at most L lies strictly inside
+    (-N/2, N/2): zero tests and dedup equalities agree with Z's.  No value
+    is longer than L.  The search stops at ``max_cert_len``, and the
+    deduplicated breadth-first search meets a zero at the least size of a
+    zero multiset, so it stops by len(inverted) too.  The change of basis
+    is unimodular over Z, so the word found is the one the monomial basis
+    gives; the certificate is replayed there.  The same builder, given the
+    modulus p^K, serves the finite search of ``tate_ring`` over the
+    multiplicative law.
     """
     if max_cert_len < 1:
         raise ValueError("max_cert_len must be >= 1")
@@ -445,7 +472,8 @@ def tate_ring_exact(p: int, exponents, sub_exponents,
             TateRingResult.INCONCLUSIVE, inverted=inverted, mode="exact",
             witness={"character": character, "not_found_max_len": max_cert_len},
         )
-    gens = _group_ring_euler_classes(group, inverted)
+    gens = _group_ring_euler_classes(
+        group, inverted, 2 ** (min(max_cert_len, len(inverted)) + 2))
     cert = zero_product_certificate(gens, max_cert_len, budget=EXACT_SEARCH_BUDGET)
     if isinstance(cert, CertificateNotFound):
         witness = {"not_found_max_len": cert.max_len}

@@ -345,6 +345,85 @@ def lockstep_word(gens, limit: int, step=None):
     return None
 
 
+# -- group-ring searches -------------------------------------------------------
+# The tuple form that ``tate_blueshift._GroupRingElement`` replaced: one
+# coefficient per group element, a product one shifted difference over them.
+
+
+class GroupRingTuple:
+    """An element of Z[A] or (Z/N)[A] by its coefficients on t^v, v in
+    group.elements() order.
+
+    Generators t^w - 1 also carry ``perm``, the index of v - w at the index of
+    v, so that multiplying by one is a single shifted difference, and the
+    modulus N of the coefficients (None over Z).
+    """
+
+    __slots__ = ("coeffs", "perm", "modulus", "_hash")
+
+    def __init__(self, coeffs: tuple, perm: tuple | None = None,
+                 modulus: int | None = None):
+        self.coeffs = coeffs
+        self.perm = perm
+        self.modulus = modulus
+        self._hash = hash(coeffs)
+
+    def multiplier(self):
+        """v -> v * (t^w - 1) for a generator: coefficient c_(v-w) - c_v at
+        t^v, reduced mod N when there is one."""
+        perm, n = self.perm, self.modulus
+
+        if n is None:
+            def times(v):
+                c = v.coeffs
+                return GroupRingTuple(tuple([c[j] - x for j, x in zip(perm, c)]))
+        else:
+            def times(v):
+                c = v.coeffs
+                return GroupRingTuple(
+                    tuple([(c[j] - x) % n for j, x in zip(perm, c)]))
+
+        return times
+
+    def __eq__(self, other):
+        return isinstance(other, GroupRingTuple) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return self._hash
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
+def group_ring_tuple_classes(group, inverted, modulus: int | None = None):
+    """t^w - 1 for each w in inverted as ``GroupRingTuple``s, over Z or
+    (Z/modulus)[A] when a modulus is given."""
+    elements = list(group.elements())
+    index = {v: i for i, v in enumerate(elements)}
+    orders = group.orders
+    gens = []
+    for w in inverted:
+        coeffs = [0] * len(elements)
+        coeffs[0] -= 1
+        coeffs[index[w]] += 1
+        if modulus is not None:
+            coeffs = [c % modulus for c in coeffs]
+        perm = tuple(index[tuple((a - b) % o for a, b, o in zip(v, w, orders))]
+                     for v in elements)
+        gens.append(GroupRingTuple(tuple(coeffs), perm, modulus))
+    return gens
+
+
+def group_ring_coeffs(value, gen, size: int, balanced: bool = False) -> list:
+    """The coefficients on t^v, v in group.elements() order (size of them),
+    of a packed search value whose generators include gen: residues in
+    [0, N), or lifted into [-N/2, N/2) when balanced."""
+    width, n = gen.width, gen.modulus
+    mask = (1 << width) - 1
+    slots = [(value.code >> (width * i)) & mask for i in range(size)]
+    return [(c + n // 2) % n - n // 2 for c in slots] if balanced else slots
+
+
 # -- rings and linear algebra --------------------------------------------------
 
 

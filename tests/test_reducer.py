@@ -16,7 +16,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tateshift.ring_core import (
     ZERO_RING,
@@ -207,10 +207,13 @@ def test_factor_identity_check_matches_full_scan(mutation, n, relations, data):
     reducer = alg._reducer
     if mutation == "swap" and alg.rank == 1:
         mutation = "row"
-    if mutation == "row":  # one coefficient of one power row below d_k
-        k = data.draw(st.integers(0, len(relations) - 1))
+    if mutation == "row":  # one coefficient of one power row 0 < t < d_k
+        # (no normal form reads the unit row of a zero exponent)
+        k = data.draw(st.sampled_from(
+            [k for k, d in enumerate(reducer.degrees) if d > 1] or [None]))
+        assume(k is not None)  # rank 1 has no such row
         d = reducer.degrees[k]
-        row = reducer.power_row(k, data.draw(st.integers(0, d - 1)))
+        row = reducer.power_row(k, data.draw(st.integers(1, d - 1)))
         s = data.draw(st.integers(0, d - 1))
         row[s] = (row[s] + data.draw(st.integers(1, n - 1))) % n
     elif mutation == "swap":  # two codes of basis monomials trade indices

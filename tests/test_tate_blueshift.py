@@ -12,7 +12,7 @@ import operator
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tateshift import tate_blueshift
 from tateshift.classifying import (
@@ -52,6 +52,8 @@ from oracles import (
     V_count,
     V_count_image,
     frobenius_digit_index,
+    group_ring_coeffs,
+    group_ring_tuple_classes,
     lockstep_word,
     small_ring,
     square_then_scan_index,
@@ -637,14 +639,16 @@ def test_group_basis_search_matches_exact_poly_search(case):
             return list(e.coords)
     # row m: the m-th ring coordinates of t^v, v in group.elements() order
     to_ring = list(zip(*map(coords, t_powers)))
+    # over Z the search runs mod 2^(max_len + 2), as exact mode's does
+    gens = tate_blueshift._group_ring_euler_classes(
+        group, inverted, 2 ** (max_len + 2) if modulus is None else modulus)
     # the first 600 yields of each search keep every example under 40 ms
-    fast = list(itertools.islice(multiset_products(
-        tate_blueshift._group_ring_euler_classes(group, inverted, modulus),
-        max_len), 600))
+    fast = list(itertools.islice(multiset_products(gens, max_len), 600))
     slow = list(itertools.islice(multiset_products(oracle, max_len), 600))
     assert [word for _, word in fast] == [word for _, word in slow]
     for (value, _), (expected, _) in zip(fast, slow):
-        image = [sum(map(operator.mul, row, value.coeffs)) for row in to_ring]
+        lifted = group_ring_coeffs(value, gens[0], group.order, modulus is None)
+        image = [sum(map(operator.mul, row, lifted)) for row in to_ring]
         if modulus is not None:
             image = [c % modulus for c in image]
         assert image == coords(expected)
@@ -679,12 +683,113 @@ def test_exact_mode_character_replays_and_other_c_vanish(case):
     for e in classes:
         assert sum(c * math.prod(x**k for x, k in zip(point, mono))
                    for mono, c in e.terms.items()) % ell
-    # oracle: the unbudgeted search finds no word up to length 4
+    # oracle: the unbudgeted search finds no word up to length 4, searched
+    # mod 2^(4 + 2) as exact mode would
     group = AbelianPGroup(p, A)
     found = zero_product_certificate(
-        tate_blueshift._group_ring_euler_classes(group, result.inverted), 4)
+        tate_blueshift._group_ring_euler_classes(group, result.inverted, 2**6), 4)
     assert isinstance(found, CertificateNotFound) and found.budget is None
 
+
+# Cases beyond the draws of ``exact_searches``: an odd p with three axes,
+# p = 5, and Z/2 factors, whose order-2 classes have long powers at the 2^l
+# bound on the L1 norm (see test_order_two_powers_meet_the_norm_bound).
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(exact_searches())
+@example((3, (1, 1, 1), (1, 1, 0), 4, None))
+@example((3, (1, 1, 1), (1, 1, 1), 3, 2))
+@example((5, (1, 1), (1, 1), 4, None))
+@example((2, (1, 2), (1, 1), 4, None))
+@example((2, (1, 1, 1), (1, 1, 0), 4, 3))
+def test_packed_search_matches_tuple_oracle(case):
+    # the packed and the tuple search yield the same words, zero tests and
+    # coefficients: residues mod p^K, and over Z the balanced lift of the
+    # residues mod 2^(max_len + 2)
+    p, A, C, max_len, K = case
+    group = AbelianPGroup(p, A)
+    inverted = inverted_element_set(group, SubgroupSpec(C))
+    assume(inverted)
+    modulus = None if K is None else p**K
+    gens = tate_blueshift._group_ring_euler_classes(
+        group, inverted, 2 ** (max_len + 2) if K is None else modulus)
+    fast = list(itertools.islice(multiset_products(gens, max_len), 2000))
+    slow = list(itertools.islice(multiset_products(
+        group_ring_tuple_classes(group, inverted, modulus), max_len), 2000))
+    assert [word for _, word in fast] == [word for _, word in slow]
+    for (value, _), (expected, _) in zip(fast, slow):
+        assert value.is_zero() == expected.is_zero()
+        assert (group_ring_coeffs(value, gens[0], group.order, K is None)
+                == list(expected.coeffs))
+
+
+def test_order_two_powers_meet_the_norm_bound():
+    # (t^w - 1)^l = (-2)^(l-1) (t^w - 1) for w of order 2 has L1 norm 2^l,
+    # the bound exact mode's modulus 2^(L+2) rests on; packed mod 2^(l+2)
+    # its balanced coefficients are the oracle's over Z
+    group = AbelianPGroup(2, [1, 2])
+    classes = [(1, 0), (0, 2), (1, 2)]
+    oracle = group_ring_tuple_classes(group, classes)
+    for length in range(1, 9):
+        gens = tate_blueshift._group_ring_euler_classes(group, classes, 2 ** (length + 2))
+        for g, o in zip(gens, oracle):
+            value, expected = g, o
+            times, oracle_times = g.multiplier(), o.multiplier()
+            for _ in range(length - 1):
+                value, expected = times(value), oracle_times(expected)
+            coeffs = group_ring_coeffs(value, g, group.order, balanced=True)
+            assert coeffs == list(expected.coeffs)
+            assert sum(map(abs, coeffs)) == 2**length
+            assert coeffs[0] == -((-2) ** (length - 1))
+
+
+@pytest.mark.parametrize("params, word", [
+    ({"p": 2, "A": [2, 2], "C": [1, 1]}, [0, 2, 3, 4, 5, 6]),
+    ({"p": 3, "A": [1, 1], "C": [1, 1]}, [0, 2, 3, 4]),
+])
+def test_exact_slots_widen_with_inverted_count_only(monkeypatch, params, word):
+    # L = min(max_cert_len, len(inverted)): a limit of 10**6 asks for slots
+    # of at most len(inverted) + 3 bits, and the reports are those the
+    # search over Z gave
+    build, widths = tate_blueshift._group_ring_euler_classes, []
+
+    def recording(group, inverted, modulus):
+        gens = build(group, inverted, modulus)
+        widths.append((gens[0].width, len(inverted)))
+        return gens
+
+    monkeypatch.setattr(tate_blueshift, "_group_ring_euler_classes", recording)
+    code, report = run_job("tate", {**params, "exact": True, "max_cert_len": 10**6})
+    inverted = [list(w) for w in inverted_element_set(
+        AbelianPGroup(params["p"], params["A"]), SubgroupSpec(params["C"]))]
+    assert code == 0
+    assert report == {
+        "inverted_classes": inverted, "mode": "exact", "status": "ZERO",
+        "witness": {"certificate": {"generator_indices": word,
+                                    "generators": [inverted[i] for i in word],
+                                    "length": len(word)}}}
+    assert widths and all(width <= n + 3 for width, n in widths)
+
+
+@pytest.mark.parametrize("p, A, C, K", [
+    (2, (1, 1), (1, 1), None), (3, (1, 1), (1, 1), None),
+    (2, (1, 1, 1), (1, 1, 1), None), (2, (2, 2), (1, 1), None),
+    (2, (2, 1), (1, 1), 2), (2, (1, 1), (1, 1), 1), (3, (1, 1), (1, 1), 2),
+])
+def test_first_zero_length_is_least_zero_multiset(p, A, C, K):
+    # the deduplicated breadth-first search meets a zero at the least size
+    # of a zero multiset, found here from every multiset product with
+    # nothing dropped: exact mode's L <= len(inverted) rests on it
+    group = AbelianPGroup(p, A)
+    inverted = inverted_element_set(group, SubgroupSpec(C))
+    gens = group_ring_tuple_classes(group, inverted, None if K is None else p**K)
+    times = [g.multiplier() for g in gens]
+    layer, least = [(g, i) for i, g in enumerate(gens)], 1  # (value, last index)
+    while not any(value.is_zero() for value, _ in layer):
+        layer = [(times[j](value), j) for value, i in layer
+                 for j in range(i, len(gens))]
+        least += 1
+    assert least <= len(inverted)
+    assert len(zero_product_certificate(gens, len(inverted))) == least
 
 def test_exact_euler_class_closed_form():
     ring = multiplicative_exact_ring(2, [1, 1])
