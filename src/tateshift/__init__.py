@@ -33,7 +33,6 @@ from .ring_linalg import (
     NTuple,
     RootCoeffResult,
     VanishingVerdict,
-    det_division_free,
     gaussian_nzd_solve,
     is_ntuple,
     roots_to_coeffs,

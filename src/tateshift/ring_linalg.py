@@ -6,6 +6,10 @@ Vandermonde system has only the zero solution, the generalized Vieta/Cramer
 relations between the roots and the coefficients of a polynomial hold, and a
 polynomial with "too many" roots forces the ring to vanish.
 
+The Vandermonde system is solved one way: row reduction that cancels each
+non-zero-divisor difference of roots, ending in unit pivots.  det V is the
+product of the differences of the roots.
+
 Elements are RingElements of a FiniteAlgebra or PolyElements of an
 ExactPolyRing (Z itself is ``ExactPolyRing([], [])``).  Both rings answer
 one protocol, which is all this module asks of them: ``zero()``, ``one()``,
@@ -15,6 +19,8 @@ one protocol, which is all this module asks of them: ``zero()``, ``one()``,
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .ring_core import (
     NotDivisible,
@@ -100,135 +106,68 @@ def verify_tuple(elements, f=None) -> NTuple:
     return NTuple(elements, f_coeffs=f)
 
 
-# -- determinants ------------------------------------------------------------------
+# -- elimination with non-zero-divisor cancellation ----------------------------------
 
 
-def vandermonde_matrix(ts, ncols=None):
-    ts = list(ts)
+def vandermonde_matrix(ts):
     n = len(ts)
-    ncols = n if ncols is None else ncols
     rows = []
     for t in ts:
         row = [t.parent.one()]
-        for _ in range(ncols - 1):
+        for _ in range(n - 1):
             row.append(row[-1] * t)
         rows.append(row)
     return rows
 
 
-def det_division_free(matrix, one=1):
-    """Determinant without ring division: cofactor to size 5, Berkowitz above.
+def _eliminate(rows, ts):
+    """Reduce rows, whose first len(ts) columns are the Vandermonde matrix
+    of ts, to unit pivots in place, yielding after each stage.
 
-    ``one`` is the ring's identity: the determinant of the 0x0 matrix, which
-    has no entry to name the ring, and Berkowitz's leading coefficient.
+    Stage s subtracts row s from each later row i and cancels t_i - t_s from
+    the result, which divides every column that is a combination of V's; a
+    non-zero-divisor factor has one quotient, so the solution set is kept.
+    A factor that cannot be cancelled, or a pivot other than 1, raises
+    PivotNotCancellable.
     """
-    n = len(matrix)
-    if n == 0:
-        return one
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    if n <= 5:
-        return _det_cofactor(matrix)
-    return _det_berkowitz(matrix, one)
-
-
-def _det_cofactor(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det_cofactor(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out
-
-
-def _det_berkowitz(m, one=1):
-    n = len(m)
-    zero = one - one
-    poly = [one, -m[0][0]]
-    for r in range(1, n):
-        a = m[r][r]
-        row = [m[r][j] for j in range(r)]
-        col = [m[i][r] for i in range(r)]
-        block = [[m[i][j] for j in range(r)] for i in range(r)]
-        ts = [one, -a]
-        vec = col
-        for _ in range(2, r + 2):
-            dot = None
-            for x, y in zip(row, vec):
-                term = x * y
-                dot = term if dot is None else dot + term
-            ts.append(-dot)
-            vec = [
-                _dot_or_zero(block[i], vec, zero) for i in range(r)
-            ]
-        new_poly = []
-        for i in range(r + 2):
-            s = zero
-            for j in range(len(poly)):
-                k = i - j
-                if 0 <= k < len(ts):
-                    s = s + ts[k] * poly[j]
-            new_poly.append(s)
-        poly = new_poly
-    det = poly[n]
-    if n % 2:
-        det = -det
-    return det
-
-
-def _dot_or_zero(xs, ys, zero):
-    acc = zero
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc
-
-
-# -- elimination with non-zero-divisor cancellation ----------------------------------
+    n = len(ts)
+    for stage in range(n - 1):
+        pivot = rows[stage]
+        for i in range(stage + 1, n):
+            factor = ts[i] - ts[stage]
+            new_row = []
+            for a, b in zip(rows[i], pivot):
+                entry = a - b
+                if not entry.is_zero():
+                    try:
+                        entry = factor.parent.exact_div(entry, factor)
+                    except (NotDivisible, ZeroDivisorDivisor) as exc:
+                        raise PivotNotCancellable(
+                            f"difference of roots {i} and {stage} cannot be "
+                            f"cancelled: {exc}"
+                        ) from exc
+                new_row.append(entry)
+            rows[i] = new_row
+        yield
+    for i in range(n):
+        if not (rows[i][i] - ts[i].parent.one()).is_zero():
+            raise PivotNotCancellable(f"pivot {i} did not normalize to 1")
 
 
 def gaussian_nzd_solve(ntuple) -> list:
     """Row-reduce the Vandermonde system of the tuple to unit pivots, and
     return the trace: the matrix before the first stage and after each.
 
-    Each stage subtracts the pivot row and cancels the common non-zero-divisor
-    factor t_i - t_s from the whole row (cancellation preserves the solution
-    set); the final upper triangular matrix with pivots 1 confirms the only
+    The final upper triangular matrix with pivots 1 confirms that the only
     solution is the zero vector.  A tuple for which that fails raises
-    PivotNotCancellable.
+    PivotNotCancellable.  ``roots_to_coeffs`` runs the same elimination on
+    the system augmented by its right-hand side.
     """
-    elements = ntuple.elements if isinstance(ntuple, NTuple) else list(ntuple)
-    ts = list(elements)
-    n = len(ts)
+    ts = ntuple.elements if isinstance(ntuple, NTuple) else list(ntuple)
     rows = vandermonde_matrix(ts)
     trace = [[list(r) for r in rows]]
-    for stage in range(n - 1):
-        pivot = rows[stage]
-        for i in range(stage + 1, n):
-            diff = [a - b for a, b in zip(rows[i], pivot)]
-            factor = ts[i] - ts[stage]
-            new_row = []
-            for entry in diff:
-                if entry.is_zero():
-                    new_row.append(entry)
-                    continue
-                try:
-                    new_row.append(factor.parent.exact_div(entry, factor))
-                except (NotDivisible, ZeroDivisorDivisor) as exc:
-                    raise PivotNotCancellable(
-                        f"difference of roots {i} and {stage} cannot be "
-                        f"cancelled: {exc}"
-                    ) from exc
-            rows[i] = new_row
+    for _ in _eliminate(rows, ts):
         trace.append([list(r) for r in rows])
-    for i in range(n):
-        if not (rows[i][i] - ts[i].parent.one()).is_zero():
-            raise PivotNotCancellable(f"pivot {i} did not normalize to 1")
     return trace
 
 
@@ -266,9 +205,14 @@ def roots_to_coeffs(f_coeffs, ntuple: NTuple) -> RootCoeffResult:
     """Generalized root-coefficient relations for a verified tuple of f.
 
     n > m: every coefficient is forced to vanish.  n = m: Vieta recovery and
-    the factorization f = a_n prod (x - r_i).  n < m: Cramer recovery
-    a_i = det(..beta..) / det V via exact division (divisibility is guaranteed
-    for verified tuples; failure means the precondition was violated).
+    the factorization f = a_n prod (x - r_i).  n < m: Cramer recovery of
+    a_0..a_(n-1) from V a = beta, beta_i = -sum_(k>=n) a_k r_i^k, by the
+    elimination of ``gaussian_nzd_solve`` on [V | beta] and back
+    substitution.  The witnesses are det V = prod_(i<j) (r_j - r_i) and
+    det V_i = a_i det V, V_i being V with column i replaced by beta (Cramer's
+    rule, adj(V) V = det V I); both identities hold in every commutative
+    ring.  For a verified tuple the elimination succeeds; a failure, or a
+    recovered coefficient other than a_i, raises DivisibilityFailure.
     """
     if not isinstance(ntuple, NTuple):
         raise NotATuple("roots_to_coeffs needs a verified tuple")
@@ -295,42 +239,40 @@ def roots_to_coeffs(f_coeffs, ntuple: NTuple) -> RootCoeffResult:
             if not (got - given).is_zero():
                 raise NotATuple("Vieta relations fail; tuple is not valid for f")
         return RootCoeffResult("Vieta", expanded[:-1], factorization=expanded)
-    # n < m: Cramer with exact division by det V
+    # n < m: Cramer, solving V a = beta by the elimination
     ring = f_coeffs[-1].parent
-    det_v = det_division_free(vandermonde_matrix(roots), one=ring.one())
-    beta = []
-    for r in roots:
+    rows = vandermonde_matrix(roots)
+    for r, row in zip(roots, rows):
         acc = ring.zero()
-        power = r
-        for _ in range(n - 1):
-            power = power * r
-        # power = r^n now; accumulate -sum_{k=n..m} a_k r^k
+        power = row[-1] * r  # r^n; accumulate -sum_{k=n..m} a_k r^k
         for k in range(n, m + 1):
             acc = acc - f_coeffs[k] * power
             power = power * r
-        beta.append(acc)
-    columns = [[row[i] for row in vandermonde_matrix(roots)] for i in range(n)]
-    recovered = []
-    col_dets = []
-    for i in range(n):
-        cols = columns[:i] + [beta] + columns[i + 1:]
-        mat = [[cols[c][r] for c in range(n)] for r in range(n)]
-        det_i = det_division_free(mat, one=ring.one())
-        col_dets.append(det_i)
-        try:
-            recovered.append(ring.exact_div(det_i, det_v))
-        except (NotDivisible, ZeroDivisorDivisor) as exc:
-            raise DivisibilityFailure(
-                f"det column {i} not divisible by det V: {exc}"
-            ) from exc
+        row.append(acc)
+    try:
+        for _ in _eliminate(rows, roots):
+            pass
+    except PivotNotCancellable as exc:
+        raise DivisibilityFailure(str(exc)) from exc
+    # unit upper triangular: back substitution needs no division
+    recovered = [None] * n
+    for i in reversed(range(n)):
+        acc = rows[i][n]
+        for j in range(i + 1, n):
+            acc = acc - rows[i][j] * recovered[j]
+        recovered[i] = acc
     for i in range(n):
         if not (recovered[i] - f_coeffs[i]).is_zero():
             raise DivisibilityFailure(
                 f"recovered coefficient {i} disagrees with the input"
             )
+    det_v = ring.one()
+    for i, j in itertools.combinations(range(n), 2):
+        det_v = det_v * (roots[j] - roots[i])
     return RootCoeffResult(
         "Cramer", recovered,
-        witnesses={"det_vandermonde": det_v, "column_dets": col_dets},
+        witnesses={"det_vandermonde": det_v,
+                   "column_dets": [a * det_v for a in recovered]},
     )
 
 
@@ -361,10 +303,13 @@ INDEX_CONVENTION_NOTE = (
 def vanishing_condition(f_coeffs, ntuple: NTuple) -> VanishingVerdict:
     """MustBeZero when the tuple of f forces R = 0, else Inconclusive.
 
-    n > m: R = 0 as soon as 1 lies in the coefficient ideal.  n <= m: R = 0
-    when 1 lies in the ideal of differences a_i - (Cramer expression); for
-    localized tuples that case is not decidable at finite truncation level
-    and reports Inconclusive.
+    n > m: R = 0 as soon as 1 lies in the coefficient ideal.  n <= m never
+    forces R = 0: ``roots_to_coeffs`` returns only coefficients equal to f's,
+    so the ideal of differences a_i - (Cramer expression) is zero.  A
+    concrete tuple is still run through it, so a tuple that is not one of f
+    raises NotATuple, and a failed elimination reports its divisibility
+    failure; a localized tuple is not decidable at finite truncation level.
+    Every n <= m verdict is Inconclusive.
     """
     if not isinstance(ntuple, NTuple):
         raise NotATuple("vanishing_condition needs a verified tuple")
@@ -394,18 +339,15 @@ def vanishing_condition(f_coeffs, ntuple: NTuple) -> VanishingVerdict:
              "in the unlocalized model", "note": INDEX_CONVENTION_NOTE},
         )
     try:
-        result = roots_to_coeffs(f_coeffs, ntuple)
+        roots_to_coeffs(f_coeffs, ntuple)
     except DivisibilityFailure:
         return VanishingVerdict(
             VanishingVerdict.INCONCLUSIVE,
             {"case": "n<=m", "reason": "divisibility failure",
              "note": INDEX_CONVENTION_NOTE},
         )
-    diffs = [a - b for a, b in zip(f_coeffs, result.recovered)]
-    contains = _one_in_ideal(diffs)
     return VanishingVerdict(
-        VanishingVerdict.MUST_BE_ZERO if contains
-        else VanishingVerdict.INCONCLUSIVE,
+        VanishingVerdict.INCONCLUSIVE,
         {"case": "n<=m", "ideal": "coefficient differences",
          "note": INDEX_CONVENTION_NOTE},
     )

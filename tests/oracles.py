@@ -485,5 +485,80 @@ def vandermonde_det(ts):
     return out
 
 
+def det_division_free(matrix, one=1):
+    """Determinant without ring division: cofactor to size 5, Berkowitz above.
+
+    ``one`` is the ring's identity: the determinant of the 0x0 matrix, which
+    has no entry to name the ring, and Berkowitz's leading coefficient.
+    ``ring_linalg`` solved the Vandermonde system by these expansions before
+    it ran the non-zero-divisor elimination alone.
+    """
+    n = len(matrix)
+    if n == 0:
+        return one
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+    if n <= 5:
+        return _det_cofactor(matrix)
+    return _det_berkowitz(matrix, one)
+
+
+def _det_cofactor(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    out = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * _det_cofactor(minor)
+        if j % 2:
+            term = -term
+        out = term if out is None else out + term
+    return out
+
+
+def _det_berkowitz(m, one=1):
+    n = len(m)
+    zero = one - one
+    poly = [one, -m[0][0]]
+    for r in range(1, n):
+        a = m[r][r]
+        row = [m[r][j] for j in range(r)]
+        col = [m[i][r] for i in range(r)]
+        block = [[m[i][j] for j in range(r)] for i in range(r)]
+        ts = [one, -a]
+        vec = col
+        for _ in range(2, r + 2):
+            dot = None
+            for x, y in zip(row, vec):
+                term = x * y
+                dot = term if dot is None else dot + term
+            ts.append(-dot)
+            vec = [
+                _dot_or_zero(block[i], vec, zero) for i in range(r)
+            ]
+        new_poly = []
+        for i in range(r + 2):
+            s = zero
+            for j in range(len(poly)):
+                k = i - j
+                if 0 <= k < len(ts):
+                    s = s + ts[k] * poly[j]
+            new_poly.append(s)
+        poly = new_poly
+    det = poly[n]
+    if n % 2:
+        det = -det
+    return det
+
+
+def _dot_or_zero(xs, ys, zero):
+    acc = zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
 def matmul_vec(mat, x, n: int):
     return [sum(a * b for a, b in zip(row, x)) % n for row in mat]

@@ -24,7 +24,6 @@ from tateshift.fgl import build_honda, build_multiplicative, weierstrass_divide
 from tateshift.ring_core import BaseModulus, FiniteAlgebra
 from tateshift.ring_linalg import (
     VanishingVerdict,
-    det_division_free,
     gaussian_nzd_solve,
     poly_from_roots,
     roots_to_coeffs,
@@ -43,7 +42,13 @@ from tateshift.tate_blueshift import (
     tate_ring_exact,
 )
 
-from oracles import V_count, pj_root_set, poly_compose_iterate, vandermonde_det
+from oracles import (
+    V_count,
+    det_division_free,
+    pj_root_set,
+    poly_compose_iterate,
+    vandermonde_det,
+)
 
 
 def criterion(num, summary):

@@ -13,13 +13,11 @@ from tateshift.ring_core import (
     zero_product_certificate,
 )
 from tateshift.ring_linalg import (
+    DivisibilityFailure,
     NotATuple,
     PivotNotCancellable,
     RootCoeffResult,
     VanishingVerdict,
-    det_division_free,
-    _det_berkowitz,
-    _det_cofactor,
     _one_in_ideal,
     gaussian_nzd_solve,
     is_ntuple,
@@ -35,7 +33,13 @@ from tateshift.tate_blueshift import (
     multiplicative_exact_ring,
 )
 
-from oracles import gcd_one_in_ideal, vandermonde_det
+from oracles import (
+    _det_berkowitz,
+    _det_cofactor,
+    det_division_free,
+    gcd_one_in_ideal,
+    vandermonde_det,
+)
 
 Z = ExactPolyRing([], [])
 
@@ -228,6 +232,52 @@ def test_roots_to_coeffs_cramer_z5_worked_example():
     assert [c.coords[0] for c in out.recovered] == [0, 4]
 
 
+def test_cramer_witnesses_match_oracle_determinants():
+    # every Cramer output against the division-free expansions: det V, each
+    # det V_i (column i replaced by beta) and the recovered a_0..a_(n-1).
+    # One draw a size; sizes past 5 take the oracle's Berkowitz path.  A local
+    # ring's tuples are no larger than its residue field, Z/12's than min(2, 3)
+    rng = random.Random(71)
+    z9t = FiniteAlgebra.from_presentation(BaseModulus(9), ["t"], [[3, 0, 1]])
+    rings = [
+        (zmod_ring(101), lambda: rng.randrange(101), 8),
+        (zmod_ring(12), lambda: rng.randrange(12), 2),
+        (z9t, lambda: rng.randrange(9) * z9t.one() + rng.randrange(9) * z9t.gen(0), 3),
+        (Z, lambda: rng.randrange(-20, 21), 8),
+    ]
+    for ring, draw, largest in rings:
+        one = ring.one()
+        for n in range(1, largest + 1):
+            roots = []
+            while len(roots) < n:
+                r = draw() * one
+                if all(ring.is_nzd(r - s) for s in roots):
+                    roots.append(r)
+            g = [draw() * one for _ in range(rng.randrange(1, 4))] + [one]
+            f = [ring.zero()] * (n + len(g))
+            for i, a in enumerate(poly_from_roots(roots, one)):
+                for j, b in enumerate(g):
+                    f[i + j] = f[i + j] + a * b
+            out = roots_to_coeffs(f, verify_tuple(roots, f))
+            assert out.case == "Cramer"
+            assert out.recovered == f[:n]
+            vmat = vandermonde_matrix(roots)
+            det_v = det_division_free(vmat, one=one)
+            assert out.witnesses["det_vandermonde"] == det_v
+            beta = []  # beta_r = -sum_(k >= n) f_k r^k
+            for r, row in zip(roots, vmat):
+                acc, power = ring.zero(), row[-1]
+                for k in range(n, len(f)):
+                    power = power * r
+                    acc = acc - f[k] * power
+                beta.append(acc)
+            column_dets = out.witnesses["column_dets"]
+            assert len(column_dets) == n
+            for i, det_i in enumerate(column_dets):
+                vi = [row[:i] + [b] + row[i + 1:] for row, b in zip(vmat, beta)]
+                assert det_i == det_division_free(vi, one=one), (n, i)
+
+
 def test_roots_to_coeffs_vieta_random_split_polys():
     # oracle: build f by direct expansion from random distinct roots
     rng = random.Random(53)
@@ -299,6 +349,18 @@ def test_vanishing_condition_localized_morava_pattern():
     verdict = vanishing_condition(f, tup)
     assert verdict.verdict == VanishingVerdict.MUST_BE_ZERO
     assert tup.witnesses["pairs"][(0, 1)]["word"] == [0]
+
+
+def test_localized_cramer_failure_is_a_divisibility_failure():
+    # F_2[x]/(x^2) inverting x: {0, x} is a localized tuple of f(y) = y, but
+    # x is a zero divisor of the ring itself, so the Cramer case (n = 2 <
+    # m = 3) cannot be solved there; only the class is pinned, not the text
+    alg = FiniteAlgebra.from_presentation(BaseModulus(2), ["x"], [[0, 0, 1]])
+    x = alg.gen(0)
+    f = [alg.zero(), alg.one(), alg.zero(), alg.zero()]
+    tup = verify_localized_tuple([x], [alg.zero(), x], f, max_len=4)
+    with pytest.raises(DivisibilityFailure):
+        roots_to_coeffs(f, tup)
 
 
 def test_vanishing_condition_inconclusive_without_unit():
