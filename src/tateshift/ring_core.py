@@ -11,7 +11,7 @@ serializations are bit-stable.
 
 ExactPolyRing is the exact-integer counterpart Z[x_1..x_m]/(relations):
 normal-form arithmetic, zero-certificate search, and one integer elimination
-(integer_solve) for its unit, zero-divisor, division and ideal questions; no
+(integer_solver) for its unit, zero-divisor, division and ideal questions; no
 saturation (that needs finiteness).
 """
 
@@ -60,7 +60,9 @@ class MonomialReducer:
     (``monomials``, ``index``).  The powers x_k^e with d_k <= e <= 2d_k - 2
     are put into normal form once, one multiplication by x_k at a time; rows
     for higher e are extended on demand.  The normal form of a monomial is
-    the product of the rows of its nonzero exponents.
+    the product of the rows of its nonzero exponents, each read as its
+    nonzero terms only: per (k, e), the (t * w_k, coeff) pairs of the row,
+    built on first use and kept beside the folds.
 
     A product of two basis monomials has every e_k <= 2d_k - 2, so it is
     encoded carry-free as the mixed-radix integer sum e_k * w_k with radix
@@ -92,6 +94,7 @@ class MonomialReducer:
                       for e in self.monomials}
         self._index_of_code = {c: self.index[e] for e, c in self.codes.items()}
         self._folds = {}
+        self._code_rows = {}
 
     def _mod(self, coeffs):
         n = self.modulus
@@ -111,15 +114,24 @@ class MonomialReducer:
             rows.append(nxt)
         return rows[e]
 
+    def _code_row(self, k: int, e: int) -> list:
+        """The nonzero terms of ``power_row(k, e)`` as (t * w_k, coeff)
+        pairs, built on first use and kept."""
+        terms = self._code_rows.get((k, e))
+        if terms is None:
+            w = self.weights[k]
+            terms = self._code_rows[(k, e)] = [
+                (t * w, x) for t, x in enumerate(self.power_row(k, e)) if x]
+        return terms
+
     def normal_form(self, exps) -> tuple:
         """x^exps as ((basis index, coeff), ...), sorted by index."""
         acc = {0: 1}
         for k, e in enumerate(exps):
             if not e:
                 continue  # the unit row leaves acc as it is
-            row, w = self.power_row(k, e), self.weights[k]
-            acc = {code + t * w: c * x for code, c in acc.items()
-                   for t, x in enumerate(row) if x}
+            terms = self._code_row(k, e)
+            acc = {code + tw: c * x for code, c in acc.items() for tw, x in terms}
         idx = self._index_of_code
         out = [(idx[code], c) for code, c in zip(acc, self._mod(acc.values()))]
         return tuple(sorted((i, c) for i, c in out if c))
@@ -590,16 +602,28 @@ class FiniteAlgebra:
         """Non-zero-divisor test: trivial annihilator (and e != 0 in a nonzero ring)."""
         return not e.is_zero() and not annihilator(e)
 
-    def exact_div(self, a: RingElement, d: RingElement) -> RingElement:
-        """The unique t with a = d*t; d must be a non-zero-divisor."""
-        if a.parent is not self or d.parent is not self:
-            raise RingMismatch("mismatched rings in exact_div")
-        x, kernel = zmod.solve_coset(self.mul_matrix(d), list(a.coords), self.base.n)
-        if kernel:
-            raise ZeroDivisorDivisor(f"divisor {d!r} has a nontrivial annihilator")
-        if x is None:
-            raise NotDivisible(f"{a!r} is not divisible by {d!r}")
-        return RingElement._reduced(self, x)
+    def divider(self, d: RingElement):
+        """Exact division by d: the routine a -> the unique t with a = d*t,
+        which raises ZeroDivisorDivisor unless d is a non-zero-divisor.
+
+        Multiplication by d is eliminated once (``zmod.coset_solver``), and
+        every dividend is reduced against that elimination.
+        """
+        if d.parent is not self:
+            raise RingMismatch("mismatched rings in divider")
+        solver, kernel = zmod.coset_solver(self.mul_matrix(d), self.base.n)
+
+        def divide(a):
+            if a.parent is not self:
+                raise RingMismatch("mismatched rings in divider")
+            if kernel:
+                raise ZeroDivisorDivisor(f"divisor {d!r} has a nontrivial annihilator")
+            x = solver(list(a.coords))
+            if x is None:
+                raise NotDivisible(f"{a!r} is not divisible by {d!r}")
+            return RingElement._reduced(self, x)
+
+        return divide
 
     def module_contains(self, gens, target: RingElement) -> bool:
         """Whether target lies in the ideal (gens): the Z/N-span of the
@@ -1267,13 +1291,24 @@ class ExactPolyRing:
     def is_unit(self, e: PolyElement) -> bool:
         return self._solve([e], self.one())[0] is not None
 
-    def exact_div(self, a: PolyElement, d: PolyElement) -> PolyElement:
-        particular, kernel = self._solve([d], a)
-        if kernel:
-            raise ZeroDivisorDivisor("divisor is zero or a zero-divisor")
-        if particular is None:
-            raise NotDivisible("no exact quotient in the ring")
-        return self.from_coords(particular)
+    def divider(self, d: PolyElement):
+        """Exact division by d: the routine a -> the unique t with a = d*t,
+        which raises ZeroDivisorDivisor unless d is a non-zero-divisor.
+
+        The columns of d are brought to echelon form once
+        (``integer_solver``), and every dividend is reduced against them.
+        """
+        solver, kernel = integer_solver(self.columns(d))
+
+        def divide(a):
+            if kernel:
+                raise ZeroDivisorDivisor("divisor is zero or a zero-divisor")
+            particular = solver(self.coords(a))
+            if particular is None:
+                raise NotDivisible("no exact quotient in the ring")
+            return self.from_coords(particular)
+
+        return divide
 
     def module_contains(self, gens, target: PolyElement) -> bool:
         """Whether target lies in the ideal (gens): integer lattice membership."""
@@ -1355,17 +1390,31 @@ def _integer_echelon_transform(rows):
 
 
 def integer_solve(cols, rhs):
-    """(particular, kernel) over Z for sum_j y_j cols_j = rhs, from one echelon
-    run on the columns; particular is None when no integer solution exists.
+    """(particular, kernel) over Z for sum_j y_j cols_j = rhs; particular is
+    None when no integer solution exists.  This is ``integer_solver``
+    applied to rhs."""
+    solver, kernel = integer_solver(cols)
+    return solver(rhs), kernel
+
+
+def integer_solver(cols):
+    """(solver, kernel) over Z for the columns cols: solver(rhs) is the
+    particular y with sum_j y_j cols_j = rhs, or None when no integer
+    solution exists, and kernel spans the y with sum_j y_j cols_j = 0.
+    One echelon run on the columns serves every rhs.
     """
     h, u, nrank = _integer_echelon_transform(cols)
-    t, particular = list(rhs), [0] * len(cols)
-    for r in range(nrank):
-        c = next(j for j, x in enumerate(h[r]) if x)
-        q = t[c] // h[r][c]  # a remainder stays in t[c]: no later row clears it
-        t = [x - q * y for x, y in zip(t, h[r])]
-        particular = [x + q * y for x, y in zip(particular, u[r])]
-    return (None if any(t) else particular), u[nrank:]
+    pivots = [next(j for j, x in enumerate(h[r]) if x) for r in range(nrank)]
+
+    def solver(rhs):
+        t, particular = list(rhs), [0] * len(cols)
+        for r, c in enumerate(pivots):
+            q = t[c] // h[r][c]  # a remainder stays in t[c]: no later row clears it
+            t = [x - q * y for x, y in zip(t, h[r])]
+            particular = [x + q * y for x, y in zip(particular, u[r])]
+        return None if any(t) else particular
+
+    return solver, u[nrank:]
 
 
 # -- JSON wire format ---------------------------------------------------------

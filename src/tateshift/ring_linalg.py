@@ -13,7 +13,8 @@ product of the differences of the roots.
 Elements are RingElements of a FiniteAlgebra or PolyElements of an
 ExactPolyRing (Z itself is ``ExactPolyRing([], [])``).  Both rings answer
 one protocol, which is all this module asks of them: ``zero()``, ``one()``,
-``is_nzd(e)``, ``exact_div(a, d)``, ``module_contains(gens, target)`` and
+``is_nzd(e)``, ``divider(d)`` (exact division by a non-zero-divisor d: the
+routine a -> t with a = d*t), ``module_contains(gens, target)`` and
 ``unit_cofactor(s, d)`` (a unit u with s*u = d, or None) with its
 ``unit_cofactor_scope``, and ``is_zero()`` on the elements.
 """
@@ -127,6 +128,8 @@ def _eliminate(rows, ts):
     Stage s subtracts row s from each later row i and cancels t_i - t_s from
     the result, which divides every column that is a combination of V's; a
     non-zero-divisor factor has one quotient, so the solution set is kept.
+    Each row eliminates its factor once (the ring's ``divider``) and
+    reduces every nonzero entry against that elimination.
     A factor that cannot be cancelled, or a pivot other than 1, raises
     PivotNotCancellable.
     """
@@ -135,12 +138,15 @@ def _eliminate(rows, ts):
         pivot = rows[stage]
         for i in range(stage + 1, n):
             factor = ts[i] - ts[stage]
+            divide = None  # made at the row's first nonzero entry
             new_row = []
             for a, b in zip(rows[i], pivot):
                 entry = a - b
                 if not entry.is_zero():
+                    if divide is None:
+                        divide = factor.parent.divider(factor)
                     try:
-                        entry = factor.parent.exact_div(entry, factor)
+                        entry = divide(entry)
                     except (NotDivisible, ZeroDivisorDivisor) as exc:
                         raise PivotNotCancellable(
                             f"difference of roots {i} and {stage} cannot be "
@@ -364,25 +370,45 @@ def _one_in_ideal(gens) -> bool:
 
 # -- tuples verified in a localization ---------------------------------------------------
 
-def _unit_multiple_witness(d, s_gens, max_len):
+def _replayable(products):
+    """A routine that iterates products from its start on every call: the
+    items already drawn, then new ones drawn on demand and kept, so every
+    caller sees the same sequence and each item is made once."""
+    drawn = []
+
+    def replay():
+        for i in itertools.count():
+            if i == len(drawn):
+                item = next(products, None)
+                if item is None:
+                    return
+                drawn.append(item)
+            yield drawn[i]
+
+    return replay
+
+
+def _unit_multiple_witness(d, products):
     """(word, unit) with d = unit * prod(word), or None.
 
     A witness certifies that d becomes a unit in the localization inverting
-    s_gens.  The word is the first of ``multiset_products`` for which the
-    ring's ``unit_cofactor`` finds a unit.
+    the generators.  The word is the first of ``products()``, the replayed
+    ``multiset_products``, for which the ring's ``unit_cofactor`` finds a
+    unit.
     """
-    for value, word in multiset_products(s_gens, max_len):
+    for value, word in products():
         u = d.parent.unit_cofactor(value, d)
         if u is not None:
             return list(word), u
     return None
 
 
-def _kill_word(t, s_gens, max_len):
-    """A word whose product annihilates t (so t dies in the localization)."""
+def _kill_word(t, products):
+    """The first word of ``products()`` whose product annihilates t (so t
+    dies in the localization), or None."""
     if t.is_zero():
         return []
-    for value, word in multiset_products(s_gens, max_len):
+    for value, word in products():
         if (value * t).is_zero():
             return list(word)
     return None
@@ -395,13 +421,19 @@ def verify_localized_tuple(s_gens, elements, f=None, max_len=12) -> NTuple:
     generators (hence units after localization, hence non-zero-divisors there
     whenever the localization is nonzero); roots of f need only die in the
     localization, i.e. be annihilated by some product.
+
+    The tuple makes one lazy enumeration of ``multiset_products(s_gens,
+    max_len)``.  Every pair and root query replays it from its start and
+    extends it only past the products drawn so far, so each witness is the
+    first match in the enumeration's order and each product is made once.
     """
     elements = list(elements)
     witnesses = {"pairs": {}, "roots": {}, "inverted": s_gens}
+    products = _replayable(multiset_products(s_gens, max_len))
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             d = elements[i] - elements[j]
-            hit = _unit_multiple_witness(d, s_gens, max_len)
+            hit = _unit_multiple_witness(d, products)
             if hit is None:
                 raise NotATuple(
                     f"difference of elements {i} and {j} is not certified "
@@ -412,7 +444,7 @@ def verify_localized_tuple(s_gens, elements, f=None, max_len=12) -> NTuple:
     if f is not None:
         for i, r in enumerate(elements):
             value = poly_eval_elems(list(f), r)
-            word = _kill_word(value, s_gens, max_len)
+            word = _kill_word(value, products)
             if word is None:
                 raise NotATuple(
                     f"f(element {i}) does not die in the localization "

@@ -476,7 +476,10 @@ def eval_at(f: TruncatedSeries, args, polynomial: bool = False) -> RingElement:
     Each argument gets one sparse table of its nonzero powers
     (``_power_table``), which doubles as the nilpotency check: it runs until
     a power vanishes or, short of that, up to index cap + 1, past which the
-    cap cannot cover the argument.  The value is the column fold of
+    cap cannot cover the argument.  Over F_p with monomial relations every
+    p-th power in the table is a Frobenius image, not a product, which is
+    where the unit G of ``certify_root_difference`` saves its products.
+    The value is the column fold of
     ``_fold``: the terms are grouped by their first exponent, and each
     group's rest is folded at the remaining arguments.
     """
@@ -537,12 +540,31 @@ def _combine(terms, table: list, n: int) -> list:
 
 def _power_table(alg, a: RingElement, top: int) -> list:
     """Sparse rows (``FiniteAlgebra.sparse``) of 1, a, a^2, ... up to a^top,
-    cut before the first zero power; each power is one ``multiply``."""
-    table, power = [alg.sparse(alg.one())], a
-    while len(table) <= top and not power.is_zero():
-        table.append(alg.sparse(power))
-        if len(table) <= top:
-            power = power * a
+    cut before the first zero power.
+
+    Where ``alg.frobenius()`` exists (F_p towers with monomial relations)
+    a^k with p | k is the Frobenius image of row k/p, which moves
+    coordinates and takes no product; every other power is one
+    ``multiply`` of the previous power by a.  The map's positions are
+    increasing, so an image row is sorted as ``sparse`` would give it.
+    """
+    step, p = alg.frobenius(), alg.base.n
+    table, power = [alg.sparse(alg.one())], None
+    while len(table) <= top:
+        k = len(table)
+        if step is not None and k % p == 0:
+            row, power = step(table[k // p]), None
+        else:
+            if k == 1:
+                power = a
+            elif power is None:  # the last row was a Frobenius image
+                power = alg.from_sparse(table[-1]) * a
+            else:
+                power = power * a
+            row = alg.sparse(power)
+        if not row:
+            break
+        table.append(row)
     return table
 
 

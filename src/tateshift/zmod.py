@@ -177,23 +177,37 @@ def solve_coset(mat: list[list[int]], rhs: list[int], n: int):
     """(x0, kernel): the solutions of mat @ x = rhs mod n are x0 + span(kernel).
 
     x0 is one solution, or None if there is none; kernel is the Howell row
-    basis of {x : mat @ x = 0}.  One elimination of [mat^T | I] serves both:
-    rhs is reduced against the rows whose left part has a pivot, whose right
-    parts record the combination taken, and the right parts of the rows whose
+    basis of {x : mat @ x = 0}.  This is ``coset_solver`` applied to rhs.
+    """
+    solver, kernel = coset_solver(mat, n)
+    return solver(rhs), kernel
+
+
+def coset_solver(mat: list[list[int]], n: int):
+    """(solver, kernel) for mat over Z/n: solver(rhs) is one solution x0 of
+    mat @ x = rhs mod n, or None if there is none, and kernel is the Howell
+    row basis of {x : mat @ x = 0}.
+
+    One elimination of [mat^T | I] serves every rhs and the kernel: rhs is
+    reduced against the rows whose left part has a pivot, whose right parts
+    record the combination taken, and the right parts of the rows whose
     left part is zero span the kernel.
     """
     ncols = len(mat[0]) if mat else 0
     if not ncols:
-        return (None if any(v % n for v in rhs) else []), []
+        return (lambda rhs: None if any(v % n for v in rhs) else []), []
     m = len(mat)
     work = [[x % n for x in col] + [int(i == j) for j in range(ncols)]
             for i, col in enumerate(zip(*mat))]
     pivots = _echelon(work, n, m)
-    vec = [v % n for v in rhs] + [0] * ncols
-    _reduce(work, pivots, vec, n)
-    x0 = None if any(vec[:m]) else [-x % n for x in vec[m:]]
+
+    def solver(rhs):
+        vec = [v % n for v in rhs] + [0] * ncols
+        _reduce(work, pivots, vec, n)
+        return None if any(vec[:m]) else [-x % n for x in vec[m:]]
+
     kernel = _canonical([row[m:] for row in work[len(pivots):]], n, ncols)
-    return x0, kernel.rows
+    return solver, kernel.rows
 
 
 def right_kernel(mat: list[list[int]], n: int) -> list[list[int]]:

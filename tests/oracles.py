@@ -25,6 +25,7 @@ from tateshift.ring_core import (
     graded_lex_key,
     ideal_module_rows,
     identity_rows,
+    multiset_products,
 )
 from tateshift.ring_linalg import poly_eval_elems
 from tateshift.series import (
@@ -218,6 +219,18 @@ def dense_power_table(alg, a, top: int) -> list:
     return table
 
 
+def multiply_power_table(alg, a, top: int) -> list:
+    """The sparse table ``series._power_table`` builds, each power one
+    ``multiply``: rows of 1, a, a^2, ... up to a^top, cut before the first
+    zero power."""
+    table, power = [alg.sparse(alg.one())], a
+    while len(table) <= top and not power.is_zero():
+        table.append(alg.sparse(power))
+        if len(table) <= top:
+            power = power * a
+    return table
+
+
 def eval_by_groups(f, tables):
     """f at the elements whose ``dense_power_table``s with top f.cap + 1
     are given, one per variable, with the cap's coverage checked.
@@ -343,6 +356,29 @@ def lockstep_word(gens, limit: int, step=None):
             return [zero[0]] * m
         powers = {i: x * gens[i] for i, x in powers.items()}
     return None
+
+
+# -- localized tuples ------------------------------------------------------------
+# The witness search ``ring_linalg.verify_localized_tuple`` replaced: a fresh
+# ``multiset_products`` enumeration for every pair and every root.
+
+
+def localized_witnesses_by_query(s_gens, elements, f, max_len: int) -> dict:
+    """The pair and root witnesses of the localized tuple, each the first
+    match of its own enumeration, or None where one is missing."""
+    pairs, roots = {}, {}
+    for i, j in itertools.combinations(range(len(elements)), 2):
+        d = elements[i] - elements[j]
+        pairs[(i, j)] = next(
+            ({"word": list(word), "unit": u}
+             for value, word in multiset_products(s_gens, max_len)
+             if (u := d.parent.unit_cofactor(value, d)) is not None), None)
+    for i, r in enumerate(elements if f is not None else []):
+        value = poly_eval_elems(list(f), r)
+        roots[i] = {"word": [] if value.is_zero() else next(
+            (list(word) for prod, word in multiset_products(s_gens, max_len)
+             if (prod * value).is_zero()), None)}
+    return {"pairs": pairs, "roots": roots}
 
 
 # -- group-ring searches -------------------------------------------------------

@@ -8,7 +8,8 @@ check by five substitutions, the reversion that fixes one degree per full
 substitution, the Honda law composed as e(S) over Z/p^(V+1), and the Honda
 law composed over Q and reduced mod p.  The evaluation that checks
 nilpotency with ``nilpotency_index`` and multiplies each term out is
-``oracles.old_eval_at``.
+``oracles.old_eval_at``, and the power table that takes every power by one
+``multiply`` is ``oracles.multiply_power_table``.
 """
 
 import functools
@@ -31,6 +32,7 @@ from tateshift.series import (
     NonzeroConstantTerm,
     TruncatedSeries,
     ZModDomain,
+    _power_table,
     eval_at,
     inverse,
     reversion,
@@ -38,7 +40,7 @@ from tateshift.series import (
 )
 from tateshift import zmod
 
-from oracles import old_eval_at
+from oracles import multiply_power_table, old_eval_at
 
 VARS = ("x", "y", "z")
 
@@ -400,6 +402,29 @@ def test_eval_at_matches_term_by_term_evaluation(rng):
         assert str(got.value) == str(exc)
     else:
         assert eval_at(f, args, polynomial) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(RANDOMS)
+def test_power_table_matches_multiply_table(rng):
+    # F_p towers x_k^(d_k), where every p-th power is a Frobenius image, and
+    # Z/p^K local towers, where frobenius() is None and each power a product
+    p = rng.choice((2, 3, 5))
+    K = rng.choice((1, 1, 2))
+    n = p**K
+    relations = []
+    for _ in range(rng.choice((1, 1, 2))):
+        d = rng.randint(1, 12 if p == 2 else 7)
+        relations.append([p * rng.randrange(p) % n for _ in range(d)] + [1])
+    names = [f"t{k}" for k in range(len(relations))]
+    alg = FiniteAlgebra.from_presentation(BaseModulus(n), names, relations)
+    assert (alg.frobenius() is not None) == (K == 1)
+    coords = [rng.randrange(n) for _ in range(alg.rank)]
+    if rng.random() < 0.8:
+        coords[0] = 0  # nilpotent: the table is cut at a zero power
+    a = alg.from_coords(coords)
+    top = rng.choice((0, 1, 2, rng.randint(0, 40)))
+    assert _power_table(alg, a, top) == multiply_power_table(alg, a, top)
 
 
 def test_eval_at_error_messages_pinned():

@@ -221,7 +221,9 @@ def test_factor_identity_check_matches_full_scan(mutation, n, relations, data):
                                   max_size=2, unique=True))
         index, codes = reducer._index_of_code, alg._right
         index[codes[i]], index[codes[j]] = j, i
-    reducer._folds.clear()  # the full scan reads the mutated reducer afresh
+    # the full scan reads the mutated reducer afresh
+    reducer._folds.clear()
+    reducer._code_rows.clear()
     assert factor_check_passes(alg) is identity_by_full_scan(alg) is (
         mutation is None)
 

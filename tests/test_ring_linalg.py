@@ -38,6 +38,8 @@ from oracles import (
     _det_cofactor,
     det_division_free,
     gcd_one_in_ideal,
+    localized_witnesses_by_query,
+    small_ring,
     vandermonde_det,
 )
 
@@ -417,6 +419,24 @@ def test_localized_tuple_ku_p5_witnesses_replay():
             value = value * roots[i] + c
         assert witness["word"] and (product(witness["word"]) * value).is_zero()
     assert vanishing_condition(f, tup).verdict == VanishingVerdict.MUST_BE_ZERO
+    assert witnesses_of(tup) == localized_witnesses_by_query(gens, roots, f, 4)
+
+
+def witnesses_of(tup):
+    return {key: tup.witnesses[key] for key in ("pairs", "roots")}
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_localized_tuple_witnesses_match_per_query_search(p, n):
+    # the Morava tuple: under the height-n Honda law on Z/p the classes of
+    # Z/p are a tuple of f(y) = y once the nonzero classes are inverted;
+    # one replayed enumeration finds each query's first match
+    alg_ring = small_ring("honda", p, n, (1,))
+    classes = [alg_ring.euler_class((w,)).value for w in range(p)]
+    f = [alg_ring.algebra.zero(), alg_ring.algebra.one()]
+    tup = verify_localized_tuple(classes[1:], classes, f, max_len=p**n)
+    assert witnesses_of(tup) == localized_witnesses_by_query(
+        classes[1:], classes, f, p**n)
 
 
 def test_localized_tuple_names_structured_units_only():
@@ -439,6 +459,13 @@ def test_localized_tuple_over_non_local_ring():
     tup = verify_localized_tuple([alg.from_int(2)], [alg.from_int(4), alg.zero()],
                                  max_len=1)
     assert tup.witnesses["pairs"] == {(0, 1): {"word": [0], "unit": alg.from_int(5)}}
+    # with 2 as well, 3 f(y) = 3 + 3 y^2 is 3 at each root and dies by 2;
+    # each pair's first unit multiple is of 2, not of 4 = 2 * 2
+    x = alg.gen(0)
+    gens, roots = [alg.from_int(2), 2 * x], [alg.from_int(4), alg.zero(), alg.from_int(2)]
+    f = [alg.from_int(3), alg.zero(), alg.from_int(3)]
+    tup = verify_localized_tuple(gens, roots, f, max_len=3)
+    assert witnesses_of(tup) == localized_witnesses_by_query(gens, roots, f, 3)
 
 
 def test_localized_tuple_needs_positive_max_len():
