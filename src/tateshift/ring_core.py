@@ -304,6 +304,9 @@ class RingElement:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
+    def __bool__(self) -> bool:
+        return any(self.coords)
+
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
@@ -1098,8 +1101,11 @@ def multiset_products(gens, max_len: int):
     suffice).  A value equal to one yielded before is dropped and not
     extended, which fixes the order and keeps the search deterministic.
     Each generator is asked once for its ``multiplier()``, the map
-    v -> v * g_i, which makes every product of the search.  A max_len
-    below 1 raises ValueError on the first ``next``.
+    v -> v * g_i, which makes every product of the search.  The values are
+    what those maps return, ring elements or, in the group-ring search,
+    plain ints that ``seen`` hashes and compares natively; every kind is 0
+    exactly when it is false.  A max_len below 1 raises ValueError on the
+    first ``next``.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -1130,13 +1136,15 @@ def zero_product_certificate(s_gens, max_len: int, budget: int | None = None):
     """A multiset of generators whose product is 0, or CertificateNotFound.
 
     The first zero among ``multiset_products``: the shortest certificate,
-    found breadth-first.  ``budget`` caps the number of products examined;
-    when it runs out the result records it.
+    found breadth-first.  A value is 0 exactly when it is false, as for
+    ``RingElement``, ``PolyElement`` and the packed ints of the group-ring
+    search, so one test serves every kind of value.  ``budget`` caps the
+    number of products examined; when it runs out the result records it.
     """
     for examined, (value, word) in enumerate(multiset_products(list(s_gens), max_len)):
         if examined == budget:
             return CertificateNotFound(max_len, budget)
-        if value.is_zero():
+        if not value:
             return list(word)
     return CertificateNotFound(max_len)
 
@@ -1197,6 +1205,9 @@ class PolyElement:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __eq__(self, other):
         return (

@@ -116,9 +116,9 @@ def inverted_element_set(group: AbelianPGroup, sub: SubgroupSpec):
 # examine at most 2,524 products.  The README headline and Honda n=2
 # A=(Z/4)^2 are decided by the bound and search nothing.  The
 # multiplicative law searches in the group basis of (Z/p^K)[A], each value
-# packed into one int (``_GroupRingElement``) by the builder exact mode
-# calls with the modulus 2^(L+2); the products examined, and so the
-# budget's reach, are the same as in the ring's basis.
+# a plain int packing the element (see ``_GroupRingGenerator``), built by
+# the builder exact mode calls with the modulus 2^(L+2); the products
+# examined, and so the budget's reach, are the same as in the ring's basis.
 CERT_SEARCH_BUDGET = 8192
 
 
@@ -331,44 +331,25 @@ def multiplicative_euler_class_exact(ring: ExactPolyRing, w):
     return acc - ring.one()
 
 
-class _GroupRingElement:
-    """An element of (Z/N)[A] packed into one int, ``code``: the coefficient
-    of t^v, reduced into [0, N), fills slot v, the slots of one fixed width
-    laid out in group.elements() order.  Equality and the hash are the
-    int's, and the element is 0 exactly when ``code`` is.
+class _GroupRingGenerator(int):
+    """t^w - 1 in (Z/N)[A], an int whose value is the element packed: the
+    coefficient of t^v, reduced into [0, N), fills slot v, the slots of one
+    fixed width laid out in group.elements() order.  Every value of the
+    search is such a plain int, so equality and the hash are the int's, and
+    a value is 0 exactly when it is false.  The generator also carries what
+    multiplies by it: the slot ``width`` W, with N <= 2^(W-1), ``ones`` (a 1
+    in every slot), and ``axes``, one (up, hi, down, lo) per k with
+    w_k != 0.  For the slots v of hi (v_k >= w_k) slot v - w_k e_k lies
+    ``up`` bits lower, and for those of lo (v_k < w_k) it lies ``down`` bits
+    higher, so ``((y << up) & hi) | ((y >> down) & lo)`` moves every slot v
+    of y to v + w_k e_k.
     """
 
-    __slots__ = ("code",)
-
-    def __init__(self, code: int):
-        self.code = code
-
-    def __eq__(self, other):
-        return isinstance(other, _GroupRingElement) and self.code == other.code
-
-    def __hash__(self):
-        return hash(self.code)
-
-    def is_zero(self) -> bool:
-        return not self.code
-
-
-class _GroupRingGenerator(_GroupRingElement):
-    """t^w - 1 in (Z/N)[A] with what multiplies by it: the slot ``width``
-    W, with N <= 2^(W-1), ``ones`` (a 1 in every slot), and ``axes``, one
-    (up, hi, down, lo) per k with w_k != 0.  For the slots v of hi
-    (v_k >= w_k) slot v - w_k e_k lies ``up`` bits lower, and for those of
-    lo (v_k < w_k) it lies ``down`` bits higher, so
-    ``((y << up) & hi) | ((y >> down) & lo)`` moves every slot v of y to
-    v + w_k e_k.
-    """
-
-    __slots__ = ("axes", "modulus", "width", "ones")
-
-    def __init__(self, code: int, axes: tuple, modulus: int, width: int,
-                 ones: int):
-        super().__init__(code)
+    def __new__(cls, code: int, axes: tuple, modulus: int, width: int,
+                ones: int):
+        self = super().__new__(cls, code)
         self.axes, self.modulus, self.width, self.ones = axes, modulus, width, ones
+        return self
 
     def multiplier(self):
         """y -> y * (t^w - 1), slot v becoming y_(v-w) - y_v mod N.
@@ -383,12 +364,12 @@ class _GroupRingGenerator(_GroupRingElement):
         offset, high = n * self.ones, self.ones << shift
         bias = high - offset
 
-        def times(v):
-            x = y = v.code
+        def times(x):
+            y = x
             for up, hi, down, lo in axes:
                 y = ((y << up) & hi) | ((y >> down) & lo)
             d = y + offset - x
-            return _GroupRingElement(d - (((d + bias) & high) >> shift) * n)
+            return d - (((d + bias) & high) >> shift) * n
 
         return times
 
@@ -443,19 +424,19 @@ def tate_ring_exact(p: int, exponents, sub_exponents,
     product of all inverted classes is 0, and the zero-product search runs
     up to ``max_cert_len``.  An exhausted search is INCONCLUSIVE, never
     NONZERO, and records ``search_budget`` when ``EXACT_SEARCH_BUDGET`` ran
-    out.  The search runs in the group-element basis, packed as in
-    ``_GroupRingGenerator``, mod N = 2^(L+2) with
-    L = min(max_cert_len, len(inverted)).  A class has L1 norm 2, so a
-    product of l classes has L1 norm at most 2^l, and every coefficient and
-    every difference of two values of length at most L lies strictly inside
-    (-N/2, N/2): zero tests and dedup equalities agree with Z's.  No value
-    is longer than L.  The search stops at ``max_cert_len``, and the
-    deduplicated breadth-first search meets a zero at the least size of a
-    zero multiset, so it stops by len(inverted) too.  The change of basis
-    is unimodular over Z, so the word found is the one the monomial basis
-    gives; the certificate is replayed there.  The same builder, given the
-    modulus p^K, serves the finite search of ``tate_ring`` over the
-    multiplicative law.
+    out.  The search runs in the group-element basis, each value a plain
+    int packed as in ``_GroupRingGenerator``, mod N = 2^(L+2) with
+    L = min(max_cert_len, len(inverted)); a value is 0 exactly when the int
+    is.  A class has L1 norm 2, so a product of l classes has L1 norm at
+    most 2^l, and every coefficient and every difference of two values of
+    length at most L lies strictly inside (-N/2, N/2): zero tests and dedup
+    equalities agree with Z's.  No value is longer than L.  The search stops
+    at ``max_cert_len``, and the deduplicated breadth-first search meets a
+    zero at the least size of a zero multiset, so it stops by len(inverted)
+    too.  The change of basis is unimodular over Z, so the word found is
+    the one the monomial basis gives; the certificate is replayed there.
+    The same builder, given the modulus p^K, serves the finite search of
+    ``tate_ring`` over the multiplicative law.
     """
     if max_cert_len < 1:
         raise ValueError("max_cert_len must be >= 1")

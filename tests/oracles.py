@@ -382,8 +382,9 @@ def localized_witnesses_by_query(s_gens, elements, f, max_len: int) -> dict:
 
 
 # -- group-ring searches -------------------------------------------------------
-# The tuple form that ``tate_blueshift._GroupRingElement`` replaced: one
-# coefficient per group element, a product one shifted difference over them.
+# The tuple form that the packed ints of ``tate_blueshift._GroupRingGenerator``
+# replaced: one coefficient per group element, a product one shifted
+# difference over them.
 
 
 class GroupRingTuple:
@@ -430,6 +431,9 @@ class GroupRingTuple:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
 
 def group_ring_tuple_classes(group, inverted, modulus: int | None = None):
     """t^w - 1 for each w in inverted as ``GroupRingTuple``s, over Z or
@@ -452,11 +456,11 @@ def group_ring_tuple_classes(group, inverted, modulus: int | None = None):
 
 def group_ring_coeffs(value, gen, size: int, balanced: bool = False) -> list:
     """The coefficients on t^v, v in group.elements() order (size of them),
-    of a packed search value whose generators include gen: residues in
-    [0, N), or lifted into [-N/2, N/2) when balanced."""
+    of a packed search value, a plain int, whose generators include gen:
+    residues in [0, N), or lifted into [-N/2, N/2) when balanced."""
     width, n = gen.width, gen.modulus
     mask = (1 << width) - 1
-    slots = [(value.code >> (width * i)) & mask for i in range(size)]
+    slots = [(value >> (width * i)) & mask for i in range(size)]
     return [(c + n // 2) % n - n // 2 for c in slots] if balanced else slots
 
 

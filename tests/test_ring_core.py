@@ -509,3 +509,26 @@ def test_nilpotency_index_with_bound_matches_square_then_scan(case):
     for bound in (None, 0, 1, *((index - 1, index) if index else (100,))):
         expected = index if index is not None and (bound is None or index <= bound) else None
         assert alg.nilpotency_index(e, bound) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), exact_ring_elements())
+def test_truth_value_is_not_is_zero(rnd, case):
+    # zero_product_certificate reads a value's truth value as "nonzero":
+    # it must negate is_zero for RingElement over towers over Z/N,
+    # composite N included (coordinates of N, products of zero divisors),
+    # and for PolyElement over ExactPolyRing
+    n = rnd.choice(NILPOTENCY_MODULI)
+    degrees = rnd.choice([[1], [2], [3], [1, 2], [2, 2]])
+    alg = FiniteAlgebra.from_presentation(
+        BaseModulus(n), [f"x{k}" for k in range(len(degrees))],
+        [[rnd.randrange(n) for _ in range(d)] + [1] for d in degrees])
+    drawn = [alg.from_coords([rnd.choice([0, 0, n, rnd.randrange(n)])
+                              for _ in range(alg.rank)]) for _ in range(3)]
+    ring, polys = case
+    for e in (alg.zero(), alg.one(), *drawn, drawn[0] * drawn[1],
+              alg.from_int(n // min(sympy.primefactors(n))) * alg.from_int(
+                  min(sympy.primefactors(n))),
+              ring.zero(), ring.one(), *polys, polys[0] - polys[0],
+              polys[1] * polys[2]):
+        assert bool(e) == (not e.is_zero())

@@ -652,7 +652,7 @@ def test_group_basis_search_matches_exact_poly_search(case):
         if modulus is not None:
             image = [c % modulus for c in image]
         assert image == coords(expected)
-        assert value.is_zero() == expected.is_zero()
+        assert (not value) == expected.is_zero()
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -717,7 +717,7 @@ def test_packed_search_matches_tuple_oracle(case):
         group_ring_tuple_classes(group, inverted, modulus), max_len), 2000))
     assert [word for _, word in fast] == [word for _, word in slow]
     for (value, _), (expected, _) in zip(fast, slow):
-        assert value.is_zero() == expected.is_zero()
+        assert (not value) == expected.is_zero()
         assert (group_ring_coeffs(value, gens[0], group.order, K is None)
                 == list(expected.coeffs))
 
@@ -740,6 +740,23 @@ def test_order_two_powers_meet_the_norm_bound():
             assert coeffs == list(expected.coeffs)
             assert sum(map(abs, coeffs)) == 2**length
             assert coeffs[0] == -((-2) ** (length - 1))
+
+
+@pytest.mark.parametrize("p, A, C, modulus", [
+    (5, (1, 1), (1, 1), 2**8), (3, (1, 1, 1), (1, 1, 0), 2**6),
+    (2, (2, 1), (1, 1), 4),
+])
+def test_group_ring_search_values_are_plain_ints(p, A, C, modulus):
+    # the search holds bare ints: the generators are ints (carrying their
+    # multipliers) and every product after them is exactly an int
+    group = AbelianPGroup(p, A)
+    inverted = inverted_element_set(group, SubgroupSpec(C))
+    gens = tate_blueshift._group_ring_euler_classes(group, inverted, modulus)
+    values = [value for value, _ in itertools.islice(multiset_products(gens, 4), 3000)]
+    assert len(values) > len(gens)
+    assert all(value is g for value, g in zip(values, gens))
+    assert all(isinstance(g, int) for g in gens)
+    assert all(type(value) is int for value in values[len(gens):])
 
 
 @pytest.mark.parametrize("params, word", [
