@@ -175,14 +175,21 @@ def _law_kind(params: dict) -> str:
         "fgl", "multiplicative" if params.get("exact") else "honda")
 
 
-def _decode(decode, *args):
+def _decode(where, decode, *args):
     """decode(*args) on a ring or elements the job gave: data that does not
     decode (a missing key, a non-integer, a non-monic relation, a vector of
-    the wrong length) is the job's fault."""
+    the wrong length) is the job's fault, reported at ``where``."""
     try:
         return decode(*args)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(str(exc)) from exc
+    except KeyError as exc:
+        raise ValidationError(f"{where}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _decode_items(field, decode, values):
+    return [_decode(f"field {field!r} item {k}", decode, v)
+            for k, v in enumerate(values)]
 
 
 # -- command runners -----------------------------------------------------------------
@@ -305,23 +312,23 @@ def run_roots(params: dict) -> dict:
             ring_core.BaseModulus(params["modulus"])
         )
     else:
-        alg = _decode(ring_core.algebra_from_json, params["ring"])
+        alg = _decode("field 'ring'", ring_core.algebra_from_json, params["ring"])
 
-    def parse_elems(values):
-        return [alg.from_int(int(v)) if isinstance(v, (int, str))
-                else ring_core.element_from_json(alg, v) for v in values]
+    def parse_elem(v):
+        return (ring_core.element_from_json(alg, v) if isinstance(v, list)
+                else alg.from_int(ring_core.int_from_json(v)))
 
-    f_coeffs = _decode(parse_elems, params["f"])
-    elements = _decode(parse_elems, params["tuple"])
-    ok, pair = ring_linalg.is_ntuple(elements, f_coeffs)
-    if not ok:
-        i, j = pair
+    f_coeffs = _decode_items("f", parse_elem, params["f"])
+    elements = _decode_items("tuple", parse_elem, params["tuple"])
+    try:
+        tup = ring_linalg.verify_tuple(elements, f_coeffs)
+    except ring_linalg.NotATuple as exc:
+        i, j = exc.pair
         reason = (
             f"element {i} is not a root" if i == j
             else f"difference of elements {i} and {j} is a zero divisor"
         )
         return {"tuple_valid": False, "offending_pair": [i, j], "reason": reason}
-    tup = ring_linalg.NTuple(elements, f_coeffs=f_coeffs)
     result = ring_linalg.roots_to_coeffs(f_coeffs, tup)
     report = {
         "tuple_valid": True,
@@ -399,14 +406,14 @@ def run_vanish_cert(params: dict) -> dict:
     _last_law.clear()
     ring_data = params["ring"]
     if ring_data.get("type") == "exact":
-        ring = _decode(ring_core.exact_ring_from_json, ring_data)
-        gens = _decode(lambda: [ring_core.poly_element_from_json(ring, g)
-                                for g in params["gens"]])
+        ring = _decode("field 'ring'", ring_core.exact_ring_from_json, ring_data)
+        gens = _decode_items("gens", lambda g: ring_core.poly_element_from_json(ring, g),
+                             params["gens"])
         budget = tate_blueshift.EXACT_SEARCH_BUDGET
     else:
-        alg = _decode(ring_core.algebra_from_json, ring_data)
-        gens = _decode(lambda: [ring_core.element_from_json(alg, g)
-                                for g in params["gens"]])
+        alg = _decode("field 'ring'", ring_core.algebra_from_json, ring_data)
+        gens = _decode_items("gens", lambda g: ring_core.element_from_json(alg, g),
+                             params["gens"])
         budget = tate_blueshift.CERT_SEARCH_BUDGET
     cert = ring_core.zero_product_certificate(gens, params["max_len"], budget=budget)
     if isinstance(cert, ring_core.CertificateNotFound):

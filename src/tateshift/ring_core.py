@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from collections import defaultdict
 
 from . import zmod
@@ -601,13 +602,10 @@ class FiniteAlgebra:
 
     # -- the ring protocol ExactPolyRing shares ----------------------------
 
-    def is_nzd(self, e: RingElement) -> bool:
-        """Non-zero-divisor test: trivial annihilator (and e != 0 in a nonzero ring)."""
-        return not e.is_zero() and not annihilator(e)
-
     def divider(self, d: RingElement):
         """Exact division by d: the routine a -> the unique t with a = d*t,
-        which raises ZeroDivisorDivisor unless d is a non-zero-divisor.
+        which raises ZeroDivisorDivisor unless d is a non-zero-divisor; its
+        ``nzd`` says whether d is one (the elimination's kernel is empty).
 
         Multiplication by d is eliminated once (``zmod.coset_solver``), and
         every dividend is reduced against that elimination.
@@ -626,6 +624,7 @@ class FiniteAlgebra:
                 raise NotDivisible(f"{a!r} is not divisible by {d!r}")
             return RingElement._reduced(self, x)
 
+        divide.nzd = not kernel
         return divide
 
     def module_contains(self, gens, target: RingElement) -> bool:
@@ -1295,16 +1294,13 @@ class ExactPolyRing:
         cols = [col for g in gens for col in self.columns(g)]
         return integer_solve(cols, self.coords(target))
 
-    def is_nzd(self, e: PolyElement) -> bool:
-        """Non-zero-divisor over Z: e * y = 0 has only the solution y = 0."""
-        return not self._solve([e], self.zero())[1]
-
     def is_unit(self, e: PolyElement) -> bool:
         return self._solve([e], self.one())[0] is not None
 
     def divider(self, d: PolyElement):
         """Exact division by d: the routine a -> the unique t with a = d*t,
-        which raises ZeroDivisorDivisor unless d is a non-zero-divisor.
+        which raises ZeroDivisorDivisor unless d is a non-zero-divisor; its
+        ``nzd`` says whether d is one (d * y = 0 only for y = 0).
 
         The columns of d are brought to echelon form once
         (``integer_solver``), and every dividend is reduced against them.
@@ -1319,6 +1315,7 @@ class ExactPolyRing:
                 raise NotDivisible("no exact quotient in the ring")
             return self.from_coords(particular)
 
+        divide.nzd = not kernel
         return divide
 
     def module_contains(self, gens, target: PolyElement) -> bool:
@@ -1447,11 +1444,42 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
     }
 
 
+def int_from_json(value) -> int:
+    """An integer given as a JSON int or a decimal string; anything else, a
+    bool included, raises ValueError."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"expected an integer or a decimal string, got {_shown(value)}")
+
+
+def ints_from_json(values, length=None) -> list[int]:
+    """A JSON list of ``int_from_json`` integers, of ``length`` if given."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        size = "" if length is None else f" of length {length}"
+        raise ValueError(f"expected a list of integers{size}, got {_shown(values)}")
+    return [int_from_json(v) for v in values]
+
+
+def _shown(value) -> str:
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _presentation_from_json(data: dict):
+    """(vars, relations) of a ring: a list of names, a list of integer lists."""
+    variables, relations = data["vars"], data["relations"]
+    if not (isinstance(variables, list) and isinstance(relations, list)
+            and all(isinstance(v, str) for v in variables)):
+        raise ValueError("expected 'vars' to be a list of names and 'relations' a list")
+    return list(variables), [ints_from_json(rel) for rel in relations]
+
+
 def algebra_from_json(data: dict) -> FiniteAlgebra:
-    base = BaseModulus(int(data["base"]))
-    variables = list(data["vars"])
-    relations = [[int(c) for c in rel] for rel in data["relations"]]
-    return FiniteAlgebra.from_presentation(base, variables, relations)
+    base = BaseModulus(int_from_json(data["base"]))
+    return FiniteAlgebra.from_presentation(base, *_presentation_from_json(data))
 
 
 def element_to_json(e: RingElement) -> list:
@@ -1459,13 +1487,11 @@ def element_to_json(e: RingElement) -> list:
 
 
 def element_from_json(alg: FiniteAlgebra, coords) -> RingElement:
-    return RingElement(alg, [int(c) for c in coords])
+    return RingElement(alg, ints_from_json(coords, alg.rank))
 
 
 def exact_ring_from_json(data: dict) -> ExactPolyRing:
-    return ExactPolyRing(
-        list(data["vars"]), [[int(c) for c in rel] for rel in data["relations"]]
-    )
+    return ExactPolyRing(*_presentation_from_json(data))
 
 
 def poly_element_to_json(e: PolyElement) -> list:
@@ -1473,4 +1499,4 @@ def poly_element_to_json(e: PolyElement) -> list:
 
 
 def poly_element_from_json(ring: ExactPolyRing, coords) -> PolyElement:
-    return ring.from_coords([int(c) for c in coords])
+    return ring.from_coords(ints_from_json(coords, ring.rank))

@@ -8,15 +8,17 @@ polynomial with "too many" roots forces the ring to vanish.
 
 The Vandermonde system is solved one way: row reduction that cancels each
 non-zero-divisor difference of roots, ending in unit pivots.  det V is the
-product of the differences of the roots.
+product of the differences of the roots.  Each difference's one divider
+serves both the tuple check and the reduction.
 
 Elements are RingElements of a FiniteAlgebra or PolyElements of an
 ExactPolyRing (Z itself is ``ExactPolyRing([], [])``).  Both rings answer
 one protocol, which is all this module asks of them: ``zero()``, ``one()``,
-``is_nzd(e)``, ``divider(d)`` (exact division by a non-zero-divisor d: the
-routine a -> t with a = d*t), ``module_contains(gens, target)`` and
-``unit_cofactor(s, d)`` (a unit u with s*u = d, or None) with its
-``unit_cofactor_scope``, and ``is_zero()`` on the elements.
+``divider(d)`` (exact division by d: the routine a -> t with a = d*t,
+whose ``nzd`` says whether d is a non-zero-divisor),
+``module_contains(gens, target)`` and ``unit_cofactor(s, d)`` (a unit u
+with s*u = d, or None) with its ``unit_cofactor_scope``, and ``is_zero()``
+on the elements.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ class DivisibilityFailure(LinalgError):
 
 
 class NotATuple(LinalgError):
-    pass
+    def __init__(self, message, pair=None):
+        super().__init__(message)
+        self.pair = pair  # the failing (i, j) of verify_tuple, (i, i): a non-root
 
 
 def poly_eval_elems(coeffs, x):
@@ -64,47 +68,65 @@ class NTuple:
     mode "localized": each difference is certified to become a unit after
     inverting the recorded multiplicative set; conclusions are conditional on
     that localization being the ring under discussion.
+    ``verify_tuple`` keeps the ``dividers`` of ``_dividers`` and the f the
+    elements were checked to be roots of; a tuple built by hand has neither.
     """
 
-    __slots__ = ("elements", "mode", "witnesses", "f_coeffs")
+    __slots__ = ("elements", "mode", "witnesses", "f_coeffs", "dividers")
 
-    def __init__(self, elements, mode="concrete", witnesses=None, f_coeffs=None):
+    def __init__(self, elements, mode="concrete", witnesses=None, f_coeffs=None,
+                 dividers=None):
         self.elements = list(elements)
         self.mode = mode
         self.witnesses = witnesses or {}
         self.f_coeffs = f_coeffs
+        self.dividers = dividers
 
     def __len__(self):
         return len(self.elements)
 
 
-def is_ntuple(elements, f=None):
-    """(ok, offending_pair): pairwise differences non-zero-divisors, roots of f.
-
-    ``f`` is an optional coefficient list a_0..a_m over the same ring; when
-    given, every element must be a root.
-    """
-    elements = list(elements)
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            d = elements[i] - elements[j]
-            if not d.parent.is_nzd(d):
-                return False, (i, j)
-    if f is not None:
-        for i, r in enumerate(elements):
-            if not poly_eval_elems(f, r).is_zero():
-                return False, (i, i)
-    return True, None
+def _dividers(ts):
+    """((i, j), divider of t_j - t_i) for i < j: (0, 1), (0, 2), ..., (1, 2), ..."""
+    for i, j in itertools.combinations(range(len(ts)), 2):
+        yield (i, j), ts[j].parent.divider(ts[j] - ts[i])
 
 
 def verify_tuple(elements, f=None) -> NTuple:
-    ok, pair = is_ntuple(elements, f)
-    if not ok:
-        i, j = pair
-        if i == j:
-            raise NotATuple(f"element {i} is not a root of f")
-        raise NotATuple(f"difference of elements {i} and {j} is a zero divisor")
-    return NTuple(elements, f_coeffs=f)
+    """The tuple, checked: pairwise differences non-zero-divisors and, for a
+    coefficient list ``f`` a_0..a_m, every element a root.  The first
+    failure raises NotATuple."""
+    tup = NTuple(elements, dividers={})
+    for (i, j), divide in _dividers(tup.elements):
+        if not divide.nzd:
+            message = f"difference of elements {i} and {j} is a zero divisor"
+            raise NotATuple(message, (i, j))
+        tup.dividers[i, j] = divide
+    if f is not None:
+        f = list(f)
+        _check_roots(f, tup)  # f_coeffs unset: every root is evaluated
+        tup.f_coeffs = f
+    return tup
+
+
+def is_ntuple(elements, f=None):
+    """(ok, offending_pair) of ``verify_tuple``."""
+    try:
+        verify_tuple(elements, f)
+    except NotATuple as exc:
+        return False, exc.pair
+    return True, None
+
+
+def _check_roots(f_coeffs, ntuple):
+    """NotATuple unless each element of a concrete tuple is a root of f,
+    evaluated unless ``verify_tuple`` checked them against this f."""
+    if ntuple.mode != "concrete" or (
+            ntuple.dividers is not None and ntuple.f_coeffs == f_coeffs):
+        return
+    for i, r in enumerate(ntuple.elements):
+        if not poly_eval_elems(f_coeffs, r).is_zero():
+            raise NotATuple(f"element {i} is not a root of f", (i, i))
 
 
 # -- elimination with non-zero-divisor cancellation ----------------------------------
@@ -121,30 +143,28 @@ def vandermonde_matrix(ts):
     return rows
 
 
-def _eliminate(rows, ts):
-    """Reduce rows, whose first len(ts) columns are the Vandermonde matrix
-    of ts, to unit pivots in place, yielding after each stage.
+def _eliminate(rows, ntuple):
+    """Reduce rows, whose first len(ntuple) columns are the Vandermonde
+    matrix of the tuple, to unit pivots in place, yielding after each stage.
 
     Stage s subtracts row s from each later row i and cancels t_i - t_s from
     the result, which divides every column that is a combination of V's; a
     non-zero-divisor factor has one quotient, so the solution set is kept.
-    Each row eliminates its factor once (the ring's ``divider``) and
-    reduces every nonzero entry against that elimination.
+    Every nonzero entry is reduced against the factor's one divider: the
+    tuple's, or one of ``_dividers`` for a tuple built by hand.
     A factor that cannot be cancelled, or a pivot other than 1, raises
     PivotNotCancellable.
     """
-    n = len(ts)
+    n = len(ntuple)
+    dividers = ntuple.dividers or dict(_dividers(ntuple.elements))
     for stage in range(n - 1):
         pivot = rows[stage]
         for i in range(stage + 1, n):
-            factor = ts[i] - ts[stage]
-            divide = None  # made at the row's first nonzero entry
+            divide = dividers[stage, i]
             new_row = []
             for a, b in zip(rows[i], pivot):
                 entry = a - b
                 if not entry.is_zero():
-                    if divide is None:
-                        divide = factor.parent.divider(factor)
                     try:
                         entry = divide(entry)
                     except (NotDivisible, ZeroDivisorDivisor) as exc:
@@ -156,7 +176,7 @@ def _eliminate(rows, ts):
             rows[i] = new_row
         yield
     for i in range(n):
-        if not (rows[i][i] - ts[i].parent.one()).is_zero():
+        if not (rows[i][i] - rows[i][i].parent.one()).is_zero():
             raise PivotNotCancellable(f"pivot {i} did not normalize to 1")
 
 
@@ -169,10 +189,11 @@ def gaussian_nzd_solve(ntuple) -> list:
     PivotNotCancellable.  ``roots_to_coeffs`` runs the same elimination on
     the system augmented by its right-hand side.
     """
-    ts = ntuple.elements if isinstance(ntuple, NTuple) else list(ntuple)
-    rows = vandermonde_matrix(ts)
+    if not isinstance(ntuple, NTuple):
+        ntuple = NTuple(ntuple)
+    rows = vandermonde_matrix(ntuple.elements)
     trace = [[list(r) for r in rows]]
-    for _ in _eliminate(rows, ts):
+    for _ in _eliminate(rows, ntuple):
         trace.append([list(r) for r in rows])
     return trace
 
@@ -223,11 +244,8 @@ def roots_to_coeffs(f_coeffs, ntuple: NTuple) -> RootCoeffResult:
     if not isinstance(ntuple, NTuple):
         raise NotATuple("roots_to_coeffs needs a verified tuple")
     f_coeffs = list(f_coeffs)
+    _check_roots(f_coeffs, ntuple)
     roots = ntuple.elements
-    if ntuple.mode == "concrete":
-        for i, r in enumerate(roots):
-            if not poly_eval_elems(f_coeffs, r).is_zero():
-                raise NotATuple(f"element {i} is not a root of f")
     n = len(roots)
     m = len(f_coeffs) - 1
     if n > m:
@@ -256,7 +274,7 @@ def roots_to_coeffs(f_coeffs, ntuple: NTuple) -> RootCoeffResult:
             power = power * r
         row.append(acc)
     try:
-        for _ in _eliminate(rows, roots):
+        for _ in _eliminate(rows, ntuple):
             pass
     except PivotNotCancellable as exc:
         raise DivisibilityFailure(str(exc)) from exc
@@ -320,12 +338,8 @@ def vanishing_condition(f_coeffs, ntuple: NTuple) -> VanishingVerdict:
     if not isinstance(ntuple, NTuple):
         raise NotATuple("vanishing_condition needs a verified tuple")
     f_coeffs = list(f_coeffs)
-    roots = ntuple.elements
-    if ntuple.mode == "concrete":
-        for i, r in enumerate(roots):
-            if not poly_eval_elems(f_coeffs, r).is_zero():
-                raise NotATuple(f"element {i} is not a root of f")
-    n = len(roots)
+    _check_roots(f_coeffs, ntuple)
+    n = len(ntuple)
     m = len(f_coeffs) - 1
     if n > m:
         contains = _one_in_ideal(f_coeffs)

@@ -22,6 +22,7 @@ from tateshift.ring_core import (
     _kernel_chain,
     _product,
     _quotient_algebra,
+    annihilator,
     graded_lex_key,
     ideal_module_rows,
     identity_rows,
@@ -513,6 +514,54 @@ def gcd_one_in_ideal(gens) -> bool:
     no generators give the zero ideal.  This was ``ring_linalg``'s branch
     for plain int elements before Z became ``ExactPolyRing([], [])``."""
     return math.gcd(*gens) == 1
+
+
+def is_nzd(e) -> bool:
+    """Non-zero-divisor test as the ring protocol's ``is_nzd`` answered it
+    before each ring's ``divider`` gave the verdict: a finite ring's element
+    by its annihilator (and e != 0), an exact ring's by the kernel of its
+    columns."""
+    ring = e.parent
+    if isinstance(e, RingElement):
+        return not e.is_zero() and not annihilator(e)
+    return not ring._solve([e], ring.zero())[1]
+
+
+def ntuple_by_pairs(elements, f=None):
+    """(ok, offending_pair) as ``is_ntuple`` found it by ``is_nzd`` of each
+    t_i - t_j, i < j, then by evaluating f at each element."""
+    elements = list(elements)
+    for i, j in itertools.combinations(range(len(elements)), 2):
+        if not is_nzd(elements[i] - elements[j]):
+            return False, (i, j)
+    if f is not None:
+        for i, r in enumerate(elements):
+            if not poly_eval_elems(f, r).is_zero():
+                return False, (i, i)
+    return True, None
+
+
+def eliminate_per_row(ts):
+    """The Vandermonde trace of ts as ``gaussian_nzd_solve`` made it with a
+    divider built at each row's first nonzero entry, stage by stage; a
+    factor that cannot be cancelled raises its ring error."""
+    rows = [[t.parent.one()] for t in ts]
+    for t, row in zip(ts, rows):
+        while len(row) < len(ts):
+            row.append(row[-1] * t)
+    trace = [[list(r) for r in rows]]
+    for stage in range(len(ts) - 1):
+        for i in range(stage + 1, len(ts)):
+            factor, divide, new_row = ts[i] - ts[stage], None, []
+            for a, b in zip(rows[i], rows[stage]):
+                entry = a - b
+                if not entry.is_zero():
+                    divide = divide or factor.parent.divider(factor)
+                    entry = divide(entry)
+                new_row.append(entry)
+            rows[i] = new_row
+        trace.append([list(r) for r in rows])
+    return trace
 
 
 def vandermonde_det(ts):

@@ -203,6 +203,43 @@ def test_vanish_cert_degree_one_relation(capsys):
     assert report["product_is_zero"] is True
 
 
+def roots_by_vieta(q, roots, g):
+    """A roots job over Z/q: f = g * prod (y - r), constant term first."""
+    f = list(g)
+    for r in roots:
+        f = [((f[k - 1] if k else 0) - r * (f[k] if k < len(f) else 0)) % q
+             for k in range(len(f) + 1)]
+    return {"modulus": q, "f": [str(c) for c in f], "tuple": [str(r) for r in roots]}
+
+
+def count_eliminations(monkeypatch):
+    """A list that gets one entry per zmod.coset_solver call from now on."""
+    calls, solver = [], tateshift.zmod.coset_solver
+    monkeypatch.setattr(tateshift.zmod, "coset_solver",
+                        lambda mat, n: calls.append(n) or solver(mat, n))
+    return calls
+
+
+@pytest.mark.parametrize("explain", [False, True])
+def test_roots_eliminates_each_difference_once(monkeypatch, explain):
+    # the CI's 30 roots over Z/1009: the tuple check, the Cramer elimination
+    # and the --explain trace share one divider per difference, 30 * 29 / 2
+    job = roots_by_vieta(1009, [(7 * i * i + 3) % 1009 for i in range(30)],
+                         [5, 0, 3, 1, 1])
+    calls = count_eliminations(monkeypatch)
+    code, report = run_job("roots", dict(job, explain=explain))
+    assert code == EXIT_OK and report["case"] == "Cramer"
+    assert len(calls) == 435
+    assert len(report.get("elimination_trace", [None] * 30)) == 30
+
+
+def test_roots_vieta_eliminates_each_difference_once(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    code, report = run_job("roots", roots_by_vieta(101, [3, 1, 4, 15, 9, 26], [1]))
+    assert code == EXIT_OK and report["case"] == "Vieta"
+    assert len(calls) == 15
+
+
 def test_roots_invalid_tuple_reported(capsys):
     job = json.dumps({"modulus": 4, "f": ["0", "0", "1"], "tuple": ["0", "1"]})
     code, report = run_cli(capsys, ["roots", job])
@@ -347,25 +384,59 @@ def test_deep_internal_error_names_the_raising_module(monkeypatch):
                                 "message": "broken tower test"}}
 
 
+RING_Z4 = {"base": "4", "vars": ["x"], "relations": [["0", "0", "1"]]}
+RING_EXACT = {"type": "exact", "vars": ["x"], "relations": [["-3", "0", "1"]]}
+NOT_AN_INT = "expected an integer or a decimal string, got"
+
 MALFORMED_JOBS = [
     ("roots", {"modulus": 1, "f": [1, 1], "tuple": [1]},
      "field 'modulus' must be int >= 2"),
     ("roots", {"modulus": 5, "f": ["a", 1], "tuple": [1]},
-     "invalid literal for int() with base 10: 'a'"),
+     f"field 'f' item 0: {NOT_AN_INT} \"a\""),
     ("roots", {"modulus": 5, "f": [1, 1], "tuple": [[1, 2]]},
-     "coordinate length != rank"),
+     "field 'tuple' item 0: expected a list of integers of length 1, got [1, 2]"),
     ("roots", {"modulus": 5, "f": [1, 1], "tuple": [None]},
-     "'NoneType' object is not iterable"),
-    ("roots", {"ring": {"base": "4"}, "f": [1, 1], "tuple": [1]}, "'vars'"),
+     f"field 'tuple' item 0: {NOT_AN_INT} null"),
+    ("roots", {"ring": {"base": "4"}, "f": [1, 1], "tuple": [1]},
+     "field 'ring': missing key 'vars'"),
     ("roots", {"ring": {"base": "4", "vars": ["x"], "relations": [["0", "2"]]},
-               "f": [1, 1], "tuple": [1]}, "relations must be monic of degree >= 1"),
-    ("vanish-cert", {"ring": {"base": "4", "vars": ["x"], "relations": [["0", "0", "1"]]},
-                     "gens": [["1"]], "max_len": 3}, "coordinate length != rank"),
-    ("vanish-cert", {"ring": {"base": "4", "vars": ["x"], "relations": [["0", "0", "1"]]},
-                     "gens": [["2", "0"]], "max_len": 0}, "field 'max_len' must be int >= 1"),
-    ("vanish-cert", {"ring": {"type": "exact"}, "gens": [["2"]], "max_len": 3}, "'vars'"),
+               "f": [1, 1], "tuple": [1]},
+     "field 'ring': relations must be monic of degree >= 1"),
+    ("vanish-cert", {"ring": RING_Z4, "gens": [["1"]], "max_len": 3},
+     "field 'gens' item 0: expected a list of integers of length 2, got [\"1\"]"),
+    ("vanish-cert", {"ring": RING_Z4, "gens": [["2", "0"]], "max_len": 0},
+     "field 'max_len' must be int >= 1"),
+    ("vanish-cert", {"ring": {"type": "exact"}, "gens": [["2"]], "max_len": 3},
+     "field 'ring': missing key 'vars'"),
     ("vanish-cert", {"ring": {"type": "exact", "vars": ["x"], "relations": [["1", "0"]]},
-                     "gens": [["2"]], "max_len": 3}, "relations must be monic of degree >= 1"),
+                     "gens": [["2"]], "max_len": 3},
+     "field 'ring': relations must be monic of degree >= 1"),
+    # a JSON boolean is not an integer, and a value of the wrong shape is named
+    # by its field and item, not by the Python error it would raise
+    ("roots", {"modulus": 7, "f": ["6", "0", True], "tuple": ["1"]},
+     f"field 'f' item 2: {NOT_AN_INT} true"),
+    ("roots", {"modulus": 7, "f": ["6", "0", "1"], "tuple": [1.5]},
+     f"field 'tuple' item 0: {NOT_AN_INT} 1.5"),
+    ("roots", {"modulus": 7, "f": ["6", "0", "1"], "tuple": [{"a": 1}]},
+     f"field 'tuple' item 0: {NOT_AN_INT} {{\"a\": 1}}"),
+    ("roots", {"modulus": 7, "f": ["6", "0", "1"], "tuple": ["1x" * 25]},
+     f"field 'tuple' item 0: {NOT_AN_INT} \"{'1x' * 18}..."),
+    ("roots", {"ring": {"base": "9", "vars": ["t"]}, "f": ["1"], "tuple": []},
+     "field 'ring': missing key 'relations'"),
+    ("roots", {"ring": {"base": True, "vars": ["t"], "relations": [["3", "0", "1"]]},
+               "f": ["1"], "tuple": []},
+     f"field 'ring': {NOT_AN_INT} true"),
+    ("roots", {"ring": {"base": "9", "vars": "t", "relations": [["3", "0", "1"]]},
+               "f": ["1"], "tuple": []},
+     "field 'ring': expected 'vars' to be a list of names and 'relations' a list"),
+    ("vanish-cert", {"ring": RING_Z4, "gens": [["1", True]], "max_len": 2},
+     f"field 'gens' item 0: {NOT_AN_INT} true"),
+    ("vanish-cert", {"ring": RING_Z4, "gens": [["1", "0"], 5], "max_len": 2},
+     "field 'gens' item 1: expected a list of integers of length 2, got 5"),
+    ("vanish-cert", {"ring": RING_EXACT, "gens": [["1", True]], "max_len": 2},
+     f"field 'gens' item 0: {NOT_AN_INT} true"),
+    ("vanish-cert", {"ring": RING_EXACT, "gens": [["1", "1", "5"]], "max_len": 2},
+     "field 'gens' item 0: expected a list of integers of length 2, got [\"1\", \"1\", \"5\"]"),
 ]
 
 

@@ -29,6 +29,7 @@ from tateshift.ring_core import (
 from tateshift.tate_blueshift import multiplicative_exact_ring
 
 from oracles import (
+    is_nzd,
     square_then_scan_index,
     unit_cofactors_by_enumeration,
     units_by_enumeration,
@@ -140,7 +141,7 @@ def test_unit_iff_trivial_annihilator_exhaustive():
             nzd = not annihilator(e) and not e.is_zero()
             if alg.rank == 1 and alg.base.n == 1:
                 continue
-            assert unit == nzd, (alg, e)
+            assert unit == nzd == alg.divider(e).nzd, (alg, e)
             if unit:
                 assert (e * inv) == alg.one()
 
@@ -333,7 +334,7 @@ def test_exact_ring_normal_form_unique():
 def test_exact_ring_nzd_and_unit():
     ring = ExactPolyRing(["x1", "x2"], [[0, 0, 1], [0, 0, 1]])  # Z[x]/(x1^2,x2^2)
     x1, x2 = ring.gen(0), ring.gen(1)
-    assert not ring.is_nzd(x1 - x2)  # (x1-x2)(x1+x2) = 0
+    assert not ring.divider(x1 - x2).nzd  # (x1-x2)(x1+x2) = 0
     mult = ExactPolyRing(["x"], [[-1, 0, 1]])
     assert mult.is_unit(mult.gen(0))  # x * x = 1
     assert not mult.is_unit(mult.gen(0) - mult.one())
@@ -430,8 +431,8 @@ def test_exact_ring_questions_match_det_and_rational_oracles(case):
     mat = [list(row) for row in zip(*cols)]
     det = integer_det(mat)
     assert ring.is_unit(d) == (abs(det) == 1)
-    assert ring.is_nzd(d) == (det != 0 and not d.is_zero())
     divide = ring.divider(d)
+    assert divide.nzd == (det != 0 and not d.is_zero()) == is_nzd(d)
     if det == 0:
         with pytest.raises(ZeroDivisorDivisor):
             divide(a)

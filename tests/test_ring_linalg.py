@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tateshift.ring_core import (
     BaseModulus,
@@ -14,7 +15,9 @@ from tateshift.ring_core import (
 )
 from tateshift.ring_linalg import (
     DivisibilityFailure,
+    LinalgError,
     NotATuple,
+    NTuple,
     PivotNotCancellable,
     RootCoeffResult,
     VanishingVerdict,
@@ -37,8 +40,10 @@ from oracles import (
     _det_berkowitz,
     _det_cofactor,
     det_division_free,
+    eliminate_per_row,
     gcd_one_in_ideal,
     localized_witnesses_by_query,
+    ntuple_by_pairs,
     small_ring,
     vandermonde_det,
 )
@@ -106,6 +111,103 @@ def test_is_ntuple_with_root_check():
     assert ok
     ok, pair = is_ntuple([z7.from_int(1), z7.from_int(3)], f)
     assert not ok and pair == (1, 1)  # 3 is not a root
+
+
+# Z/N for N prime, a prime power and composite, the local tower
+# Z/9[t]/(t^2 + 3), and the domains Z and Z[x]/(x^2 - 3), each with the
+# range its coordinates are drawn from
+Z9T = FiniteAlgebra.from_presentation(BaseModulus(9), ["t"], [[3, 0, 1]])
+TUPLE_RINGS = [
+    (zmod_ring(7), st.integers(0, 6)),
+    (zmod_ring(8), st.integers(0, 7)),
+    (zmod_ring(12), st.integers(0, 11)),
+    (Z9T, st.integers(0, 8)),
+    (Z, st.integers(-6, 6)),
+    (ExactPolyRing(["x"], [[-3, 0, 1]]), st.integers(-3, 3)),
+]
+
+
+@st.composite
+def tuple_cases(draw):
+    """(elements, f): f is None, zero, or g * prod (y - r) with the roots r
+    the elements themselves or other draws, so both the pair check and the
+    root check fail in some cases."""
+    ring, coord = draw(st.sampled_from(TUPLE_RINGS))
+    vector = st.lists(coord, min_size=ring.rank, max_size=ring.rank).map(tuple)
+    element = vector.map(ring.from_coords)
+    elements = [ring.from_coords(v) for v in draw(st.lists(vector, max_size=5, unique=True))]
+    if elements and draw(st.integers(0, 3)) == 3:  # a repeated element
+        elements.insert(draw(st.integers(0, len(elements))), draw(st.sampled_from(elements)))
+    kind = draw(st.sampled_from(["own roots", "none", "zero", "other roots"]))
+    if kind == "none":
+        return elements, None
+    if kind == "zero":
+        return elements, [ring.zero()] * draw(st.integers(1, 4))
+    roots = elements if kind == "own roots" else draw(st.lists(element, max_size=4))
+    g = draw(st.lists(element, max_size=2)) + [ring.one()]
+    f = [ring.zero()] * (len(roots) + len(g))
+    for i, a in enumerate(poly_from_roots(roots, ring.one())):
+        for j, b in enumerate(g):
+            f[i + j] = f[i + j] + a * b
+    return elements, f
+
+
+def outcome(run, f, tup):
+    """What run(f, tup) returns, as comparable values, or the error it raises."""
+    try:
+        out = run(f, tup)
+    except LinalgError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, VanishingVerdict):
+        return out.verdict, out.details
+    return out.case, out.recovered, out.witnesses, out.factorization
+
+
+# a Cramer tuple of the local tower: differences 1, 2 + t, 1 + t are units;
+# random draws rarely find three roots with unit differences there
+Z9T_ROOTS = [Z9T.zero(), Z9T.one(), 2 * Z9T.one() + Z9T.gen(0)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@example((Z9T_ROOTS, poly_from_roots(Z9T_ROOTS + [Z9T.gen(0)], Z9T.one())))
+@example((Z9T_ROOTS, None))
+@given(tuple_cases())
+def test_tuple_check_matches_pairwise_oracle(case):
+    # the one tuple check against the pairwise is_nzd path: the same verdict
+    # and offending pair, and for a valid tuple its kept dividers give what
+    # a tuple built by hand (checked afresh) and the per-row elimination give
+    elements, f = case
+    ok, pair = ntuple_by_pairs(elements, f)
+    assert is_ntuple(elements, f) == (ok, pair)
+    if not ok:
+        with pytest.raises(NotATuple) as exc:
+            verify_tuple(elements, f)
+        assert exc.value.pair == pair
+        return
+    tup = verify_tuple(elements, f)
+    assert len(tup.dividers) == len(elements) * (len(elements) - 1) // 2
+    assert gaussian_nzd_solve(tup) == gaussian_nzd_solve(elements) \
+        == eliminate_per_row(elements)
+    if f is None:
+        return
+    by_hand = NTuple(elements, f_coeffs=f)
+    # another f is evaluated at the roots again: f + 1 has none of them
+    other = [f[0] + f[-1].parent.one()] + f[1:]
+    for run in (roots_to_coeffs, vanishing_condition):
+        assert outcome(run, f, tup) == outcome(run, f, by_hand)
+        assert outcome(run, other, tup) == outcome(run, other, by_hand)
+
+
+def test_tuple_built_by_hand_is_checked_for_roots():
+    # only verify_tuple's tuple, against its own f, skips the root check
+    z7 = zmod_ring(7)
+    f = [z7.from_int(2), z7.from_int(-3), z7.from_int(1)]  # roots 1 and 2
+    elements = [z7.from_int(1), z7.from_int(3)]
+    for tup in (NTuple(elements), NTuple(elements, f_coeffs=f),
+                verify_tuple(elements), verify_tuple(elements, [z7.zero()] * 3)):
+        for run in (roots_to_coeffs, vanishing_condition):
+            with pytest.raises(NotATuple, match="element 1 is not a root of f"):
+                run(f, tup)
 
 
 # -- determinants ---------------------------------------------------------------
@@ -253,7 +355,7 @@ def test_cramer_witnesses_match_oracle_determinants():
             roots = []
             while len(roots) < n:
                 r = draw() * one
-                if all(ring.is_nzd(r - s) for s in roots):
+                if all(ring.divider(r - s).nzd for s in roots):
                     roots.append(r)
             g = [draw() * one for _ in range(rng.randrange(1, 4))] + [one]
             f = [ring.zero()] * (n + len(g))
