@@ -181,10 +181,9 @@ def _decode(where, decode, *args):
     the wrong length) is the job's fault, reported at ``where``."""
     try:
         return decode(*args)
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"{where}: {what}") from exc
 
 
 def _decode_items(field, decode, values):

@@ -8,17 +8,15 @@ polynomial with "too many" roots forces the ring to vanish.
 
 The Vandermonde system is solved one way: row reduction that cancels each
 non-zero-divisor difference of roots, ending in unit pivots.  det V is the
-product of the differences of the roots.  Each difference's one divider
-serves both the tuple check and the reduction.
+product of the differences of the roots.
 
 Elements are RingElements of a FiniteAlgebra or PolyElements of an
 ExactPolyRing (Z itself is ``ExactPolyRing([], [])``).  Both rings answer
 one protocol, which is all this module asks of them: ``zero()``, ``one()``,
-``divider(d)`` (exact division by d: the routine a -> t with a = d*t,
-whose ``nzd`` says whether d is a non-zero-divisor),
-``module_contains(gens, target)`` and ``unit_cofactor(s, d)`` (a unit u
-with s*u = d, or None) with its ``unit_cofactor_scope``, and ``is_zero()``
-on the elements.
+``divider(d)`` (exact division by d: the routine a -> t with a = d*t; its
+``nzd`` says whether d is a non-zero-divisor), ``module_contains(gens,
+target)`` and ``unit_cofactor(s, d)`` (a unit u with s*u = d, or None) with
+its ``unit_cofactor_scope``, and ``is_zero()`` on the elements.
 """
 
 from __future__ import annotations
@@ -68,19 +66,16 @@ class NTuple:
     mode "localized": each difference is certified to become a unit after
     inverting the recorded multiplicative set; conclusions are conditional on
     that localization being the ring under discussion.
-    ``verify_tuple`` keeps the ``dividers`` of ``_dividers`` and the f the
-    elements were checked to be roots of; a tuple built by hand has neither.
     """
 
     __slots__ = ("elements", "mode", "witnesses", "f_coeffs", "dividers")
 
-    def __init__(self, elements, mode="concrete", witnesses=None, f_coeffs=None,
-                 dividers=None):
+    def __init__(self, elements, mode="concrete", witnesses=None, f_coeffs=None):
         self.elements = list(elements)
         self.mode = mode
         self.witnesses = witnesses or {}
         self.f_coeffs = f_coeffs
-        self.dividers = dividers
+        self.dividers = None  # verify_tuple's, {(i, j): divider of t_j - t_i}
 
     def __len__(self):
         return len(self.elements)
@@ -96,16 +91,16 @@ def verify_tuple(elements, f=None) -> NTuple:
     """The tuple, checked: pairwise differences non-zero-divisors and, for a
     coefficient list ``f`` a_0..a_m, every element a root.  The first
     failure raises NotATuple."""
-    tup = NTuple(elements, dividers={})
+    tup = NTuple(elements)
+    tup.dividers = {}
     for (i, j), divide in _dividers(tup.elements):
         if not divide.nzd:
             message = f"difference of elements {i} and {j} is a zero divisor"
             raise NotATuple(message, (i, j))
         tup.dividers[i, j] = divide
     if f is not None:
-        f = list(f)
         _check_roots(f, tup)  # f_coeffs unset: every root is evaluated
-        tup.f_coeffs = f
+        tup.f_coeffs = list(f)
     return tup
 
 
@@ -189,8 +184,7 @@ def gaussian_nzd_solve(ntuple) -> list:
     PivotNotCancellable.  ``roots_to_coeffs`` runs the same elimination on
     the system augmented by its right-hand side.
     """
-    if not isinstance(ntuple, NTuple):
-        ntuple = NTuple(ntuple)
+    ntuple = ntuple if isinstance(ntuple, NTuple) else NTuple(ntuple)
     rows = vandermonde_matrix(ntuple.elements)
     trace = [[list(r) for r in rows]]
     for _ in _eliminate(rows, ntuple):

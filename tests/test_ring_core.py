@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,23 @@ def test_exact_div_examples_and_random():
         alg.divider(alg.gen(0))(alg.one())  # x is a zero divisor here
     # NotDivisible cannot fire in a finite ring (nzd <=> unit there); the
     # exact-integer ring exercises it in test_exact_div_poly_ring.
+
+
+def test_finite_divider_keeps_only_the_inverse():
+    # a non-zero-divisor of a finite ring is a unit: a divider holds d^-1, not
+    # its rank x 2*rank elimination, so a tuple's n(n-1)/2 dividers stay small
+    alg = FiniteAlgebra.from_presentation(BaseModulus(1009), ["x"], [[0] * 16 + [1]])
+    units = [alg.from_coords([k + 1] + [(37 * k + 11 * j) % 1009 for j in range(1, 16)])
+             for k in range(30)]
+    alg.divider(units[0])(units[0])  # fill the algebra's shared caches first
+    tracemalloc.start()
+    try:
+        dividers = [alg.divider(u) for u in units]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000, held  # about 320 KB if each kept its elimination
+    assert all(divide(u * u) == u for divide, u in zip(dividers, units))
 
 
 def test_ideal_contains_one():

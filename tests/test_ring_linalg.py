@@ -208,6 +208,8 @@ def test_tuple_built_by_hand_is_checked_for_roots():
         for run in (roots_to_coeffs, vanishing_condition):
             with pytest.raises(NotATuple, match="element 1 is not a root of f"):
                 run(f, tup)
+    with pytest.raises(TypeError):  # no constructor call marks a tuple checked
+        NTuple(elements, f_coeffs=f, dividers={})
 
 
 # -- determinants ---------------------------------------------------------------
